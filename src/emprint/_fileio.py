@@ -9,13 +9,17 @@ from pathlib import Path
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file and rename, so readers never
-    observe a partially written file."""
+    observe a partially written file. The file gets mode 0o666 less the
+    umask, as an ordinary ``open`` would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        mask = os.umask(0o077)  # the umask is read by setting it; restore it
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         try:

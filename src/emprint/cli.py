@@ -5,7 +5,7 @@ Subcommands
 generate        synthesize a training CSV from a named family
 basis           build the greedy reduced basis, write basis + error curves
 eim             build interpolants for the requested criteria, write JSON
-compare         run the multi-criterion comparison, write reports + curves
+compare         compare the criteria: write reports + curves, print a summary
 verify-theorem  check the residual/determinant-ratio identity step by step
 
 Every command reads either a training CSV (--input) or a family spec
@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import catalog, diagnostics, eim, rbm
 from .catalog import (GridMismatch, InvalidRange, LengthMismatch, NonFiniteSample,
                       ParseError, TimeGrid, UnknownFamily)
@@ -42,6 +44,10 @@ EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERPOLANT = 4
+
+
+# Python types a config-file value may have, by RunConfig annotation.
+_CONFIG_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 class ConfigError(Exception):
@@ -126,27 +132,37 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
 
     cfg = RunConfig(command=args.command)
-    known = {f.name for f in fields(RunConfig)} - {"command"}
+    annotations = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
     for key in file_values:
-        if key not in known:
+        if key not in annotations:
             raise ConfigError(f"unknown config key {key!r}")
-    for name in known:
+    for name, annotation in annotations.items():
         cli_value = getattr(args, name, None)
         if cli_value is not None:
             setattr(cfg, name, cli_value)
         elif name in file_values:
+            _check_config_value(name, file_values[name], annotation)
             setattr(cfg, name, file_values[name])
 
-    try:
-        if cfg.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {cfg.tol}")
-        if cfg.n_max is not None and cfg.n_max < 1:
-            raise ConfigError(f"n-max must be >= 1, got {cfg.n_max}")
-        if cfg.k < 1 or cfg.l < 2:
-            raise ConfigError(f"need k >= 1 and l >= 2, got k={cfg.k}, l={cfg.l}")
-    except TypeError as exc:
-        raise ConfigError(f"config value has the wrong type: {exc}") from exc
+    if cfg.tol <= 0:
+        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    if cfg.n_max is not None and cfg.n_max < 1:
+        raise ConfigError(f"n-max must be >= 1, got {cfg.n_max}")
+    if cfg.k < 1 or cfg.l < 2:
+        raise ConfigError(f"need k >= 1 and l >= 2, got k={cfg.k}, l={cfg.l}")
     return cfg
+
+
+def _check_config_value(key: str, value, annotation: str) -> None:
+    """Check a config-file value against its RunConfig annotation, e.g.
+    ``"int | None"``. An int is accepted for a float; a bool is never a number."""
+    names = annotation.split(" | ")
+    if value is None and "None" in names:
+        return
+    kind = names[0]
+    if (not isinstance(value, _CONFIG_TYPES[kind])
+            or isinstance(value, bool) != (kind == "bool")):
+        raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
 
 
 def _parse_criteria(spec: str) -> tuple[SelectionCriterion, ...]:
@@ -259,7 +275,28 @@ def cmd_compare(cfg: RunConfig) -> int:
             reports[criterion], out_dir / f"report_{criterion.value}.json")
     names = diagnostics.write_curve_csvs(reports, out_dir)
     print(f"wrote {len(criteria)} report(s) and {', '.join(names)} in {out_dir}")
+    _print_comparison(reports, criteria)
     return EXIT_OK
+
+
+def _print_comparison(reports, criteria) -> None:
+    """Per-order table (kappa_n, lambda_n, worst interp_err_sq per rule) and,
+    when the classic rule ran, the classic/other error-ratio summaries."""
+    print(f"\n{'n':>3} " + " ".join(f"{c.value:>24}" for c in criteria)
+          + "   (kappa_n / lambda_n / interp_err_sq)")
+    for recs in zip(*(reports[c].per_n for c in criteria)):
+        print(f"{recs[0].n:>3} " + " ".join(
+            f"{r.kappa:7.2f} {r.lebesgue:7.2f} {r.max_interp_err_sq:8.2e}" for r in recs))
+    classic = reports.get(SelectionCriterion.CLASSIC)
+    for other in criteria:
+        if classic is None or other is SelectionCriterion.CLASSIC:
+            continue
+        ratios = np.array(diagnostics.error_ratio_curve(classic, reports[other]))
+        finite = ratios[np.isfinite(ratios)]
+        summary = (f"min {finite.min():.3f}, max {finite.max():.3f}, "
+                   f"geo-mean {np.exp(np.log(finite).mean()):.3f}"
+                   if finite.size else "no finite ratio")
+        print(f"error ratio classic/{other.value}: {summary}")
 
 
 def cmd_verify_theorem(cfg: RunConfig) -> int:

@@ -17,6 +17,11 @@ supported for the node added at step j:
 
 The first node is the location of max |e_1| under every rule by default; an
 opt-in flag applies each rule's own objective to the first node as well.
+
+One per-step kernel serves every rule: step j computes r_j over the grid
+once, from one LU of V_{j-1}. The classic rule picks its argmax, and every
+step record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it. One
+constructor builds V and the cardinal functions for builds and truncations.
 """
 
 from __future__ import annotations
@@ -112,10 +117,8 @@ def _argmax_tied(values: np.ndarray) -> int:
 def _pick_first_node(basis_rows: np.ndarray, criterion: SelectionCriterion,
                      variant: bool) -> int:
     moduli = np.abs(basis_rows[0])
-    if not variant or criterion is SelectionCriterion.CLASSIC:
-        return _argmax_tied(moduli)
-    if criterion is SelectionCriterion.MIN_LAMBDA:
-        # ||V_1^{-1}|| = 1/|e_1(t)|: same argmax, written via the objective.
+    if not (variant and criterion is SelectionCriterion.MIN_KAPPA):
+        # The lambda objective ||V_1^{-1}|| = 1/|e_1(t)| has the classic argmax.
         return _argmax_tied(moduli)
     # kappa of a 1x1 matrix is 1 wherever e_1(t) != 0, so the tie rule picks
     # the lowest index with a nonzero sample.
@@ -125,12 +128,12 @@ def _pick_first_node(basis_rows: np.ndarray, criterion: SelectionCriterion,
     return int(nonzero[0])
 
 
-def _classic_residual(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:
-    """Residual r_j = e_j - I_{j-1}[e_j] over the whole grid (j >= 2)."""
+def _residual(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:
+    """Residual r_j = e_j - I_{j-1}[e_j] over the whole grid (j >= 2), from
+    one LU factorization of V_{j-1}."""
     prefix = nodes[: j - 1]
-    v_prev = basis_rows[: j - 1][:, prefix].T
     try:
-        fact = nm.lu_factor(v_prev)
+        fact = nm.lu_factor(basis_rows[: j - 1][:, prefix].T)
     except nm.ExactlySingular as exc:
         raise SingularVMatrix(f"node-value matrix singular at order {j - 1}") from exc
     coeff = nm.solve(fact, basis_rows[j - 1, prefix])
@@ -163,11 +166,15 @@ def _scan_variant(basis_rows: np.ndarray, j: int, nodes: list[int],
 
 
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
-                  first_node_variant: bool) -> list[int]:
+                  first_node_variant: bool) -> tuple[list[int], list[float]]:
+    """The per-step kernel: nodes T_1..T_n and |r_j(T_j)| for j = 1..n, from
+    one residual r_j per step (the classic rule's argmax)."""
     nodes = [_pick_first_node(basis_rows, criterion, first_node_variant)]
+    at_node = [float(abs(basis_rows[0, nodes[0]]))]
     for j in range(2, n + 1):
+        residual = _residual(basis_rows, j, nodes)
         if criterion is SelectionCriterion.CLASSIC:
-            moduli = np.abs(_classic_residual(basis_rows, j, nodes))
+            moduli = np.abs(residual)
             if moduli.max() == 0.0:
                 raise SingularVMatrix(
                     f"residual of basis row {j} vanishes identically; basis "
@@ -181,43 +188,35 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
         else:
             pick = _scan_variant(basis_rows, j, nodes, criterion)
         nodes.append(pick)
-    return nodes
+        at_node.append(float(abs(residual[pick])))
+    return nodes, at_node
 
 
-def _assemble(basis: ReducedBasis, nodes: list[int], n: int,
-              criterion: SelectionCriterion) -> EmpiricalInterpolant:
+def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
+                 residual_at_node: float) -> StepRecord:
+    vj = basis_rows[:j][:, nodes[:j]].T
+    return StepRecord(det_v=nm.determinant(vj), kappa=nm.condition_number_2(vj),
+                      lebesgue=nm.inverse_two_norm(vj),
+                      residual_at_node=residual_at_node)
+
+
+def _interpolant(basis: ReducedBasis, nodes: list[int] | tuple[int, ...],
+                 criterion: SelectionCriterion,
+                 per_step: tuple[StepRecord, ...]) -> EmpiricalInterpolant:
+    """V and the cardinal functions B = (V^T)^{-1} E for the given nodes."""
+    n = len(nodes)
     rows = basis.basis[:n]
-    v = rows[:, nodes].T.copy()
+    v = rows[:, list(nodes)].T.copy()
     try:
         fact_t = nm.lu_factor(v.T)
     except nm.ExactlySingular as exc:
-        raise SingularVMatrix("final node-value matrix is exactly singular") from exc
+        raise SingularVMatrix(f"node-value matrix of order {n} is exactly singular") from exc
     # B = (V^{-1})^T E comes from solving V^T X = E, never from an inverse.
     b = nm.solve(fact_t, rows)
-    per_step = tuple(
-        _step_record(basis.basis, nodes, j) for j in range(1, n + 1)
-    )
     return EmpiricalInterpolant(
         basis=basis, n=n, node_indices=tuple(nodes), v_matrix=v,
         b_matrix=b, criterion=criterion, per_step=per_step,
     )
-
-
-def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int) -> StepRecord:
-    vj = basis_rows[:j][:, nodes[:j]].T
-    det = nm.determinant(vj)
-    kappa = nm.condition_number_2(vj)
-    lebesgue = nm.inverse_two_norm(vj)
-    if j == 1:
-        residual = abs(basis_rows[0, nodes[0]])
-    else:
-        prefix = nodes[: j - 1]
-        fact = nm.lu_factor(basis_rows[: j - 1][:, prefix].T)
-        coeff = nm.solve(fact, basis_rows[j - 1, prefix])
-        at_node = basis_rows[j - 1, nodes[j - 1]] - coeff @ basis_rows[: j - 1, nodes[j - 1]]
-        residual = abs(at_node)
-    return StepRecord(det_v=det, kappa=kappa, lebesgue=lebesgue,
-                      residual_at_node=float(residual))
 
 
 def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
@@ -250,8 +249,10 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
         raise NoAdmissibleNode(
             f"cannot place {n} distinct nodes on {rb.grid.n_samples} grid points"
         )
-    nodes = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
-    return _assemble(rb, nodes, n, criterion)
+    nodes, at_node = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
+    per_step = tuple(_step_record(rb.basis, nodes, j, at_node[j - 1])
+                     for j in range(1, n + 1))
+    return _interpolant(rb, nodes, criterion, per_step)
 
 
 def truncate_interpolant(itp: EmpiricalInterpolant, n: int) -> EmpiricalInterpolant:
@@ -264,18 +265,8 @@ def truncate_interpolant(itp: EmpiricalInterpolant, n: int) -> EmpiricalInterpol
         raise ValueError(f"order {n} outside 1..{itp.n}")
     if n == itp.n:
         return itp
-    rows = itp.basis.basis[:n]
-    nodes = list(itp.node_indices[:n])
-    v = itp.v_matrix[:n, :n].copy()
-    try:
-        fact_t = nm.lu_factor(v.T)
-    except nm.ExactlySingular as exc:
-        raise SingularVMatrix(f"prefix matrix of order {n} is exactly singular") from exc
-    b = nm.solve(fact_t, rows)
-    return EmpiricalInterpolant(
-        basis=itp.basis, n=n, node_indices=tuple(nodes), v_matrix=v,
-        b_matrix=b, criterion=itp.criterion, per_step=itp.per_step[:n],
-    )
+    return _interpolant(itp.basis, itp.node_indices[:n], itp.criterion,
+                        itp.per_step[:n])
 
 
 def interpolate(itp: EmpiricalInterpolant, node_values) -> np.ndarray:
@@ -315,7 +306,7 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     discrepancies: list[float] = []
     for j in range(2, n + 1):
         prefix = list(itp.node_indices[: j - 1])
-        residual = _classic_residual(rows, j, prefix)
+        residual = _residual(rows, j, prefix)
         det_prev = nm.determinant(rows[: j - 1][:, prefix].T)
         if det_prev == 0:
             raise SingularVMatrix(f"prefix determinant vanished at order {j - 1}")

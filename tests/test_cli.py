@@ -138,6 +138,39 @@ def test_compare_outputs(tmp_path):
             assert cur[: len(prev)] == prev
 
 
+def test_compare_prints_table_and_ratios(tmp_path, capsys):
+    code = main(["compare", *CHIRP, "--criteria", "classic,kappa,lambda",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("wrote 3 report(s)")
+    header = out[2].split()
+    assert header[:4] == ["n", "classic", "kappa", "lambda"]
+    n = len(read(tmp_path / "errors.csv")) - 1
+    rows = [line.split() for line in out[3:3 + n]]
+    assert [int(r[0]) for r in rows] == list(range(1, n + 1))
+    report = json.loads((tmp_path / "report_kappa.json").read_text())
+    for row, rec in zip(rows, report["per_n"]):
+        assert len(row) == 1 + 3 * 3  # n, then kappa/lambda/error per rule
+        assert float(row[4]) == pytest.approx(rec["kappa"], abs=0.005)
+        assert float(row[6]) == pytest.approx(rec["max_interp_err_sq"], rel=0.01)
+    ratios = out[3 + n:]
+    assert [line.split(":")[0] for line in ratios] == [
+        "error ratio classic/kappa", "error ratio classic/lambda"]
+    assert all("min" in line and "geo-mean" in line for line in ratios)
+
+
+def test_compare_prints_no_ratio_without_classic(tmp_path, capsys):
+    code = main(["compare", *CHIRP, "--criteria", "lambda,kappa",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].split() == ["n", "lambda", "kappa",
+                                           "(kappa_n", "/", "lambda_n", "/",
+                                           "interp_err_sq)"]
+    assert "error ratio" not in out
+
+
 def test_compare_exact_span_at_full_order(tmp_path, capsys):
     # poly_fourier saturates at n=10, where projection and interpolation
     # errors are both roundoff on rows of norm^2 ~ 2.8e3: not a config error.
@@ -203,6 +236,33 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"familly": "damped_chirp"}))
     assert main(["generate", "--config", str(cfg)]) == 2
     assert "familly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("eim", {"criteria": 5}),
+    ("verify-theorem", {"n": "3"}),
+    ("eim", {"first_node_variant": "yes"}),
+    ("generate", {"k": True}),
+    ("generate", {"k": None}),
+    ("generate", {"t_end": "2"}),
+    ("basis", {"tol": False}),
+], ids=["criteria-int", "n-str", "first_node_variant-str", "k-bool", "k-null",
+        "t_end-str", "tol-bool"])
+def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "damped_chirp", "k": 10, "l": 101, **values}))
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    [key] = values
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_accepts_int_for_float_and_null_for_optional(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "damped_chirp", "k": 10, "l": 101,
+                               "t_end": 2, "n": None}))
+    assert main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    ts = catalog.load_training_csv(tmp_path / "training.csv")
+    assert ts.grid.t_end == 2.0
 
 
 def test_missing_data_source(tmp_path, capsys):

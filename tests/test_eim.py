@@ -49,10 +49,12 @@ def test_classic_residual_vanishes_at_previous_nodes(chirp_basis):
         assert np.max(np.abs(residual[prefix])) <= 1e-10
 
 
-def test_classic_residual_equals_determinant_ratio(chirp_basis):
+@pytest.mark.parametrize("criterion", ALL_CRITERIA)
+def test_classic_residual_equals_determinant_ratio(chirp_basis, criterion):
     # The per-step records hold |r_j(T_j)| and det(V_j); the selected node's
-    # residual must equal the growth of the determinant.
-    itp = build_interpolant(chirp_basis, SelectionCriterion.CLASSIC, 15)
+    # residual must equal the growth of the determinant, whatever rule
+    # picked the node.
+    itp = build_interpolant(chirp_basis, criterion, 15)
     prev = 1.0 + 0j
     for rec in itp.per_step:
         ratio = abs(rec.det_v / prev)
@@ -117,8 +119,19 @@ def test_truncate_matches_rebuild(small_basis):
         cut = truncate_interpolant(full, 4)
         rebuilt = build_interpolant(small_basis, criterion, 4)
         assert cut.node_indices == rebuilt.node_indices
-        assert np.allclose(cut.b_matrix, rebuilt.b_matrix, atol=1e-12)
+        assert np.array_equal(cut.b_matrix, rebuilt.b_matrix)
         assert cut.per_step == rebuilt.per_step
+
+
+@pytest.mark.parametrize("criterion", ALL_CRITERIA)
+def test_one_factorization_per_step(monkeypatch, small_basis, criterion):
+    # One LU of V_{j-1} per step j = 2..n serves both the pick and the step
+    # record; one more LU of V^T gives the cardinal functions.
+    calls = []
+    lu_factor = nm.lu_factor
+    monkeypatch.setattr(nm, "lu_factor", lambda m: calls.append(1) or lu_factor(m))
+    build_interpolant(small_basis, criterion, small_basis.n)
+    assert len(calls) == small_basis.n
 
 
 def test_first_node_variant_flag(small_basis):

@@ -43,6 +43,9 @@ class NonFiniteSample(Exception):
 
 CSV_MAGIC = "emprint-training v1"
 
+# How FamilySpec draws parameter vectors.
+SAMPLING_MODES = ("equispaced", "random")
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -198,7 +201,7 @@ class FamilySpec:
                 raise InvalidRange(f"parameter range [{lo}, {hi}] is empty")
         if self.n_params < 1:
             raise ValueError(f"n_params must be >= 1, got {self.n_params}")
-        if self.sampling not in ("equispaced", "random"):
+        if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         object.__setattr__(self, "param_range", rng)
 
@@ -245,7 +248,9 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 
     Parameters are drawn equispaced over ``spec.param_range`` (a tensor grid
     for multi-parameter families) or uniformly at random with ``spec.seed``.
-    Identical specs always produce identical training sets.
+    Identical specs always produce identical training sets. Raises
+    InvalidRange when the ranges are too narrow for ``spec.n_params``
+    distinct parameter vectors.
     """
     if spec.family not in FAMILIES:
         raise UnknownFamily(
@@ -261,6 +266,9 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
         params = _equispaced_params(spec.param_range, spec.n_params)
     else:
         params = _random_params(spec.param_range, spec.n_params, spec.seed)
+    if np.unique(params, axis=0).shape[0] != spec.n_params:
+        raise InvalidRange(f"parameter ranges too narrow for {spec.n_params} "
+                           f"distinct parameter vectors")
     samples = evaluator(params, spec.grid.points)
     return TrainingSet(spec.grid, params, samples)
 
@@ -383,7 +391,7 @@ def load_training_csv(path, expected_grid: TimeGrid | None = None) -> TrainingSe
     """Load a training CSV written by ``save_training_csv``.
 
     Raises GridMismatch when ``expected_grid`` is given and the file's grid
-    differs from it.
+    differs from it, and ParseError when two rows share a parameter vector.
     """
     grid, params, samples, kind = read_waveform_csv(path)
     if kind is not None:
@@ -400,4 +408,9 @@ def load_training_csv(path, expected_grid: TimeGrid | None = None) -> TrainingSe
         )
     if params.shape[1] < 1:
         raise ParseError("line 1: training files need d >= 1")
+    first_row = {}
+    for row, p in enumerate(map(tuple, params)):
+        if first_row.setdefault(p, row) != row:
+            raise ParseError(f"waveform row {row} repeats the parameters of row "
+                             f"{first_row[p]}")
     return TrainingSet(grid, params, samples)

@@ -85,7 +85,7 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--param-range", dest="param_range",
                    help="per-dimension ranges, e.g. '1:50' or '0.2:0.8,0.05:0.2'")
-    p.add_argument("--sampling", choices=["equispaced", "random"])
+    p.add_argument("--sampling", choices=catalog.SAMPLING_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--tol", type=float)
@@ -144,12 +144,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             _check_config_value(name, file_values[name], annotation)
             setattr(cfg, name, file_values[name])
 
-    if cfg.tol <= 0:
+    if not cfg.tol > 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.n_max is not None and cfg.n_max < 1:
         raise ConfigError(f"n-max must be >= 1, got {cfg.n_max}")
     if cfg.k < 1 or cfg.l < 2:
         raise ConfigError(f"need k >= 1 and l >= 2, got k={cfg.k}, l={cfg.l}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.sampling not in catalog.SAMPLING_MODES:
+        raise ConfigError(f"sampling must be one of {', '.join(catalog.SAMPLING_MODES)}, "
+                          f"got {cfg.sampling!r}")
     return cfg
 
 
@@ -195,6 +200,8 @@ def _parse_param_range(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _family_spec(cfg: RunConfig) -> catalog.FamilySpec:
+    if not cfg.t_end > cfg.t_start:
+        raise ConfigError(f"need t-end > t-start, got [{cfg.t_start}, {cfg.t_end}]")
     grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.l)
     param_range = _parse_param_range(cfg.param_range) if cfg.param_range else None
     return catalog.make_family_spec(
@@ -322,9 +329,11 @@ COMMANDS = {
     "verify-theorem": cmd_verify_theorem,
 }
 
+# Input errors only: a ValueError from inside the library is a fault, not
+# bad input, and surfaces as a traceback.
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidRange, ParseError,
                   GridMismatch, NonFiniteSample, LengthMismatch,
-                  FileNotFoundError, ValueError)
+                  FileNotFoundError)
 _DEGENERACY_ERRORS = (DegenerateResidual, EmptyTraining)
 _INTERPOLANT_ERRORS = (SingularVMatrix, NoAdmissibleNode, ConvergenceFailure)
 

@@ -1,11 +1,14 @@
 """Dense complex linear algebra kernels shared by the rest of the package.
 
-Everything here operates on plain 2-d complex128 numpy arrays and is a pure
+Everything here operates on plain complex128 numpy arrays and is a pure
 function of its inputs. Factorizations use LAPACK partial-pivoting LU via
 scipy; singular values come from a dense SVD. Condition numbers and inverse
 norms are defined through singular values, never through adjugates or
-explicit inverses. The roundoff floor that error comparisons across the
-package share also lives here.
+explicit inverses. ``determinant``, ``condition_number_2`` and
+``inverse_two_norm`` also take an ``(..., n, n)`` stack of matrices and then
+return one value per matrix, from the same per-matrix LAPACK call. The
+roundoff floor that error comparisons across the package share also lives
+here.
 """
 
 from __future__ import annotations
@@ -54,9 +57,15 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+def _square_stack(a) -> np.ndarray:
+    """Coerce ``a`` to a complex128 square matrix or ``(..., n, n)`` stack of
+    them, rejecting empty or non-finite input."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 @dataclass(frozen=True)
@@ -66,27 +75,14 @@ class LuFactorization:
     ``factors`` holds U in the upper triangle and the strictly lower part of
     the unit-diagonal L below it (LAPACK getrf layout). ``pivots`` is the
     sequential row-swap record: row i was exchanged with row ``pivots[i]``.
-    ``sign`` is the parity (+1 or -1) of the accumulated row permutation.
     """
 
     factors: np.ndarray
     pivots: np.ndarray
-    sign: int
 
     @property
     def n(self) -> int:
         return self.factors.shape[0]
-
-
-def _getrf(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    # scipy warns instead of raising on exactly zero pivots; singularity is
-    # detected afterwards from the U diagonal.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    swaps = int(np.count_nonzero(piv != np.arange(piv.size)))
-    sign = -1 if swaps % 2 else 1
-    return lu, piv, sign
 
 
 def lu_factor(m) -> LuFactorization:
@@ -99,25 +95,28 @@ def lu_factor(m) -> LuFactorization:
         valid outcome (e.g. a determinant of zero) must handle this.
     """
     a = as_complex_matrix(m)
-    _require_square(a)
-    lu, piv, sign = _getrf(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    # scipy warns instead of raising on exactly zero pivots; singularity is
+    # detected afterwards from the U diagonal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     diag = np.diagonal(lu)
     if np.any(diag == 0):
         pos = int(np.flatnonzero(diag == 0)[0])
         raise ExactlySingular(f"zero pivot at position {pos}")
-    return LuFactorization(lu, piv, sign)
+    return LuFactorization(lu, piv)
 
 
-def determinant(m) -> complex:
-    """Determinant of a square complex matrix, as permutation sign times the
-    product of the U diagonal. Exactly singular input yields 0."""
-    a = as_complex_matrix(m)
-    _require_square(a)
-    lu, _, sign = _getrf(a)
-    diag = np.diagonal(lu)
-    if np.any(diag == 0):
-        return 0j
-    return complex(sign * np.prod(diag))
+def determinant(m) -> complex | np.ndarray:
+    """Determinant of a square complex matrix, or an array of the
+    determinants of an ``(..., n, n)`` stack, from one LAPACK LU per matrix
+    (``scipy.linalg.det``). Exactly singular input yields 0."""
+    a = _square_stack(m)
+    det = scipy.linalg.det(a, check_finite=False)
+    # scipy returns a scalar when every dimension of the stack is 1.
+    return complex(det) if a.ndim == 2 else np.reshape(det, a.shape[:-2])
 
 
 def solve(f: LuFactorization, rhs) -> np.ndarray:
@@ -137,32 +136,40 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 
 def two_norm(m) -> float:
     """Induced 2-norm: the largest singular value of ``m``."""
-    a = as_complex_matrix(m)
-    return float(_singular_values(a)[0])
+    return float(_singular_values(as_complex_matrix(m))[0])
 
 
-def condition_number_2(m) -> float:
-    """2-norm condition number of a square matrix.
-
-    Returns ``math.inf`` when the smallest singular value vanishes to
-    working precision (sigma_min <= sigma_max * 1e-300).
-    """
-    a = as_complex_matrix(m)
-    _require_square(a)
+def _over_sigma_min(m, numerator_is_sigma_max: bool) -> float | np.ndarray:
+    """sigma_max / sigma_min, or 1 / sigma_min, per matrix; ``inf`` where the
+    matrix is singular to working precision: sigma_min <= sigma_max * 1e-300,
+    or 1 / sigma_min overflows. The test runs on 1 / sigma_min, since
+    sigma_max * 1e-300 underflows to 0 for matrices of tiny norm."""
+    a = _square_stack(m)
     s = _singular_values(a)
-    if s[-1] <= s[0] * 1e-300:
-        return math.inf
-    return float(s[0] / s[-1])
+    s_max, s_min = s[..., 0], s[..., -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / s_min
+        singular = np.isinf(inv) | (s_max * inv >= 1e300)
+        value = np.where(singular, math.inf,
+                         s_max / s_min if numerator_is_sigma_max else inv)
+    return float(value) if a.ndim == 2 else value
 
 
-def inverse_two_norm(m) -> float:
-    """2-norm of the inverse of a square matrix, i.e. 1/sigma_min.
+def condition_number_2(m) -> float | np.ndarray:
+    """2-norm condition number of a square matrix, or an array of them for
+    an ``(..., n, n)`` stack.
 
-    Returns ``math.inf`` for matrices that are singular to working precision.
+    Returns ``math.inf`` where the matrix is singular to working precision
+    (sigma_min <= sigma_max * 1e-300, or 1 / sigma_min overflows), so
+    exactly where ``inverse_two_norm`` does.
     """
-    a = as_complex_matrix(m)
-    _require_square(a)
-    s = _singular_values(a)
-    if s[-1] <= s[0] * 1e-300:
-        return math.inf
-    return float(1.0 / s[-1])
+    return _over_sigma_min(m, numerator_is_sigma_max=True)
+
+
+def inverse_two_norm(m) -> float | np.ndarray:
+    """2-norm of the inverse of a square matrix, i.e. 1/sigma_min, or an
+    array of them for an ``(..., n, n)`` stack.
+
+    Returns ``math.inf`` where the matrix is singular to working precision.
+    """
+    return _over_sigma_min(m, numerator_is_sigma_max=False)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from emprint import catalog
+from emprint import catalog, rbm
 from emprint.cli import main
 from emprint.numerics import error_floor_sq
 
@@ -270,8 +270,57 @@ def test_missing_data_source(tmp_path, capsys):
     assert "--input or --family" in capsys.readouterr().err
 
 
-def test_bad_tol(tmp_path, capsys):
-    assert main(["basis", *CHIRP, "--tol", "-1", "--out-dir", str(tmp_path)]) == 2
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_bad_tol(tmp_path, capsys, tol, source):
+    if source == "flag":
+        args = [*CHIRP, "--tol", tol]
+    else:
+        cfg = tmp_path / "run.json"
+        # json writes a NaN float as the literal NaN, which json.loads reads.
+        cfg.write_text(json.dumps({"family": "damped_chirp", "k": 25, "l": 201,
+                                   "tol": float(tol)}))
+        args = ["--config", str(cfg)]
+    assert main(["basis", *args, "--out-dir", str(tmp_path)]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "basis.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--t-start", "1", "--t-end", "0"], "t-end > t-start"),
+    (["--sampling", "random", "--seed", "-1"], "seed"),
+    (["--param-range", "1:1.0000000000000002"], "too narrow"),
+], ids=["t-range", "negative-seed", "narrow-range"])
+def test_bad_family_input_exits_2(tmp_path, capsys, args, message):
+    assert main(["generate", *CHIRP, *args, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_sampling_in_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": "damped_chirp", "k": 10, "l": 101,
+                               "sampling": "sobol"}))
+    assert main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "sobol" in capsys.readouterr().err
+
+
+def test_duplicate_parameter_rows_in_csv(tmp_path, capsys):
+    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "training.csv"
+    lines = read(path)
+    path.write_text("\n".join(lines + [lines[3]]) + "\n")
+    assert main(["basis", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "row 25 repeats the parameters of row 2" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # Only input errors map to exit 2; a ValueError raised inside the
+    # library is a fault and surfaces as a traceback.
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant violated")
+    monkeypatch.setattr(rbm, "build_reduced_basis", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        main(["basis", *CHIRP, "--out-dir", str(tmp_path)])
 
 
 def test_corrupt_training_csv(tmp_path, capsys):

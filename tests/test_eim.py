@@ -79,14 +79,18 @@ def test_classic_maximizes_determinant_growth(chirp_basis):
         assert dets[chosen] >= dets.max() * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("basis_name", ["small_basis", "chirp_basis"])
 @pytest.mark.parametrize("criterion,objective", [
     (SelectionCriterion.MIN_KAPPA, nm.condition_number_2),
     (SelectionCriterion.MIN_LAMBDA, nm.inverse_two_norm),
-])
-def test_variant_steps_are_optimal(small_basis, criterion, objective):
-    n = small_basis.n
-    itp = build_interpolant(small_basis, criterion, n)
-    rows = small_basis.basis
+], ids=["kappa", "lambda"])
+def test_variant_steps_are_optimal(request, basis_name, criterion, objective):
+    # small_basis (L = 301) fits one candidate stack, chirp_basis (L = 1001)
+    # spans four; the reference scores one candidate matrix at a time.
+    basis = request.getfixturevalue(basis_name)
+    n = basis.n
+    itp = build_interpolant(basis, criterion, n)
+    rows = basis.basis
     n_grid = rows.shape[1]
     for j in range(2, n + 1):
         prefix = list(itp.node_indices[: j - 1])
@@ -98,6 +102,19 @@ def test_variant_steps_are_optimal(small_basis, criterion, objective):
                 continue
             vj[j - 1] = rows[:j, t]
             assert chosen_value <= objective(vj) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("variant", [False, True], ids=["default", "first-node-variant"])
+@pytest.mark.parametrize("criterion", ALL_CRITERIA)
+def test_exact_ties_resolve_to_lower_index(rng, criterion, variant):
+    # Every grid column appears twice, at t and t + 300, so every candidate
+    # matrix has an identical twin in another candidate stack; every pick,
+    # the first node included, must be the lower copy.
+    m = 300
+    base = orthonormal_rows(rng, 6, m)
+    rb = make_basis(np.hstack([base, base]) / np.sqrt(2))
+    itp = build_interpolant(rb, criterion, 6, first_node_variant=variant)
+    assert all(t < m for t in itp.node_indices)
 
 
 def test_nodes_are_nested(small_basis):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,7 +43,7 @@ def test_lu_scalar_matrix():
     lower, upper = unpack_lu(f)
     assert lower[0, 0] == pytest.approx(1.0)
     assert upper[0, 0] == pytest.approx(2.0)
-    assert f.sign == 1
+    assert list(f.pivots) == [0]
 
 
 def test_lu_identity():
@@ -51,7 +51,7 @@ def test_lu_identity():
     lower, upper = unpack_lu(f)
     assert np.allclose(lower, np.eye(3))
     assert np.allclose(upper, np.eye(3))
-    assert f.sign == 1
+    assert list(f.pivots) == [0, 1, 2]
 
 
 def test_lu_reconstructs_input(rng):
@@ -116,6 +116,33 @@ def test_determinant_product_rule(a, b):
     lhs = nm.determinant(a @ b)
     rhs = nm.determinant(a) * nm.determinant(b)
     assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+@pytest.mark.parametrize("fn", [nm.determinant, nm.condition_number_2, nm.inverse_two_norm])
+def test_stack_matches_per_matrix(rng, fn):
+    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    stack[1, 2] = 1.0  # exactly singular: determinant 0, norms inf
+    got = fn(stack)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, [[fn(a) for a in row] for row in stack])
+    # A stack of one 1x1 matrix stays a stack.
+    assert fn(stack[:1, :1, :1, :1]).shape == (1, 1)
+
+
+def test_scalar_results_for_single_matrix(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert type(nm.determinant(a)) is complex
+    assert type(nm.condition_number_2(a)) is float
+    assert type(nm.inverse_two_norm(a)) is float
+
+
+def test_stacked_functions_reject_bad_shapes():
+    for fn in (nm.determinant, nm.condition_number_2, nm.inverse_two_norm):
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.ones((2, 0, 0))):
+            with pytest.raises(ValueError):
+                fn(bad)
+        with pytest.raises(ValueError):
+            fn(np.full((2, 2, 2), np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +259,13 @@ def test_condition_number_at_least_one(a):
 
 @settings(max_examples=30, deadline=None)
 @given(square_matrices(3))
+# Singular values [5.6e-272, 2.4e-288, 1.1e-319]: sigma_max * 1e-300
+# underflows to 0 and 1/sigma_min overflows, so both must read as singular.
+@example(np.full((3, 3), 1.31894039e-272 + 1.31894039e-272j))
 def test_condition_number_factors_into_norms(a):
     kappa = nm.condition_number_2(a)
+    if math.isinf(nm.inverse_two_norm(a)):
+        assert math.isinf(kappa)
     assume(math.isfinite(kappa))
     product = nm.two_norm(a) * nm.inverse_two_norm(a)
     assert abs(kappa - product) <= 1e-8 * kappa

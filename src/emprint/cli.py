@@ -124,6 +124,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"config path is not a file: {path}")
         try:
             file_values = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -155,6 +157,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.sampling not in catalog.SAMPLING_MODES:
         raise ConfigError(f"sampling must be one of {', '.join(catalog.SAMPLING_MODES)}, "
                           f"got {cfg.sampling!r}")
+    # Outputs go under out-dir, created if missing; its nearest existing
+    # ancestor must be a directory, or nothing could be written there.
+    out_dir = Path(cfg.out_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out-dir {out_dir} cannot be a directory: {existing} is not one")
     return cfg
 
 
@@ -215,6 +223,8 @@ def _load_training(cfg: RunConfig) -> catalog.TrainingSet:
         path = Path(cfg.input)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
+        if not path.is_file():
+            raise ConfigError(f"input path is not a file: {path}")
         return catalog.load_training_csv(path)
     if cfg.family is not None:
         return catalog.generate_family(_family_spec(cfg))

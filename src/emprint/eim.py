@@ -21,10 +21,16 @@ opt-in flag applies each rule's own objective to the first node as well.
 One per-step kernel serves every rule: step j computes r_j over the grid
 once, from one LU of V_{j-1} (r_1 = e_1). The classic rule picks its argmax,
 and every step record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it.
-The kappa/lambda rules score every candidate V_j(t) at once, in stacks of
-CANDIDATE_STACK grid points, and the identity verifier takes its LU
-determinants over the same stacks. One constructor builds V and the
-cardinal functions for builds and truncations.
+The kappa/lambda rules take that argmax as the incumbent. Every candidate
+V_j(t) is the same block of chosen nodes with one row appended, so one SVD
+of the block gives each candidate's smallest singular value as the root of
+a secular equation (the row-append SVD update), and one evaluation of it
+prunes every candidate that provably scores worse than the incumbent. The
+survivors are scored exactly, in stacks of at most CANDIDATE_STACK, under
+the lowest-index tie rule: the picks and every output are those of a scan
+that scores every candidate. The identity verifier takes its LU
+determinants over stacks of every grid point. One constructor builds V and
+the cardinal functions for builds and truncations.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ TIE_REL_TOL = 1e-14
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
 CANDIDATE_STACK = 256
+
+# Relative slack on the objective to beat when pruning kappa/lambda
+# candidates, far above TIE_REL_TOL: a candidate is scored exactly unless it
+# provably scores worse than the incumbent by more than this.
+PRUNE_MARGIN = 1e-8
 
 
 class NoAdmissibleNode(Exception):
@@ -127,15 +138,16 @@ def _argmin_tied(values: np.ndarray) -> int:
     return int(np.flatnonzero(values <= best * (1.0 + TIE_REL_TOL))[0])
 
 
-def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int]):
-    """V_j(t) for every grid point t, in grid order: the node-value matrix of
-    the first j-1 nodes with t appended as node j, as (m, j, j) stacks of
-    m <= CANDIDATE_STACK consecutive grid points."""
+def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
+    """V_j(t) for each grid index t in ``columns``, in that order: the
+    node-value matrix of the first j-1 nodes with t appended as node j, as
+    (m, j, j) stacks of m <= CANDIDATE_STACK candidates."""
     rows = basis_rows[:j]
-    for start in range(0, rows.shape[1], CANDIDATE_STACK):
-        block = rows[:, start:start + CANDIDATE_STACK]
+    prefix = rows[:, list(nodes[: j - 1])].T
+    for start in range(0, len(columns), CANDIDATE_STACK):
+        block = rows[:, columns[start:start + CANDIDATE_STACK]]
         stack = np.empty((block.shape[1], j, j), dtype=np.complex128)
-        stack[:, : j - 1] = rows[:, list(nodes[: j - 1])].T
+        stack[:, : j - 1] = prefix
         stack[:, j - 1] = block.T
         yield stack
 
@@ -154,14 +166,56 @@ def _residual(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:
     return basis_rows[j - 1] - coeff @ basis_rows[: j - 1]
 
 
+def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
+               criterion: SelectionCriterion, best: float) -> np.ndarray:
+    """Grid indices t whose V_j(t), j >= 2, may score within TIE_REL_TOL of
+    ``best``, the computed objective of one candidate; every other V_j(t)
+    provably scores worse.
+
+    V_j(t) is the fixed block A of the first j-1 nodes with the row x_t
+    appended, so one SVD of A gives every candidate's sigma_min^2 as the root
+    of a secular function f_t (``numerics.secular``). A candidate that could
+    win has sigma_min^2 >= mu_t: for lambda mu_t = (1 - PRUNE_MARGIN) / best^2,
+    for kappa mu_t = max(s_1^2, ||x_t||^2) / (best (1 + PRUNE_MARGIN))^2, since
+    sigma_max^2 is at least both. mu_t is lowered by the largest shift
+    roundoff can give a computed sigma_min^2, 32 j eps (s_1^2 + max ||x_t||^2),
+    covering the SVDs of A and of the candidate and the product x_t W.
+    Interlacing puts sigma_min^2 at or below s_{j-1}^2, so t is pruned when
+    mu_t lies above s_{j-1}^2, or inside (0, s_{j-1}^2) with f_t(mu_t) above
+    its rounding bound.
+    """
+    rows = basis_rows[:j]
+    _, s, vh = nm.svd(rows[:, list(nodes[: j - 1])].T)
+    d = np.append(s * s, 0.0)
+    w2 = np.abs(rows.T @ vh.conj().T) ** 2
+    x2 = np.sum(np.abs(rows) ** 2, axis=0)
+    if criterion is SelectionCriterion.MIN_LAMBDA:
+        mu = np.full_like(x2, (1.0 - PRUNE_MARGIN) / best ** 2)
+    else:
+        mu = np.maximum(d[0], x2) / (best * (1.0 + PRUNE_MARGIN)) ** 2
+    mu -= 32 * j * np.finfo(np.float64).eps * (d[0] + x2.max())
+    f, bound = nm.secular(d, w2, mu)
+    s_min_sq = d[-2]
+    pruned = (mu > s_min_sq) | ((mu > 0) & (mu < s_min_sq) & (f > bound))
+    return np.flatnonzero(~pruned)
+
+
 def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
-          criterion: SelectionCriterion) -> int:
-    """Kappa/lambda pick: the objective of every candidate V_j(t), one stack
-    at a time; chosen nodes are masked and the lowest tied index wins."""
+          criterion: SelectionCriterion, incumbent: int) -> int:
+    """Kappa/lambda pick: the lowest grid index whose V_j(t) ties the best
+    objective, chosen nodes excluded. From step 2 on, the candidate
+    ``incumbent`` is scored first and only the survivors of ``_survivors``
+    against it are scored exactly, so the pick is the one a scan of every
+    candidate makes; step 1 scores every 1x1 candidate."""
     objective = (nm.condition_number_2 if criterion is SelectionCriterion.MIN_KAPPA
                  else nm.inverse_two_norm)
-    values = np.concatenate([objective(stack)
-                             for stack in _candidates(basis_rows, j, nodes)])
+    columns = np.arange(basis_rows.shape[1])
+    if j > 1:
+        best = objective(basis_rows[:j][:, nodes + [incumbent]].T)
+        columns = _survivors(basis_rows, j, nodes, criterion, best)
+    values = np.full(basis_rows.shape[1], math.inf)
+    values[columns] = np.concatenate([objective(stack) for stack in
+                                      _candidates(basis_rows, j, nodes, columns)])
     values[nodes] = math.inf
     if math.isinf(values.min()):
         raise SingularVMatrix(f"every candidate matrix is singular at order {j}")
@@ -171,14 +225,14 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
                   first_node_variant: bool) -> tuple[list[int], list[float]]:
     """The per-step kernel: nodes T_1..T_n and |r_j(T_j)| for j = 1..n, from
-    one residual r_j per step (the classic rule's argmax)."""
+    one residual r_j per step. Its argmax is the classic pick, and the
+    incumbent the kappa/lambda scan prunes against."""
     nodes, at_node = [], []
     for j in range(1, n + 1):
         residual = _residual(basis_rows, j, nodes)
-        if criterion is SelectionCriterion.CLASSIC or (j == 1 and not first_node_variant):
-            pick = _argmax_tied(np.abs(residual))
-        else:
-            pick = _scan(basis_rows, j, nodes, criterion)
+        pick = _argmax_tied(np.abs(residual))
+        if criterion is not SelectionCriterion.CLASSIC and (j > 1 or first_node_variant):
+            pick = _scan(basis_rows, j, nodes, criterion, pick)
         if pick in nodes or residual[pick] == 0:
             raise SingularVMatrix(
                 f"residual of basis row {j} vanishes at grid index {pick}; "
@@ -306,8 +360,10 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
         det_prev = nm.determinant(rows[: j - 1][:, nodes[: j - 1]].T)
         if det_prev == 0:
             raise SingularVMatrix(f"prefix determinant vanished at order {j - 1}")
-        ratios = np.concatenate([nm.determinant(stack)
-                                 for stack in _candidates(rows, j, nodes)]) / det_prev
+        ratios = np.concatenate([
+            nm.determinant(stack)
+            for stack in _candidates(rows, j, nodes, np.arange(rows.shape[1]))
+        ]) / det_prev
         scale = float(np.abs(residual).max())
         discrepancies.append(float(np.abs(residual - ratios).max() / scale))
     return discrepancies

@@ -6,9 +6,10 @@ scipy; singular values come from a dense SVD. Condition numbers and inverse
 norms are defined through singular values, never through adjugates or
 explicit inverses. ``determinant``, ``condition_number_2`` and
 ``inverse_two_norm`` also take an ``(..., n, n)`` stack of matrices and then
-return one value per matrix, from the same per-matrix LAPACK call. The
-roundoff floor that error comparisons across the package share also lives
-here.
+return one value per matrix, from the same per-matrix LAPACK call. ``svd``
+and ``secular`` give the smallest singular value of a matrix with one row
+appended to a fixed block, as the root of a secular equation. The roundoff
+floor that error comparisons across the package share also lives here.
 """
 
 from __future__ import annotations
@@ -127,16 +128,46 @@ def solve(f: LuFactorization, rhs) -> np.ndarray:
     return scipy.linalg.lu_solve((f.factors, f.pivots), b, check_finite=False)
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
+def _svd(a: np.ndarray, compute_uv: bool):
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
 
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full singular value decomposition ``m = u @ diag(s) @ vh`` of a
+    complex matrix (``diag(s)`` zero-padded to the shape of ``m``): unitary
+    ``u`` and ``vh``, singular values ``s`` in descending order."""
+    return _svd(as_complex_matrix(m), compute_uv=True)
+
+
+def secular(d: np.ndarray, w2: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Secular function of a row append, f(mu) = 1 + sum_i w2_i / (d_i - mu),
+    and a bound on the rounding error of the computed f.
+
+    Let A = U S W^H be the full SVD of an (m-1) x m block, d = (s_1^2, ...,
+    s_{m-1}^2, 0) and w2 = |x W|^2 for an appended row x. The eigenvalues of
+    V^H V, V = [A; x], are the roots of f (Bunch and Nielsen 1978, "Updating
+    the singular value decomposition"). On (0, s_{m-1}^2) f increases through
+    its one root there, sigma_min(V)^2; so f(mu) > 0 puts mu above
+    sigma_min(V)^2 and f(mu) < 0 below it.
+
+    ``w2`` holds one appended row per leading index, shape ``(..., m)``, and
+    ``mu`` one point per row. The bound is 4 m eps (1 + sum_i |w2_i /
+    (d_i - mu)|): a computed f above it is positive for exactly these ``d``
+    and ``w2``. At mu = d_i the term is infinite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = w2 / (d - mu[..., None])
+        f = 1.0 + terms.sum(axis=-1)
+        bound = 4 * d.size * np.finfo(np.float64).eps * (1.0 + np.abs(terms).sum(axis=-1))
+    return f, bound
+
+
 def two_norm(m) -> float:
     """Induced 2-norm: the largest singular value of ``m``."""
-    return float(_singular_values(as_complex_matrix(m))[0])
+    return float(_svd(as_complex_matrix(m), compute_uv=False)[0])
 
 
 def _over_sigma_min(m, numerator_is_sigma_max: bool) -> float | np.ndarray:
@@ -145,7 +176,7 @@ def _over_sigma_min(m, numerator_is_sigma_max: bool) -> float | np.ndarray:
     or 1 / sigma_min overflows. The test runs on 1 / sigma_min, since
     sigma_max * 1e-300 underflows to 0 for matrices of tiny norm."""
     a = _square_stack(m)
-    s = _singular_values(a)
+    s = _svd(a, compute_uv=False)
     s_max, s_min = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / s_min

@@ -2,7 +2,10 @@
 
 These deliberately avoid the code paths of the package: the determinant
 oracle is a recursive cofactor expansion, the norm oracle is plain power
-iteration, and parity is counted by inversions.
+iteration, and parity is counted by inversions. The exception is
+``full_scan``: it scores every kappa/lambda candidate with the package's own
+objective, so it is the reference for which candidates the node selection
+may leave unscored, not for the objective values.
 """
 
 from __future__ import annotations
@@ -83,3 +86,19 @@ def orthonormal_rows(rng: np.random.Generator, n: int, length: int) -> np.ndarra
     z = rng.standard_normal((length, n)) + 1j * rng.standard_normal((length, n))
     q, _ = np.linalg.qr(z)
     return q[:, :n].T.copy()
+
+
+def full_scan(basis_rows: np.ndarray, j: int, nodes, objective, tie_rel_tol: float) -> int:
+    """Step-j kappa/lambda pick from every candidate: ``objective`` of
+    V_j(t), the node-value matrix of ``nodes`` (the first j-1 picks) with t
+    appended, over one stack of all grid points t; chosen nodes are excluded
+    and the lowest index within ``tie_rel_tol`` of the minimum wins."""
+    rows = basis_rows[:j]
+    stack = np.empty((rows.shape[1], j, j), dtype=complex)
+    stack[:, : j - 1] = rows[:, list(nodes)].T
+    stack[:, j - 1] = rows.T
+    values = np.asarray(objective(stack), dtype=float)
+    values[list(nodes)] = np.inf
+    best = values.min()
+    assert np.isfinite(best)
+    return int(np.flatnonzero(values <= best * (1.0 + tie_rel_tol))[0])

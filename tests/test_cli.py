@@ -73,6 +73,28 @@ def test_basis_missing_input(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_input_directory_exits_2(tmp_path, capsys):
+    code = main(["basis", "--input", str(tmp_path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "not a file" in capsys.readouterr().err
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    code = main(["basis", *CHIRP, "--config", str(tmp_path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "not a file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_out_dir_blocked_by_file_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "training.csv"
+    blocker.write_text("not a directory\n")
+    code = main(["basis", *CHIRP, "--out-dir", str(blocker / below)])
+    assert code == 2
+    assert f"{blocker} is not one" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
+
+
 def test_basis_from_ingested_csv(tmp_path):
     assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
     code = main(["basis", "--input", str(tmp_path / "training.csv"),

@@ -3,18 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emprint import eim
 from emprint import numerics as nm
 from emprint.catalog import LengthMismatch, TimeGrid, discrete_norm
-from emprint.eim import (EmpiricalInterpolant, SelectionCriterion,
+from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
                          SingularVMatrix, build_interpolant, interpolate,
                          interpolate_function, save_interpolant_json,
                          truncate_interpolant, verify_determinant_identity)
 from emprint.rbm import ReducedBasis
 
-from oracles import orthonormal_rows
+from oracles import full_scan, orthonormal_rows
 
 ALL_CRITERIA = list(SelectionCriterion)
+OBJECTIVES = {SelectionCriterion.MIN_KAPPA: nm.condition_number_2,
+              SelectionCriterion.MIN_LAMBDA: nm.inverse_two_norm}
 
 
 def make_basis(rows: np.ndarray, grid: TimeGrid | None = None) -> ReducedBasis:
@@ -115,6 +120,73 @@ def test_exact_ties_resolve_to_lower_index(rng, criterion, variant):
     rb = make_basis(np.hstack([base, base]) / np.sqrt(2))
     itp = build_interpolant(rb, criterion, 6, first_node_variant=variant)
     assert all(t < m for t in itp.node_indices)
+
+
+def assert_picks_match_full_scan(rows, criterion, first_node_variant):
+    """Each pick of the pruned scan is the full scan's pick after the same
+    prefix, and that pick survives the pruning against the classic pick."""
+    objective = OBJECTIVES[criterion]
+    nodes, _ = eim._select_nodes(rows, criterion, rows.shape[0], first_node_variant)
+    if first_node_variant:
+        assert nodes[0] == full_scan(rows, 1, [], objective, TIE_REL_TOL)
+    for j in range(2, rows.shape[0] + 1):
+        prefix = nodes[: j - 1]
+        reference = full_scan(rows, j, prefix, objective, TIE_REL_TOL)
+        assert nodes[j - 1] == reference
+        incumbent = eim._argmax_tied(np.abs(eim._residual(rows, j, prefix)))
+        best = objective(rows[:j][:, prefix + [incumbent]].T)
+        assert reference in eim._survivors(rows, j, prefix, criterion, best)
+
+
+@pytest.mark.parametrize("variant", [False, True], ids=["default", "first-node-variant"])
+@pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])
+@pytest.mark.parametrize("basis_name", ["small_basis", "chirp_basis"])
+def test_pruned_scan_matches_full_scan(request, basis_name, criterion, variant):
+    basis = request.getfixturevalue(basis_name)
+    assert_picks_match_full_scan(basis.basis, criterion, variant)
+
+
+@st.composite
+def hard_bases(draw):
+    """Random orthonormal complex rows, optionally made ill-conditioned:
+    half the grid points nearly repeat others (relative perturbation
+    ``near``), the rows are scaled from 1 down to 10^-``grading``, and each
+    grid point by a random factor within 10^(+-``spread``)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7))
+    length = draw(st.integers(2 * n, 60))
+    near = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-11]))
+    grading = draw(st.sampled_from([0, 3, 8]))
+    spread = draw(st.sampled_from([0, 4]))
+    points = rng.standard_normal((length, n)) + 1j * rng.standard_normal((length, n))
+    if near:
+        half = length // 2
+        copies = points[rng.integers(0, length - half, half)]
+        noise = rng.standard_normal((half, n)) + 1j * rng.standard_normal((half, n))
+        points[length - half:] = copies + near * np.abs(copies) * noise
+    q, _ = np.linalg.qr(points)
+    return (q.T * np.logspace(0, -grading, n)[:, None]
+            * 10.0 ** rng.uniform(-spread, spread, length))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_bases(), st.sampled_from(list(OBJECTIVES)), st.booleans())
+def test_pruned_scan_matches_full_scan_on_hard_bases(rows, criterion, variant):
+    assert_picks_match_full_scan(rows, criterion, variant)
+
+
+@pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])
+def test_scan_scores_few_candidates(monkeypatch, chirp_basis, criterion):
+    # A full scan scores sum_{j=2..n} (L - j + 1) candidate matrices; the
+    # pruned scan passes under a tenth of that to the stacked objective.
+    scored = []
+    for name in ("condition_number_2", "inverse_two_norm"):
+        fn = getattr(nm, name)
+        monkeypatch.setattr(nm, name, lambda m, fn=fn: (
+            scored.append(len(m) if np.ndim(m) == 3 else 0) or fn(m)))
+    build_interpolant(chirp_basis, criterion, chirp_basis.n)
+    length, n = chirp_basis.grid.n_samples, chirp_basis.n
+    assert 0 < sum(scored) < 0.1 * sum(length - j + 1 for j in range(2, n + 1))
 
 
 def test_nodes_are_nested(small_basis):

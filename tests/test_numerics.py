@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emprint import numerics as nm
 
-from oracles import laplace_det, permutation_parity, power_iteration_two_norm, random_unitary
+from oracles import (laplace_det, permutation_parity, power_iteration_two_norm,
+                     random_complex, random_unitary)
 
 complex_entries = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -269,3 +271,52 @@ def test_condition_number_factors_into_norms(a):
     assume(math.isfinite(kappa))
     product = nm.two_norm(a) * nm.inverse_two_norm(a)
     assert abs(kappa - product) <= 1e-8 * kappa
+
+
+# ---------------------------------------------------------------------------
+# Full SVD and the row-append secular function
+# ---------------------------------------------------------------------------
+
+def test_svd_reconstructs_input(rng):
+    a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    u, s, vh = nm.svd(a)
+    assert u.shape == (3, 3) and s.shape == (3,) and vh.shape == (5, 5)
+    assert np.all(np.diff(s) <= 0)
+    assert np.max(np.abs((u * s) @ vh[:3] - a)) <= 1e-13
+    assert np.max(np.abs(vh @ vh.conj().T - np.eye(5))) <= 1e-13
+
+
+@pytest.mark.parametrize("grading", [0, 6], ids=["unit", "graded"])
+@pytest.mark.parametrize("m", [2, 3, 6, 12])
+def test_secular_sign_brackets_smallest_singular_value(rng, m, grading):
+    # V = [A; x] for 40 random rows x; "graded" scales V's columns from 1 down
+    # to 10^-6. Away from sigma_min(V)^2 (np.linalg.svd) by more than a
+    # relative 1e-6 plus the roundoff shift 32 m eps (s_1^2 + ||x||^2), the
+    # computed f is above its rounding bound exactly when mu is above the root.
+    columns = np.logspace(0, -grading, m)
+    a = random_complex(rng, m - 1, m) * columns
+    x = random_complex(rng, 40, m) * columns
+    _, s, vh = nm.svd(a)
+    d = np.append(s * s, 0.0)
+    w2 = np.abs(x @ vh.conj().T) ** 2
+    v = np.empty((40, m, m), dtype=complex)
+    v[:, : m - 1] = a
+    v[:, m - 1] = x
+    root = np.linalg.svd(v, compute_uv=False)[:, -1] ** 2
+    shift = 32 * m * np.finfo(float).eps * (d[0] + np.sum(np.abs(x) ** 2, axis=1))
+    below = root * (1 - 1e-6) - shift
+    above = root * (1 + 1e-6) + shift
+    f, bound = nm.secular(d, w2, below)
+    assert not np.any((below > 0) & (f > bound))
+    f, bound = nm.secular(d, w2, above)
+    inside = above < d[-2]
+    assert inside.sum() >= 20
+    assert np.all(f[inside] > bound[inside])
+    # LAPACK's secular solver finds the same root of the same equation:
+    # d ascending, a unit updating vector z and rho = ||w||^2.
+    for k in range(40):
+        rho = w2[k].sum()
+        _, sigma, _, info = lapack.dlasd4(0, np.sqrt(d[::-1]), np.sqrt(w2[k, ::-1] / rho), rho)
+        assert info == 0
+        assert abs(sigma ** 2 - root[k]) <= 1e-10 * root[k] + shift[k]
+

@@ -328,6 +328,8 @@ def _parse_header(line: str):
         d = int(fields["d"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line 1: bad or missing header field ({exc})") from exc
+    if d < 0:
+        raise ParseError(f"line 1: negative parameter count d={d}")
     return grid, d, fields.get("kind")
 
 
@@ -351,7 +353,7 @@ def read_waveform_csv(path):
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = lineno - 2
+        row = len(sample_rows)
         cells = line.split(",")
         if len(cells) != d + l:
             raise ParseError(

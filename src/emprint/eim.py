@@ -18,19 +18,28 @@ supported for the node added at step j:
 The first node is the location of max |e_1| under every rule by default; an
 opt-in flag applies each rule's own objective to the first node as well.
 
-One per-step kernel serves every rule: step j computes r_j over the grid
-once, from one LU of V_{j-1} (r_1 = e_1). The classic rule picks its argmax,
-and every step record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it.
-The kappa/lambda rules take that argmax as the incumbent. Every candidate
-V_j(t) is the same block of chosen nodes with one row appended, so one SVD
-of the block gives each candidate's smallest singular value as the root of
-a secular equation (the row-append SVD update), and one evaluation of it
-prunes every candidate that provably scores worse than the incumbent. The
-survivors are scored exactly, in stacks of at most CANDIDATE_STACK, under
-the lowest-index tie rule: the picks and every output are those of a scan
-that scores every candidate. The identity verifier takes its LU
-determinants over stacks of every grid point. One constructor builds V and
-the cardinal functions for builds and truncations.
+One elimination step is the only interpolation arithmetic. With r the
+residual of the step that picked node t, it updates a stack of grid
+functions X as X <- X - (X[:, t] / r(t)) r: Gaussian elimination with the
+picks as pivots (Maday et al. 2009, "magic points"; Chaturantabut and
+Sorensen 2010, DEIM). Applied to the basis rows below each pick, it leaves
+row j as r_j = e_j - I_{j-1}[e_j] (r_1 = e_1), so node selection needs no
+linear solve. The classic rule picks the argmax of |r_j|, and every step
+record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it. Applied to the
+cardinal functions it turns those of order j-1 into those of order j, with
+B_j = r_j / r_j(T_j); applied to training samples it leaves, after n steps,
+the interpolation error of every sample at order n.
+
+The kappa/lambda rules take the classic pick as the incumbent. Every
+candidate V_j(t) is the same block of chosen nodes with one row appended, so
+one SVD of the block gives each candidate's smallest singular value as the
+root of a secular equation (the row-append SVD update), and one evaluation
+of it prunes every candidate that provably scores worse than the incumbent.
+The survivors are scored exactly, in stacks of at most CANDIDATE_STACK,
+under the lowest-index tie rule: the picks and every output are those of a
+scan that scores every candidate. The identity verifier takes its LU
+determinants over stacks of every grid point, independently of the
+elimination.
 """
 
 from __future__ import annotations
@@ -98,7 +107,9 @@ class EmpiricalInterpolant:
 
     ``v_matrix`` is V[i, j] = e_j(T_i); ``b_matrix`` holds the cardinal
     functions as rows, B_i = sum_j (V^{-1})_{ji} e_j, which satisfy
-    B_i(T_j) = delta_ij. ``per_step`` has one StepRecord per prefix order.
+    B_i(T_j) = delta_ij. ``residuals`` holds r_1..r_n as rows, r_j = e_j -
+    I_{j-1}[e_j] over the grid. ``per_step`` has one StepRecord per prefix
+    order.
     """
 
     basis: ReducedBasis
@@ -106,6 +117,7 @@ class EmpiricalInterpolant:
     node_indices: tuple[int, ...]
     v_matrix: np.ndarray
     b_matrix: np.ndarray
+    residuals: np.ndarray
     criterion: SelectionCriterion
     per_step: tuple[StepRecord, ...]
 
@@ -117,6 +129,8 @@ class EmpiricalInterpolant:
             raise ValueError("v_matrix shape mismatch")
         if self.b_matrix.shape != (self.n, self.basis.grid.n_samples):
             raise ValueError("b_matrix shape mismatch")
+        if self.residuals.shape != self.b_matrix.shape:
+            raise ValueError("residuals shape mismatch")
         cardinal = self.b_matrix[:, list(nodes)]
         if np.max(np.abs(cardinal - np.eye(self.n))) > 1e-10:
             raise SingularVMatrix(
@@ -152,18 +166,11 @@ def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
         yield stack
 
 
-def _residual(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:
-    """Residual r_j = e_j - I_{j-1}[e_j] over the whole grid, from one LU
-    factorization of V_{j-1}; r_1 = e_1."""
-    if j == 1:
-        return basis_rows[0]
-    prefix = nodes[: j - 1]
-    try:
-        fact = nm.lu_factor(basis_rows[: j - 1][:, prefix].T)
-    except nm.ExactlySingular as exc:
-        raise SingularVMatrix(f"node-value matrix singular at order {j - 1}") from exc
-    coeff = nm.solve(fact, basis_rows[j - 1, prefix])
-    return basis_rows[j - 1] - coeff @ basis_rows[: j - 1]
+def _eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> None:
+    """The elimination step, in place: x <- x - (x[:, t] / r(t)) r for the
+    rows of ``x``, with r = ``residual`` the residual of the step that
+    picked grid index t."""
+    x -= np.outer(x[:, t] / residual[t], residual)
 
 
 def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
@@ -223,13 +230,15 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
 
 
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
-                  first_node_variant: bool) -> tuple[list[int], list[float]]:
-    """The per-step kernel: nodes T_1..T_n and |r_j(T_j)| for j = 1..n, from
-    one residual r_j per step. Its argmax is the classic pick, and the
-    incumbent the kappa/lambda scan prunes against."""
-    nodes, at_node = [], []
+                  first_node_variant: bool) -> tuple[list[int], np.ndarray]:
+    """The per-step kernel: nodes T_1..T_n and the residuals r_1..r_n as the
+    rows of an (n, L) array. Step j eliminates its pick from the rows below
+    j, which leaves row j + 1 as r_{j+1}. The argmax of |r_j| is the classic
+    pick, and the incumbent the kappa/lambda scan prunes against."""
+    residuals = np.array(basis_rows[:n], dtype=np.complex128)
+    nodes: list[int] = []
     for j in range(1, n + 1):
-        residual = _residual(basis_rows, j, nodes)
+        residual = residuals[j - 1]
         pick = _argmax_tied(np.abs(residual))
         if criterion is not SelectionCriterion.CLASSIC and (j > 1 or first_node_variant):
             pick = _scan(basis_rows, j, nodes, criterion, pick)
@@ -239,8 +248,8 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
                 f"basis rows are not independent on the grid"
             )
         nodes.append(pick)
-        at_node.append(float(abs(residual[pick])))
-    return nodes, at_node
+        _eliminate(residuals[j:], pick, residual)
+    return nodes, residuals
 
 
 def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
@@ -252,22 +261,30 @@ def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
 
 
 def _interpolant(basis: ReducedBasis, nodes: list[int] | tuple[int, ...],
-                 criterion: SelectionCriterion,
+                 residuals: np.ndarray, criterion: SelectionCriterion,
                  per_step: tuple[StepRecord, ...]) -> EmpiricalInterpolant:
-    """V and the cardinal functions B = (V^T)^{-1} E for the given nodes."""
+    """V and the cardinal functions for the given nodes and their residuals.
+    Step j eliminates T_j from B_1..B_{j-1} and appends B_j = r_j / r_j(T_j),
+    so no linear system is solved."""
     n = len(nodes)
-    rows = basis.basis[:n]
-    v = rows[:, list(nodes)].T.copy()
-    try:
-        fact_t = nm.lu_factor(v.T)
-    except nm.ExactlySingular as exc:
-        raise SingularVMatrix(f"node-value matrix of order {n} is exactly singular") from exc
-    # B = (V^{-1})^T E comes from solving V^T X = E, never from an inverse.
-    b = nm.solve(fact_t, rows)
+    b = np.empty_like(residuals)
+    for j, (t, residual) in enumerate(zip(nodes, residuals)):
+        _eliminate(b[:j], t, residual)
+        b[j] = residual / residual[t]
     return EmpiricalInterpolant(
-        basis=basis, n=n, node_indices=tuple(nodes), v_matrix=v,
-        b_matrix=b, criterion=criterion, per_step=per_step,
+        basis=basis, n=n, node_indices=tuple(nodes),
+        v_matrix=basis.basis[:n, list(nodes)].T.copy(), b_matrix=b,
+        residuals=residuals, criterion=criterion, per_step=per_step,
     )
+
+
+def _check_order(rb: ReducedBasis, n: int) -> None:
+    if not 1 <= n <= rb.n:
+        raise ValueError(f"order {n} outside 1..{rb.n}")
+    if n > rb.grid.n_samples:
+        raise NoAdmissibleNode(
+            f"cannot place {n} distinct nodes on {rb.grid.n_samples} grid points"
+        )
 
 
 def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
@@ -294,30 +311,26 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
     SingularVMatrix
         If a node-value matrix becomes singular to working precision.
     """
-    if not 1 <= n <= rb.n:
-        raise ValueError(f"order {n} outside 1..{rb.n}")
-    if n > rb.grid.n_samples:
-        raise NoAdmissibleNode(
-            f"cannot place {n} distinct nodes on {rb.grid.n_samples} grid points"
-        )
-    nodes, at_node = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
-    per_step = tuple(_step_record(rb.basis, nodes, j, at_node[j - 1])
-                     for j in range(1, n + 1))
-    return _interpolant(rb, nodes, criterion, per_step)
+    _check_order(rb, n)
+    nodes, residuals = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
+    per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])))
+                     for j, t in enumerate(nodes, start=1))
+    return _interpolant(rb, nodes, residuals, criterion, per_step)
 
 
 def truncate_interpolant(itp: EmpiricalInterpolant, n: int) -> EmpiricalInterpolant:
     """Order-n interpolant reusing the first n nodes of ``itp``.
 
     Node selection is nested, so this equals rebuilding at order n with the
-    same criterion, at the cost of one matrix solve.
+    same criterion; the cardinal functions come from the first n residuals,
+    with no linear solve.
     """
     if not 1 <= n <= itp.n:
         raise ValueError(f"order {n} outside 1..{itp.n}")
     if n == itp.n:
         return itp
-    return _interpolant(itp.basis, itp.node_indices[:n], itp.criterion,
-                        itp.per_step[:n])
+    return _interpolant(itp.basis, itp.node_indices[:n], itp.residuals[:n],
+                        itp.criterion, itp.per_step[:n])
 
 
 def interpolate(itp: EmpiricalInterpolant, node_values) -> np.ndarray:
@@ -343,20 +356,20 @@ def interpolate_function(itp: EmpiricalInterpolant, h) -> np.ndarray:
 def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     """Check that every classic-rule residual is a ratio of determinants.
 
-    Runs the classic selection for the first n basis rows. At each step
-    j = 2..n it computes, over the whole grid, the residual
-    r_j(t) = e_j(t) - I_{j-1}[e_j](t) through the linear-solve path, and
-    independently det(V_j with last node replaced by t) / det(V_{j-1})
-    through one LU determinant per candidate. Returns, per step, the maximum
-    over t of |residual - ratio| normalized by max_t |residual| (a per-point
-    relative error is meaningless at the residual's zeros).
+    Runs the classic selection for the first n basis rows, which gives the
+    residual r_j(t) = e_j(t) - I_{j-1}[e_j](t) over the whole grid at each
+    step by elimination. At each step j = 2..n it computes independently
+    det(V_j with last node replaced by t) / det(V_{j-1}) through one LU
+    determinant per candidate. Returns, per step, the maximum over t of
+    |residual - ratio| normalized by max_t |residual| (a per-point relative
+    error is meaningless at the residual's zeros).
     """
-    itp = build_interpolant(rb, SelectionCriterion.CLASSIC, n)
+    _check_order(rb, n)
     rows = rb.basis
-    nodes = list(itp.node_indices)
+    nodes, residuals = _select_nodes(rows[:n], SelectionCriterion.CLASSIC, n, False)
     discrepancies: list[float] = []
     for j in range(2, n + 1):
-        residual = _residual(rows, j, nodes)
+        residual = residuals[j - 1]
         det_prev = nm.determinant(rows[: j - 1][:, nodes[: j - 1]].T)
         if det_prev == 0:
             raise SingularVMatrix(f"prefix determinant vanished at order {j - 1}")

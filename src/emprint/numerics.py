@@ -1,29 +1,25 @@
 """Dense complex linear algebra kernels shared by the rest of the package.
 
 Everything here operates on plain complex128 numpy arrays and is a pure
-function of its inputs. Factorizations use LAPACK partial-pivoting LU via
-scipy; singular values come from a dense SVD. Condition numbers and inverse
-norms are defined through singular values, never through adjugates or
-explicit inverses. ``determinant``, ``condition_number_2`` and
-``inverse_two_norm`` also take an ``(..., n, n)`` stack of matrices and then
-return one value per matrix, from the same per-matrix LAPACK call. ``svd``
-and ``secular`` give the smallest singular value of a matrix with one row
-appended to a fixed block, as the root of a secular equation. The roundoff
-floor that error comparisons across the package share also lives here.
+function of its inputs. Determinants come from LAPACK partial-pivoting LU
+via scipy; singular values come from a dense SVD. Condition numbers and
+inverse norms are defined through singular values, never through adjugates
+or explicit inverses. No linear system is solved here: the interpolation
+arithmetic is the elimination step in ``eim``. ``determinant``,
+``condition_number_2`` and ``inverse_two_norm`` also take an ``(..., n, n)``
+stack of matrices and then return one value per matrix, from the same
+per-matrix LAPACK call. ``svd`` and ``secular`` give the smallest singular
+value of a matrix with one row appended to a fixed block, as the root of a
+secular equation. The roundoff floor that error comparisons across the
+package share also lives here.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-
-class ExactlySingular(Exception):
-    """An LU pivot is exactly zero, so the matrix has no usable factorization."""
 
 
 class ConvergenceFailure(Exception):
@@ -69,47 +65,6 @@ def _square_stack(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """Packed partial-pivoting LU factors of a square matrix, P A = L U.
-
-    ``factors`` holds U in the upper triangle and the strictly lower part of
-    the unit-diagonal L below it (LAPACK getrf layout). ``pivots`` is the
-    sequential row-swap record: row i was exchanged with row ``pivots[i]``.
-    """
-
-    factors: np.ndarray
-    pivots: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.factors.shape[0]
-
-
-def lu_factor(m) -> LuFactorization:
-    """Factor a square complex matrix with partial pivoting.
-
-    Raises
-    ------
-    ExactlySingular
-        If a pivot is exactly zero. Callers for which singularity is a
-        valid outcome (e.g. a determinant of zero) must handle this.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    # scipy warns instead of raising on exactly zero pivots; singularity is
-    # detected afterwards from the U diagonal.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.diagonal(lu)
-    if np.any(diag == 0):
-        pos = int(np.flatnonzero(diag == 0)[0])
-        raise ExactlySingular(f"zero pivot at position {pos}")
-    return LuFactorization(lu, piv)
-
-
 def determinant(m) -> complex | np.ndarray:
     """Determinant of a square complex matrix, or an array of the
     determinants of an ``(..., n, n)`` stack, from one LAPACK LU per matrix
@@ -118,14 +73,6 @@ def determinant(m) -> complex | np.ndarray:
     det = scipy.linalg.det(a, check_finite=False)
     # scipy returns a scalar when every dimension of the stack is 1.
     return complex(det) if a.ndim == 2 else np.reshape(det, a.shape[:-2])
-
-
-def solve(f: LuFactorization, rhs) -> np.ndarray:
-    """Solve A x = rhs from a factorization of A; rhs may be a vector or matrix."""
-    b = np.asarray(rhs, dtype=np.complex128)
-    if b.ndim not in (1, 2) or b.shape[0] != f.n:
-        raise ValueError(f"rhs shape {b.shape} does not match system size {f.n}")
-    return scipy.linalg.lu_solve((f.factors, f.pivots), b, check_finite=False)
 
 
 def _svd(a: np.ndarray, compute_uv: bool):

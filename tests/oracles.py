@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths of the package: the determinant
 oracle is a recursive cofactor expansion, the norm oracle is plain power
-iteration, and parity is counted by inversions. The exception is
-``full_scan``: it scores every kappa/lambda candidate with the package's own
+iteration, parity is counted by inversions, and interpolation residuals come
+from numpy linear solves. The exception is ``full_scan``: it scores every kappa/lambda candidate with the package's own
 objective, so it is the reference for which candidates the node selection
 may leave unscored, not for the objective values.
 """
@@ -102,3 +102,13 @@ def full_scan(basis_rows: np.ndarray, j: int, nodes, objective, tie_rel_tol: flo
     best = values.min()
     assert np.isfinite(best)
     return int(np.flatnonzero(values <= best * (1.0 + tie_rel_tol))[0])
+
+
+def solve_residual(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:
+    """r_j = e_j - I_{j-1}[e_j] over the grid, from one numpy linear solve
+    with the node-value matrix of the first j-1 ``nodes``; r_1 = e_1."""
+    if j == 1:
+        return basis_rows[0].copy()
+    prefix = list(nodes[: j - 1])
+    coeff = np.linalg.solve(basis_rows[: j - 1][:, prefix].T, basis_rows[j - 1, prefix])
+    return basis_rows[j - 1] - coeff @ basis_rows[: j - 1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from emprint import catalog
+from emprint import catalog, rbm
 from emprint.catalog import (GridMismatch, InvalidRange, LengthMismatch,
                              NonFiniteSample, ParseError, TimeGrid, TrainingSet,
                              UnknownFamily, discrete_inner, discrete_norm)
@@ -231,6 +231,39 @@ def test_csv_nan_sample_names_position(tmp_path):
     with pytest.raises(NonFiniteSample) as exc:
         catalog.load_training_csv(path)
     assert "row 0" in str(exc.value) and "column 1" in str(exc.value)
+
+
+def test_csv_nan_row_number_skips_blank_lines(tmp_path):
+    # Rows count parsed waveforms, as the duplicate-parameter check does.
+    path = tmp_path / "blank.csv"
+    path.write_text(
+        "# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d=1\n"
+        "1.0,0.5:0.5,0.0:0.0\n"
+        "\n"
+        "2.0,0.5:0.5,nan:0.0\n"
+    )
+    with pytest.raises(NonFiniteSample, match="row 1, column 1 .line 4."):
+        catalog.load_training_csv(path)
+    path.write_text(
+        "# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d=1\n"
+        "1.0,0.5:0.5,0.0:0.0\n"
+        "\n"
+        "1.0,0.5:0.5,1.0:0.0\n"
+    )
+    with pytest.raises(ParseError, match="waveform row 1 repeats .* row 0"):
+        catalog.load_training_csv(path)
+
+
+def test_csv_negative_parameter_count_is_rejected(tmp_path):
+    # d=-2 once made cells[:d] and cells[d:] slice from the end, so a
+    # one-cell row passed the field count and left two samples unset.
+    path = tmp_path / "neg.csv"
+    path.write_text(
+        "# emprint-training v1, L=3, t_start=0.0, t_end=1.0, d=-2, kind=basis\n"
+        "1.0:0.0\n"
+    )
+    with pytest.raises(ParseError, match="line 1"):
+        rbm.load_basis_csv(path)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):

@@ -39,6 +39,41 @@ def poly_fourier_reports():
 # Comparison runs
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def small_data(small_basis, small_training):
+    return small_basis, small_training
+
+
+@pytest.fixture(scope="module")
+def packet_data():
+    # Two-parameter packet on a 14 x 14 parameter grid: a 26-vector basis.
+    spec = catalog.make_family_spec("gaussian_packet", 196, grid=TimeGrid(0.0, 1.0, 201))
+    ts = catalog.generate_family(spec)
+    return rbm.build_reduced_basis(ts, tol=1e-10), ts
+
+
+def _worst_sq_error(residual: np.ndarray, dt: float) -> float:
+    return float((np.abs(residual) ** 2).sum(axis=1).max() * dt)
+
+
+@pytest.mark.parametrize("dataset", ["small_data", "packet_data"])
+def test_errors_match_numpy_recomputation(request, dataset):
+    # At every order, the interpolation error from B = solve(V_n^T, E_n) and
+    # the error of the explicit projection onto E_n, recomputed with numpy.
+    rb, ts = request.getfixturevalue(dataset)
+    h, dt = ts.samples, ts.grid.dt
+    reports = run_comparison(rb, ts, criteria=ALL)
+    for report in reports.values():
+        floor = error_floor_sq(report.max_train_norm_sq)
+        for rec in report.per_n:
+            rows, nodes = rb.basis[: rec.n], list(rec.nodes)
+            cardinals = np.linalg.solve(rows[:, nodes], rows)
+            interp = _worst_sq_error(h - h[:, nodes] @ cardinals, dt)
+            proj = _worst_sq_error(h - (h @ rows.conj().T) @ rows, dt)
+            assert abs(rec.max_interp_err_sq - interp) <= 1e-9 * interp + floor
+            assert abs(rec.max_proj_err_sq - proj) <= 1e-9 * proj + floor
+
+
 def test_chirp_floor_is_absolute(small_reports):
     # Chirp rows have norm below 1, so the scaled floor is exactly the
     # absolute one and the bounds below are as strict as 1e-28.

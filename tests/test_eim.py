@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
                          truncate_interpolant, verify_determinant_identity)
 from emprint.rbm import ReducedBasis
 
-from oracles import full_scan, orthonormal_rows
+from oracles import full_scan, orthonormal_rows, solve_residual
 
 ALL_CRITERIA = list(SelectionCriterion)
 OBJECTIVES = {SelectionCriterion.MIN_KAPPA: nm.condition_number_2,
@@ -48,10 +49,9 @@ def test_classic_residual_vanishes_at_previous_nodes(chirp_basis):
     rows = chirp_basis.basis
     for j in range(2, n + 1):
         prefix = list(itp.node_indices[: j - 1])
-        v = rows[: j - 1][:, prefix].T
-        coeff = nm.solve(nm.lu_factor(v), rows[j - 1, prefix])
-        residual = rows[j - 1] - coeff @ rows[: j - 1]
+        residual = solve_residual(rows, j, prefix)
         assert np.max(np.abs(residual[prefix])) <= 1e-10
+        assert np.max(np.abs(itp.residuals[j - 1, prefix])) <= 1e-10
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)
@@ -133,7 +133,7 @@ def assert_picks_match_full_scan(rows, criterion, first_node_variant):
         prefix = nodes[: j - 1]
         reference = full_scan(rows, j, prefix, objective, TIE_REL_TOL)
         assert nodes[j - 1] == reference
-        incumbent = eim._argmax_tied(np.abs(eim._residual(rows, j, prefix)))
+        incumbent = eim._argmax_tied(np.abs(solve_residual(rows, j, prefix)))
         best = objective(rows[:j][:, prefix + [incumbent]].T)
         assert reference in eim._survivors(rows, j, prefix, criterion, best)
 
@@ -175,6 +175,23 @@ def test_pruned_scan_matches_full_scan_on_hard_bases(rows, criterion, variant):
     assert_picks_match_full_scan(rows, criterion, variant)
 
 
+@settings(max_examples=80, deadline=None)
+@given(hard_bases())
+def test_elimination_matches_solve_oracle_on_hard_bases(rows):
+    # Each residual of the elimination is the solve-route residual after the
+    # same prefix, within roundoff amplified by kappa(V_{j-1}), and each
+    # classic pick is the oracle's.
+    n = rows.shape[0]
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    eps = np.finfo(np.float64).eps
+    for j in range(1, n + 1):
+        reference = solve_residual(rows, j, nodes)
+        kappa = nm.condition_number_2(rows[: j - 1][:, nodes[: j - 1]].T) if j > 1 else 1.0
+        bound = 32 * j * eps * kappa * np.abs(rows[:j]).max()
+        assert np.abs(residuals[j - 1] - reference).max() <= bound
+        assert nodes[j - 1] == eim._argmax_tied(np.abs(reference))
+
+
 @pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])
 def test_scan_scores_few_candidates(monkeypatch, chirp_basis, criterion):
     # A full scan scores sum_{j=2..n} (L - j + 1) candidate matrices; the
@@ -214,13 +231,18 @@ def test_truncate_matches_rebuild(small_basis):
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)
 def test_one_factorization_per_step(monkeypatch, small_basis, criterion):
-    # One LU of V_{j-1} per step j = 2..n serves both the pick and the step
-    # record; one more LU of V^T gives the cardinal functions.
-    calls = []
-    lu_factor = nm.lu_factor
-    monkeypatch.setattr(nm, "lu_factor", lambda m: calls.append(1) or lu_factor(m))
-    build_interpolant(small_basis, criterion, small_basis.n)
-    assert len(calls) == small_basis.n
+    # Residuals, picks and cardinal functions all come from the elimination
+    # step: neither a build nor a truncation factors a matrix for a linear
+    # solve or inverts one. Determinants of the step records may use LU.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linear solve or factorization called")
+    for module, names in ((np.linalg, ("solve", "inv", "lstsq")),
+                          (scipy.linalg, ("lu", "lu_factor", "lu_solve", "solve",
+                                          "inv", "lstsq", "solve_triangular"))):
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    itp = build_interpolant(small_basis, criterion, small_basis.n)
+    truncate_interpolant(itp, 3)
 
 
 def test_first_node_variant_flag(small_basis):
@@ -345,10 +367,8 @@ def test_identity_sides_vanish_at_previous_nodes(chirp_basis):
     rows = chirp_basis.basis
     j = n
     prefix = list(itp.node_indices[: j - 1])
-    v = rows[: j - 1][:, prefix].T
-    coeff = nm.solve(nm.lu_factor(v), rows[j - 1, prefix])
-    residual = rows[j - 1] - coeff @ rows[: j - 1]
-    det_prev = nm.determinant(v)
+    residual = solve_residual(rows, j, prefix)
+    det_prev = nm.determinant(rows[: j - 1][:, prefix].T)
     for t in prefix:
         vj = rows[:j][:, prefix + [t]].T
         assert abs(residual[t]) <= 1e-10
@@ -372,7 +392,7 @@ def test_constructor_rejects_duplicate_nodes(small_basis):
             basis=itp.basis, n=3,
             node_indices=(itp.node_indices[0],) * 3,
             v_matrix=itp.v_matrix, b_matrix=itp.b_matrix,
-            criterion=itp.criterion, per_step=itp.per_step,
+            residuals=itp.residuals, criterion=itp.criterion, per_step=itp.per_step,
         )
 
 
@@ -382,7 +402,17 @@ def test_constructor_rejects_broken_cardinals(small_basis):
         EmpiricalInterpolant(
             basis=itp.basis, n=3, node_indices=itp.node_indices,
             v_matrix=itp.v_matrix, b_matrix=itp.b_matrix * 2.0,
-            criterion=itp.criterion, per_step=itp.per_step,
+            residuals=itp.residuals, criterion=itp.criterion, per_step=itp.per_step,
+        )
+
+
+def test_constructor_rejects_residuals_of_wrong_shape(small_basis):
+    itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
+    with pytest.raises(ValueError, match="residuals"):
+        EmpiricalInterpolant(
+            basis=itp.basis, n=3, node_indices=itp.node_indices,
+            v_matrix=itp.v_matrix, b_matrix=itp.b_matrix,
+            residuals=itp.residuals[:2], criterion=itp.criterion, per_step=itp.per_step,
         )
 
 

@@ -21,63 +21,6 @@ def square_matrices(n):
     return hnp.arrays(np.complex128, (n, n), elements=complex_entries)
 
 
-def unpack_lu(f: nm.LuFactorization):
-    lu = f.factors
-    lower = np.tril(lu, -1) + np.eye(f.n)
-    upper = np.triu(lu)
-    return lower, upper
-
-
-def apply_pivots(a: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    for i, p in enumerate(pivots):
-        if p != i:
-            out[[i, p]] = out[[p, i]]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# LU factorization
-# ---------------------------------------------------------------------------
-
-def test_lu_scalar_matrix():
-    f = nm.lu_factor([[2.0 + 0j]])
-    lower, upper = unpack_lu(f)
-    assert lower[0, 0] == pytest.approx(1.0)
-    assert upper[0, 0] == pytest.approx(2.0)
-    assert list(f.pivots) == [0]
-
-
-def test_lu_identity():
-    f = nm.lu_factor(np.eye(3))
-    lower, upper = unpack_lu(f)
-    assert np.allclose(lower, np.eye(3))
-    assert np.allclose(upper, np.eye(3))
-    assert list(f.pivots) == [0, 1, 2]
-
-
-def test_lu_reconstructs_input(rng):
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    a /= np.abs(a).max()
-    f = nm.lu_factor(a)
-    lower, upper = unpack_lu(f)
-    permuted = apply_pivots(a, f.pivots)
-    rel = np.linalg.norm(permuted - lower @ upper) / np.linalg.norm(a)
-    assert rel <= 1e-12
-
-
-def test_lu_exactly_singular():
-    with pytest.raises(nm.ExactlySingular):
-        nm.lu_factor([[1.0, 2.0], [2.0, 4.0]])
-
-
-def test_lu_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(ValueError):
-        nm.lu_factor(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        nm.lu_factor([[np.nan, 0], [0, 1]])
-
-
 # ---------------------------------------------------------------------------
 # Determinant
 # ---------------------------------------------------------------------------
@@ -148,53 +91,6 @@ def test_stacked_functions_reject_bad_shapes():
 
 
 # ---------------------------------------------------------------------------
-# Solve
-# ---------------------------------------------------------------------------
-
-def test_solve_identity_returns_rhs(rng):
-    f = nm.lu_factor(np.eye(4))
-    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.allclose(nm.solve(f, b), b, rtol=0, atol=1e-15)
-
-
-def test_solve_diagonal_system():
-    f = nm.lu_factor(np.diag([2.0, 4.0j]))
-    x = nm.solve(f, np.array([2.0, 4.0j]))
-    assert x == pytest.approx(np.array([1.0, 1.0]))
-
-
-def test_solve_residual_small(rng):
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x = nm.solve(nm.lu_factor(a), b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_solve_matrix_rhs(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    x = nm.solve(nm.lu_factor(a), b)
-    assert x.shape == (4, 3)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_solve_shape_mismatch(rng):
-    f = nm.lu_factor(np.eye(3))
-    with pytest.raises(ValueError):
-        nm.solve(f, np.ones(4))
-
-
-@settings(max_examples=30, deadline=None)
-@given(square_matrices(4))
-def test_solve_multiply_back_property(a):
-    kappa = np.linalg.cond(a)
-    assume(np.isfinite(kappa) and kappa <= 1e6)
-    b = np.ones(4, dtype=complex)
-    x = nm.solve(nm.lu_factor(a), b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-# ---------------------------------------------------------------------------
 # Norms and conditioning
 # ---------------------------------------------------------------------------
 
@@ -224,7 +120,7 @@ def test_condition_number_diagonal():
 
 def test_condition_number_cross_check_explicit_inverse(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    inv = nm.solve(nm.lu_factor(a), np.eye(4, dtype=complex))
+    inv = np.linalg.inv(a)
     expected = nm.two_norm(a) * nm.two_norm(inv)
     assert abs(nm.condition_number_2(a) - expected) <= 1e-8 * expected
 
@@ -244,7 +140,7 @@ def test_inverse_two_norm_diagonal():
 
 def test_inverse_two_norm_matches_explicit_inverse(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    inv = nm.solve(nm.lu_factor(a), np.eye(5, dtype=complex))
+    inv = np.linalg.inv(a)
     expected = nm.two_norm(inv)
     assert abs(nm.inverse_two_norm(a) - expected) <= 1e-8 * expected
 

@@ -9,6 +9,7 @@ discrete inner product carries the uniform quadrature weight dt, so
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +61,11 @@ class TimeGrid:
             raise ValueError(f"grid needs at least 2 samples, got {self.n_samples}")
         if not (self.t_end > self.t_start):
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(f"grid endpoints must be finite, got [{self.t_start}, {self.t_end}]")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"grid spacing {self.dt} on [{self.t_start}, {self.t_end}] "
+                             f"is not positive and finite")
 
     @property
     def dt(self) -> float:
@@ -283,8 +289,10 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 # ---------------------------------------------------------------------------
 
 def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
-    cells = [fmt_float(p) for p in params_row]
-    cells += [f"{fmt_float(z.real)}:{fmt_float(z.imag)}" for z in samples_row]
+    # repr of a Python float is the shortest round-trip form, as fmt_float.
+    cells = [repr(p) for p in params_row.tolist()]
+    cells += [f"{a!r}:{b!r}" for a, b in zip(samples_row.real.tolist(),
+                                             samples_row.imag.tolist())]
     return ",".join(cells)
 
 
@@ -340,8 +348,39 @@ def _parse_float(text: str, lineno: int) -> float:
         raise ParseError(f"line {lineno}: bad float {text!r}") from exc
 
 
+def _check_row(line: str, lineno: int, row: int, d: int, l: int) -> None:
+    """Walk a row cell by cell; raise the error that names its first bad cell."""
+    cells = line.split(",")
+    if len(cells) != d + l:
+        raise ParseError(
+            f"line {lineno}: expected {d + l} fields ({d} parameters + "
+            f"{l} samples), got {len(cells)}"
+        )
+    for i, cell in enumerate(cells[:d]):
+        if not math.isfinite(_parse_float(cell, lineno)):
+            raise NonFiniteSample(
+                f"non-finite parameter at row {row}, component {i} (line {lineno})"
+            )
+    for i, cell in enumerate(cells[d:]):
+        parts = cell.split(":")
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: bad sample pair {cell!r}")
+        re, im = (_parse_float(part, lineno) for part in parts)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise NonFiniteSample(
+                f"non-finite sample at row {row}, column {i} (line {lineno})"
+            )
+
+
 def read_waveform_csv(path):
-    """Parse a waveform CSV; returns (grid, params, samples, kind)."""
+    """Parse a waveform CSV; returns (grid, params, samples, kind).
+
+    Each row is parsed in C by ``np.fromstring`` straight into arrays sized
+    from the header. A row is taken only if its separators are exactly d
+    commas followed by L alternating ':' and ',' (so '1:2:3,4' cannot pass
+    as two pairs) and it yields d + 2L finite values; any other row is
+    walked cell by cell to raise the error that names its bad cell.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -349,43 +388,40 @@ def read_waveform_csv(path):
         raise ParseError("line 1: empty file")
     grid, d, kind = _parse_header(lines[0])
     l = grid.n_samples
-    params_rows, sample_rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        row = len(sample_rows)
-        cells = line.split(",")
-        if len(cells) != d + l:
-            raise ParseError(
-                f"line {lineno}: expected {d + l} fields ({d} parameters + "
-                f"{l} samples), got {len(cells)}"
-            )
-        prow = []
-        for i, cell in enumerate(cells[:d]):
-            value = _parse_float(cell, lineno)
-            if not math.isfinite(value):
-                raise NonFiniteSample(
-                    f"non-finite parameter at row {row}, component {i} (line {lineno})"
-                )
-            prow.append(value)
-        srow = np.empty(l, dtype=np.complex128)
-        for i, cell in enumerate(cells[d:]):
-            parts = cell.split(":")
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: bad sample pair {cell!r}")
-            re = _parse_float(parts[0], lineno)
-            im = _parse_float(parts[1], lineno)
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise NonFiniteSample(
-                    f"non-finite sample at row {row}, column {i} (line {lineno})"
-                )
-            srow[i] = complex(re, im)
-        params_rows.append(prow)
-        sample_rows.append(srow)
-    if not sample_rows:
+    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    if not rows:
         raise ParseError("line 2: file contains no waveform rows")
-    params = np.asarray(params_rows, dtype=float).reshape(len(sample_rows), d)
-    samples = np.vstack(sample_rows)
+    n_seps = d + 2 * l - 1
+    if min(len(line) for _, line in rows) < n_seps:
+        # A row too short to hold its separators is bad: find the first bad
+        # row before allocating anything from the header's sizes.
+        for row, (lineno, line) in enumerate(rows):
+            _check_row(line, lineno, row, d, l)
+    pattern = np.full(n_seps, ord(","), dtype=np.uint8)
+    pattern[d::2] = ord(":")
+    params = np.empty((len(rows), d))
+    samples = np.empty((len(rows), l), dtype=np.complex128)
+    flat = samples.view(np.float64)
+    with warnings.catch_warnings():
+        # numpy < 2 warns on text it cannot parse and returns the values read
+        # so far; later versions raise ValueError. Both reject the row.
+        warnings.simplefilter("error")
+        for row, (lineno, line) in enumerate(rows):
+            raw = np.frombuffer(line.encode(), dtype=np.uint8)
+            seps = raw[(raw == ord(",")) | (raw == ord(":"))]
+            values = None
+            if seps.shape == pattern.shape and (seps == pattern).all():
+                try:
+                    values = np.fromstring(line.replace(":", ","), sep=",")
+                except (ValueError, Warning):
+                    pass
+            if (values is None or values.shape != (d + 2 * l,)
+                    or not np.isfinite(values).all()):
+                _check_row(line, lineno, row, d, l)
+                raise ParseError(f"line {lineno}: cells must be ASCII decimal floats")
+            params[row] = values[:d]
+            flat[row] = values[d:]
     return grid, params, samples, kind
 
 

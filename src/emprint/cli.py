@@ -210,7 +210,10 @@ def _parse_param_range(text: str) -> tuple[tuple[float, float], ...]:
 def _family_spec(cfg: RunConfig) -> catalog.FamilySpec:
     if not cfg.t_end > cfg.t_start:
         raise ConfigError(f"need t-end > t-start, got [{cfg.t_start}, {cfg.t_end}]")
-    grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.l)
+    try:
+        grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.l)
+    except ValueError as exc:
+        raise ConfigError(f"bad time grid: {exc}") from exc
     param_range = _parse_param_range(cfg.param_range) if cfg.param_range else None
     return catalog.make_family_spec(
         cfg.family, cfg.k, grid=grid, param_range=param_range,

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -42,6 +43,14 @@ def test_grid_validation():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(2.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308), (0.0, 5e-324),
+], ids=["infinite", "infinite-end", "spacing-overflows", "spacing-underflows"])
+def test_grid_needs_finite_endpoints_and_spacing(t_start, t_end):
+    with pytest.raises(ValueError):
+        TimeGrid(t_start, t_end, 3)
 
 
 def test_training_set_rejects_duplicate_params():
@@ -196,16 +205,32 @@ def test_unknown_family_and_bad_range():
 # CSV round trip and error paths
 # ---------------------------------------------------------------------------
 
-def test_csv_round_trip_bitwise(tmp_path, rng):
-    grid = TimeGrid(-0.5, 2.0, 13)
-    params = np.array([[1.0], [2.5], [-3.75]])
-    samples = rng.standard_normal((3, 13)) + 1j * rng.standard_normal((3, 13))
-    ts = TrainingSet(grid, params, samples)
+# Every finite double, subnormals and both zeros included.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    # array_equal would take -0.0 for 0.0; the bit patterns tell them apart.
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(1, 2), k=st.integers(1, 4),
+       l=st.integers(2, 6))
+def test_csv_round_trip_bitwise(tmp_path, data, d, k, l):
+    grid = TimeGrid(-0.5, 2.0, l)
+    # Rows must differ in their parameters; a unique first column suffices.
+    first = data.draw(hnp.arrays(np.float64, k, elements=finite, unique=True))
+    rest = data.draw(hnp.arrays(np.float64, (k, d - 1), elements=finite))
+    params = np.column_stack([first, rest])
+    samples = data.draw(hnp.arrays(np.float64, (k, 2 * l), elements=finite))
+    ts = TrainingSet(grid, params, samples.view(np.complex128))
     path = tmp_path / "t.csv"
     catalog.save_training_csv(ts, path)
     loaded = catalog.load_training_csv(path)
-    assert np.array_equal(loaded.samples, ts.samples)
-    assert np.array_equal(loaded.params, ts.params)
+    assert np.array_equal(bits(loaded.samples), bits(ts.samples))
+    assert np.array_equal(bits(loaded.params), bits(ts.params))
     assert loaded.grid == ts.grid
     # Saving the loaded set reproduces the file byte for byte.
     path2 = tmp_path / "t2.csv"
@@ -307,3 +332,149 @@ def test_training_loader_rejects_basis_kind(tmp_path):
     )
     with pytest.raises(ParseError):
         catalog.load_training_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Rows the C parse must not take
+# ---------------------------------------------------------------------------
+
+HEADER_L2 = "# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d=1\n"
+GOOD_ROW = "1.0,0.5:0.5,0.0:0.0\n"
+
+
+def load_strict(path):
+    # numpy 1.24 warns on unparsable text where later versions raise; no
+    # warning may escape the reader either way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return catalog.load_training_csv(path)
+
+
+@pytest.mark.parametrize("row, error, message", [
+    # Separator counts are right, but '1:2:3,4' read as numbers is two pairs.
+    ("2.0,1:2:3,4", ParseError, "line 3: bad sample pair '1:2:3'"),
+    ("2.0,1:2,3:4,", ParseError, "line 3: expected 3 fields"),
+    ("2.0,1:2,3:", ParseError, "line 3: bad float ''"),
+    ("2.0,:2,3:4", ParseError, "line 3: bad float ''"),
+    ("2.0,,3:4", ParseError, "line 3: bad sample pair ''"),
+    ("2.0,1:2,3:4 5", ParseError, "line 3: bad float '4 5'"),
+    ("2.0,1:2,0x1p3:4", ParseError, "line 3: bad float '0x1p3'"),
+    ("2.0,1:2,nan(1):4", ParseError, "line 3: bad float 'nan\\(1\\)'"),
+    # float() reads these, the documented decimal format does not.
+    ("2.0,1_0:2,3:4", ParseError, "line 3: cells must be ASCII decimal floats"),
+    ("2.0,\u0661:2,3:4", ParseError, "line 3: cells must be ASCII decimal floats"),
+    ("1e400,1:2,3:4", NonFiniteSample, "parameter at row 1, component 0 .line 3."),
+    ("2.0,1:2,3:1e400", NonFiniteSample, "sample at row 1, column 1 .line 3."),
+    ("2.0,nan:2,3:4", NonFiniteSample, "sample at row 1, column 0 .line 3."),
+    ("2.0,1:2,-inf:4", NonFiniteSample, "sample at row 1, column 1 .line 3."),
+])
+def test_csv_malformed_row_names_its_cell(tmp_path, row, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_L2 + GOOD_ROW + row + "\n", encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_strict(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2.0,1_0:2,3:4", "cells must be ASCII decimal floats"),
+    ("2.0,1:2,3:4 5", "bad float '4 5'"),
+])
+def test_csv_reader_under_numpy_1_24_behaviour(tmp_path, monkeypatch, row, message):
+    # Before numpy 2, np.fromstring met unparsable text with a
+    # DeprecationWarning and returned an array anyway. Even a full-length,
+    # finite one must be refused, and the warning must not escape.
+    real = np.fromstring
+
+    def warning_fromstring(text, sep):
+        try:
+            return real(text, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due to "
+                          "unmatched data", DeprecationWarning)
+            return np.zeros(text.count(sep) + 1)
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER_L2 + GOOD_ROW + row + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            catalog.load_training_csv(path)
+    assert caught == []
+
+
+def test_csv_whitespace_around_cells_is_read(tmp_path):
+    path = tmp_path / "ws.csv"
+    path.write_text(HEADER_L2 + " 1.0 ,\t0.5:0.5 , 0:-0.0\n")
+    ts = load_strict(path)
+    expected = np.array([[0.5 + 0.5j, complex(0.0, -0.0)]])
+    assert np.array_equal(bits(ts.samples), bits(expected))
+
+
+def test_csv_header_larger_than_its_rows(tmp_path):
+    # Nothing is allocated from the header's sizes before a row shows them.
+    path = tmp_path / "huge.csv"
+    path.write_text("# emprint-training v1, L=1000000000000, t_start=0.0, "
+                    "t_end=1.0, d=1\n" + GOOD_ROW)
+    with pytest.raises(ParseError, match="line 2: expected 1000000000001 fields"):
+        load_strict(path)
+
+
+def test_csv_header_with_infinite_grid(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("# emprint-training v1, L=2, t_start=-inf, t_end=inf, d=1\n"
+                    + GOOD_ROW)
+    with pytest.raises(ParseError, match="line 1: .*endpoints must be finite"):
+        load_strict(path)
+
+
+# Cells the two readers may disagree on: decimal floats in several forms,
+# stray separators, whitespace, and text that float() or strtod take.
+cell_text = st.one_of(
+    finite.map(repr),
+    st.sampled_from(["", " ", "1.", ".5", "+.5", "-0", "1e5", "1E-5", "1e", "1e+",
+                     "inf", "-nan", "infinity", "nan(3)", "1_0", "0x10", "1d5",
+                     "\u0661", "\uff11", "1 2", "\t3", "4\t", "1e400", "1e-400"]),
+    st.text(alphabet="0123456789.eE+-_ :,\tnaif\u0661", max_size=6),
+)
+
+
+def reference_row(line: str, d: int, l: int):
+    """The row read by float() per cell, or None where that reader rejects it."""
+    cells = line.split(",")
+    pairs = [cell.split(":") for cell in cells[d:]]
+    if len(cells) != d + l or any(len(pair) != 2 for pair in pairs):
+        return None
+    try:
+        values = [float(c) for c in cells[:d]] + [float(x) for p in pairs for x in p]
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(cell_text, min_size=3, max_size=7),
+       seps=st.lists(st.sampled_from([",", ":"]), min_size=6, max_size=6),
+       proper=st.booleans())
+def test_csv_reader_takes_only_what_float_takes(tmp_path, cells, seps, proper):
+    # d=1, L=2: a proper row is p,a:b,c:e. Whatever the reader returns, the
+    # float() reader returns bit for bit; whatever that one rejects, it rejects.
+    if proper:
+        seps = [",", ":", ",", ":", ",", ":"]
+    line = cells[0] + "".join(s + c for s, c in zip(seps, cells[1:]))
+    path = tmp_path / "row.csv"
+    path.write_text(HEADER_L2 + line + "\n", encoding="utf-8")
+    expected = reference_row(line, 1, 2) if line.strip() else None
+    try:
+        ts = load_strict(path)
+    except (ParseError, NonFiniteSample):
+        got = None
+    else:
+        got = np.concatenate([ts.params[0], ts.samples[0].view(np.float64)])
+    if got is not None:
+        assert expected is not None
+        assert bits(got).tolist() == bits(np.array(expected)).tolist()
+    elif expected is not None:
+        # Only cells outside ASCII decimal may be refused where float() reads them.
+        assert not line.isascii() or "_" in line, line

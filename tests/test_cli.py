@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -312,10 +313,26 @@ def test_bad_tol(tmp_path, capsys, tol, source):
     (["--t-start", "1", "--t-end", "0"], "t-end > t-start"),
     (["--sampling", "random", "--seed", "-1"], "seed"),
     (["--param-range", "1:1.0000000000000002"], "too narrow"),
-], ids=["t-range", "negative-seed", "narrow-range"])
+    (["--t-start=-inf", "--t-end", "inf"], "grid endpoints must be finite"),
+    (["--t-start=-1e308", "--t-end", "1e308"], "grid spacing inf"),
+], ids=["t-range", "negative-seed", "narrow-range", "t-infinite", "t-overflow"])
 def test_bad_family_input_exits_2(tmp_path, capsys, args, message):
-    assert main(["generate", *CHIRP, *args, "--out-dir", str(tmp_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        assert main(["generate", *CHIRP, *args, "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_infinite_grid_in_csv_header_exits_2(tmp_path, capsys):
+    # An infinite grid once reached the basis build and exited 3 with an
+    # infinite roundoff-level residual.
+    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "training.csv"
+    lines = read(path)
+    lines[0] = "# emprint-training v1, L=201, t_start=-inf, t_end=inf, d=1"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["basis", "--input", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_unknown_sampling_in_config(tmp_path, capsys):

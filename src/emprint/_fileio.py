@@ -7,16 +7,16 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename, so readers never
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file and rename, so readers never
     observe a partially written file. The file gets mode 0o666 less the
     umask, as an ordinary ``open`` would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         mask = os.umask(0o077)  # the umask is read by setting it; restore it
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
@@ -27,6 +27,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """``atomic_write_bytes`` of ``text`` in UTF-8, line endings untranslated."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def fmt_float(x) -> str:

@@ -4,18 +4,31 @@ weighted discrete inner product, and CSV ingestion/serialization.
 Waveforms are complex time series sampled on a closed uniform grid. The
 discrete inner product carries the uniform quadrature weight dt, so
 ``discrete_norm(h)**2`` approximates the continuous squared L2 norm.
+
+A training CSV is parsed once. ``save_training_csv`` writes, beside
+``training.csv``, the parsed copy ``training.csv.f64``: one ASCII line
+``emprint-parsed v1 sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is
+that of the CSV's exact bytes, then the K x (d + 2L) values as little-endian
+doubles, row-major (the parameters, then re, im of each sample).
+``load_training_csv`` reads the copy instead of the text only when its
+digest matches the CSV's current bytes and its d and L match the CSV's
+header; otherwise it parses the CSV. Either way the CSV header is parsed and
+every check runs, so the two routes differ only in time. Loads never write
+the copy, and deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._fileio import atomic_write_text, fmt_float
+from ._fileio import atomic_write_bytes, fmt_float
 
 
 class LengthMismatch(Exception):
@@ -43,6 +56,13 @@ class NonFiniteSample(Exception):
 
 
 CSV_MAGIC = "emprint-training v1"
+
+# Start of a parsed copy's header. Its version must change whenever the
+# rules by which ``_read_parsed_copy`` accepts a copy change, so that copies
+# written under the old rules are refused rather than misread.
+PARSED_MAGIC = "emprint-parsed v1"
+_PARSED_HEADER = re.compile(re.escape(PARSED_MAGIC).encode()
+                            + rb" sha256=([0-9a-f]{64}) k=([0-9]+) d=([0-9]+) l=([0-9]+)\n")
 
 # How FamilySpec draws parameter vectors.
 SAMPLING_MODES = ("equispaced", "random")
@@ -297,7 +317,8 @@ def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
 
 
 def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
-                       samples: np.ndarray, kind: str | None = None) -> None:
+                       samples: np.ndarray, kind: str | None = None) -> bytes:
+    """Write a waveform CSV; returns the bytes written."""
     d = params.shape[1] if params.size else 0
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
@@ -310,12 +331,27 @@ def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
     for k in range(samples.shape[0]):
         prow = params[k] if d else empty
         lines.append(_format_row(prow, samples[k]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines.append("")  # the final line ending
+    data = "\n".join(lines).encode("utf-8")
+    atomic_write_bytes(path, data)
+    return data
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:
-    """Serialize a training set; ``load_training_csv`` restores it bit-for-bit."""
-    write_waveform_csv(path, ts.grid, ts.params, ts.samples)
+    """Serialize a training set; ``load_training_csv`` restores it bit-for-bit.
+
+    Also writes the parsed copy ``<path>.f64`` that later loads read in place
+    of the text (see the module docstring).
+    """
+    data = write_waveform_csv(path, ts.grid, ts.params, ts.samples)
+    d, l = ts.d, ts.grid.n_samples
+    values = np.empty((ts.k, d + 2 * l), dtype="<f8")
+    values[:, :d] = ts.params
+    values[:, d::2] = ts.samples.real
+    values[:, d + 1::2] = ts.samples.imag
+    header = (f"{PARSED_MAGIC} sha256={hashlib.sha256(data).hexdigest()} "
+              f"k={ts.k} d={d} l={l}\n")
+    atomic_write_bytes(_parsed_copy_path(path), header.encode("ascii") + values.tobytes())
 
 
 def _parse_header(line: str):
@@ -420,18 +456,70 @@ def read_waveform_csv(path):
                     or not np.isfinite(values).all()):
                 _check_row(line, lineno, row, d, l)
                 raise ParseError(f"line {lineno}: cells must be ASCII decimal floats")
+            if (values == -1.0).any():
+                # np.fromstring reads a blank cell (" ") as -1.0; the walk
+                # faults a blank cell and passes a written -1.
+                _check_row(line, lineno, row, d, l)
             params[row] = values[:d]
             flat[row] = values[d:]
+    return grid, params, samples, kind
+
+
+def _parsed_copy_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".f64")
+
+
+def _read_parsed_copy(path):
+    """(grid, params, samples, kind) of the CSV at ``path`` from its parsed
+    copy, or None when there is no copy that may be trusted.
+
+    A copy is trusted only when its header names the SHA-256 of the CSV's
+    current bytes and the d and L of the CSV's own header, and its payload
+    holds exactly k*(d + 2L) little-endian doubles for some k >= 1. Anything
+    else, a missing or unreadable file included, returns None, and the
+    caller parses the CSV.
+    """
+    try:
+        with open(_parsed_copy_path(path), "rb") as fh:
+            match = _PARSED_HEADER.fullmatch(fh.readline(256))
+            if match is None:
+                return None
+            payload = fh.read()
+        with open(path, "rb") as fh:
+            first_line = fh.readline()
+            digest = hashlib.sha256(first_line)
+            while block := fh.read(1 << 20):
+                digest.update(block)
+    except OSError:
+        return None
+    k, d, l = (int(g) for g in match.group(2, 3, 4))
+    if (k < 1 or len(payload) != k * (d + 2 * l) * 8
+            or digest.hexdigest() != match.group(1).decode("ascii")):
+        return None
+    try:
+        grid, csv_d, kind = _parse_header(first_line.decode("utf-8"))
+    except (UnicodeDecodeError, ParseError):
+        return None
+    if (csv_d, grid.n_samples) != (d, l):
+        return None
+    values = np.frombuffer(payload, dtype="<f8").reshape(k, d + 2 * l)
+    params = np.array(values[:, :d], dtype=np.float64, order="C")
+    samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
     return grid, params, samples, kind
 
 
 def load_training_csv(path, expected_grid: TimeGrid | None = None) -> TrainingSet:
     """Load a training CSV written by ``save_training_csv``.
 
-    Raises GridMismatch when ``expected_grid`` is given and the file's grid
-    differs from it, and ParseError when two rows share a parameter vector.
+    The values come from the parsed copy beside the CSV when it may be
+    trusted (see ``_read_parsed_copy``), else from parsing the CSV; every
+    check below runs either way. Raises GridMismatch when ``expected_grid``
+    is given and the file's grid differs from it, and ParseError when two
+    rows share a parameter vector.
     """
-    grid, params, samples, kind = read_waveform_csv(path)
+    parsed = _read_parsed_copy(path)
+    grid, params, samples, kind = parsed if parsed is not None else read_waveform_csv(path)
     if kind is not None:
         raise ParseError(f"line 1: expected a training file, found kind={kind}")
     if expected_grid is not None and (

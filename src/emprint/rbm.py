@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv, read_waveform_csv
+from .catalog import (LengthMismatch, ParseError, TimeGrid, TrainingSet, read_waveform_csv,
+                      write_waveform_csv)
 from .numerics import error_floor_sq
 from ._fileio import atomic_write_text, fmt_float
 
@@ -199,7 +200,6 @@ def load_basis_csv(path) -> tuple[TimeGrid, np.ndarray]:
     """Read back a basis CSV; returns (grid, basis rows)."""
     grid, _, samples, kind = read_waveform_csv(path)
     if kind != "basis":
-        from .catalog import ParseError
         raise ParseError(f"line 1: expected kind=basis, found kind={kind}")
     return grid, samples
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -214,6 +216,23 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def copy_of(path):
+    return path.with_name(path.name + ".f64")
+
+
+def load_from_copy(path, **kwargs):
+    """load_training_csv with the CSV parse disabled: only the copy can serve."""
+    with mock.patch.object(catalog, "read_waveform_csv",
+                           side_effect=AssertionError("the CSV was parsed")):
+        return catalog.load_training_csv(path, **kwargs)
+
+
+def load_from_csv(path, **kwargs):
+    """load_training_csv after deleting the parsed copy."""
+    copy_of(path).unlink(missing_ok=True)
+    return catalog.load_training_csv(path, **kwargs)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), d=st.integers(1, 2), k=st.integers(1, 4),
@@ -228,14 +247,18 @@ def test_csv_round_trip_bitwise(tmp_path, data, d, k, l):
     ts = TrainingSet(grid, params, samples.view(np.complex128))
     path = tmp_path / "t.csv"
     catalog.save_training_csv(ts, path)
-    loaded = catalog.load_training_csv(path)
-    assert np.array_equal(bits(loaded.samples), bits(ts.samples))
-    assert np.array_equal(bits(loaded.params), bits(ts.params))
-    assert loaded.grid == ts.grid
-    # Saving the loaded set reproduces the file byte for byte.
-    path2 = tmp_path / "t2.csv"
-    catalog.save_training_csv(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    copy = copy_of(path).read_bytes()
+    # Once through the parsed copy as saved, once through the CSV parse.
+    for load in (load_from_copy, load_from_csv):
+        loaded = load(path)
+        assert np.array_equal(bits(loaded.samples), bits(ts.samples))
+        assert np.array_equal(bits(loaded.params), bits(ts.params))
+        assert loaded.grid == ts.grid
+        # Saving the loaded set reproduces both files byte for byte.
+        path2 = tmp_path / "t2.csv"
+        catalog.save_training_csv(loaded, path2)
+        assert path.read_bytes() == path2.read_bytes()
+        assert copy_of(path2).read_bytes() == copy
 
 
 def test_csv_single_row(tmp_path):
@@ -335,6 +358,121 @@ def test_training_loader_rejects_basis_kind(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The parsed copy beside a training CSV
+# ---------------------------------------------------------------------------
+
+# d=1, L=4: a row of the copy holds 9 doubles, as it would for d=3, L=3.
+SMALL = TrainingSet(TimeGrid(0.0, 1.0, 4), np.array([[1.0], [2.0]]),
+                    np.array([[0.5 + 0.25j, 1, 2, 3], [4, 5, 6, 7j]]))
+
+
+def saved_small(tmp_path, name="t.csv"):
+    path = tmp_path / name
+    catalog.save_training_csv(SMALL, path)
+    return path
+
+
+def copy_header(csv_bytes, k, d, l):
+    digest = hashlib.sha256(csv_bytes).hexdigest()
+    return f"emprint-parsed v1 sha256={digest} k={k} d={d} l={l}\n".encode()
+
+
+def assert_same_set(a, b):
+    assert a.grid == b.grid
+    assert np.array_equal(bits(a.params), bits(b.params))
+    assert np.array_equal(bits(a.samples), bits(b.samples))
+
+
+def test_stale_copy_is_never_served(tmp_path):
+    path = saved_small(tmp_path)
+    text = path.read_text()
+    assert "1.0,0.5:0.25," in text
+    path.write_text(text.replace("1.0,0.5:0.25,", "1.0,0.6:0.25,"))
+    ts = catalog.load_training_csv(path)
+    assert ts.samples[0, 0] == 0.6 + 0.25j
+    assert_same_set(ts, load_from_csv(path))
+
+
+def _rekeyed(path, copy, k=2, d=1, l=4, csv_bytes=None):
+    # The same payload under a new header, by default with the right digest.
+    csv_bytes = path.read_bytes() if csv_bytes is None else csv_bytes
+    return copy_header(csv_bytes, k, d, l) + copy[copy.index(b"\n") + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda path, copy: copy[:-1],
+    lambda path, copy: copy + b"\0",
+    lambda path, copy: b"",
+    lambda path, copy: copy.replace(b"emprint-parsed", b"emprint-parsex"),
+    lambda path, copy: copy.replace(b"parsed v1", b"parsed v2"),
+    lambda path, copy: _rekeyed(path, copy, csv_bytes=path.read_bytes() + b"\n"),
+    lambda path, copy: copy.replace(b"\n", b" \n", 1),
+    lambda path, copy: _rekeyed(path, copy, k=1),
+    lambda path, copy: _rekeyed(path, copy, k=3),
+    lambda path, copy: _rekeyed(path, copy, d=3, l=3),
+    lambda path, copy: _rekeyed(path, copy, d=5, l=2),
+    lambda path, copy: copy_of(path.with_name("other.csv")).read_bytes(),
+], ids=["truncated", "trailing-byte", "empty", "wrong-magic", "wrong-version",
+        "wrong-digest", "header-padding", "fewer-rows", "more-rows", "d-and-l",
+        "d-and-l-again", "another-csv"])
+def test_damaged_copy_is_ignored(tmp_path, damage):
+    other = TrainingSet(SMALL.grid, SMALL.params + 10, SMALL.samples + 1)
+    catalog.save_training_csv(other, tmp_path / "other.csv")
+    path = saved_small(tmp_path)
+    damaged = damage(path, copy_of(path).read_bytes())
+    copy_of(path).write_bytes(damaged)
+    with mock.patch.object(catalog, "read_waveform_csv",
+                           wraps=catalog.read_waveform_csv) as parse:
+        ts = catalog.load_training_csv(path)
+    assert parse.call_count == 1
+    assert_same_set(ts, SMALL)
+    assert copy_of(path).read_bytes() == damaged
+
+
+@pytest.mark.parametrize("row, kwargs, error", [
+    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,nan:0.0", {}, NonFiniteSample),
+    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,3.0", {}, ParseError),
+    ("1.0,4.0:0.0,5.0:0.0,6.0:0.0,0.0:7.0", {}, ParseError),
+    (None, {"expected_grid": TimeGrid(0.0, 2.0, 4)}, GridMismatch),
+], ids=["nan", "bad-pair", "duplicate-row", "grid"])
+def test_malformed_csv_beside_copy_raises_as_without(tmp_path, row, kwargs, error):
+    path = saved_small(tmp_path)
+    if row is not None:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[1], row]) + "\n")
+    with pytest.raises(error) as with_copy:
+        catalog.load_training_csv(path, **kwargs)
+    with pytest.raises(error) as without_copy:
+        load_from_csv(path, **kwargs)
+    assert str(with_copy.value) == str(without_copy.value)
+
+
+@pytest.mark.parametrize("values, error", [
+    (np.full((2, 9), np.nan), NonFiniteSample),
+    (np.ones((2, 9)), ParseError),
+], ids=["nan", "duplicate-row"])
+def test_checks_run_on_a_copy_with_the_right_digest(tmp_path, values, error):
+    # Every check after the read also guards values served by the copy.
+    path = saved_small(tmp_path)
+    copy_of(path).write_bytes(copy_header(path.read_bytes(), 2, 1, 4)
+                              + values.astype("<f8").tobytes())
+    with pytest.raises(error):
+        load_from_copy(path)
+
+
+def test_load_never_writes_the_copy(tmp_path):
+    path = saved_small(tmp_path)
+    copy = copy_of(path)
+    before = copy.stat()
+    load_from_copy(path)
+    after = copy.stat()
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    copy.unlink()
+    catalog.load_training_csv(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+# ---------------------------------------------------------------------------
 # Rows the C parse must not take
 # ---------------------------------------------------------------------------
 
@@ -360,6 +498,9 @@ def load_strict(path):
     ("2.0,1:2,3:4 5", ParseError, "line 3: bad float '4 5'"),
     ("2.0,1:2,0x1p3:4", ParseError, "line 3: bad float '0x1p3'"),
     ("2.0,1:2,nan(1):4", ParseError, "line 3: bad float 'nan\\(1\\)'"),
+    # np.fromstring reads a blank cell as -1.0.
+    ("2.0,1:2,3: ", ParseError, "line 3: bad float ' '"),
+    (" ,1:2,3:4", ParseError, "line 3: bad float ' '"),
     # float() reads these, the documented decimal format does not.
     ("2.0,1_0:2,3:4", ParseError, "line 3: cells must be ASCII decimal floats"),
     ("2.0,\u0661:2,3:4", ParseError, "line 3: cells must be ASCII decimal floats"),
@@ -409,6 +550,15 @@ def test_csv_whitespace_around_cells_is_read(tmp_path):
     ts = load_strict(path)
     expected = np.array([[0.5 + 0.5j, complex(0.0, -0.0)]])
     assert np.array_equal(bits(ts.samples), bits(expected))
+
+
+def test_csv_minus_one_is_read(tmp_path):
+    # A written -1 is data, though np.fromstring gives -1.0 for a blank cell.
+    path = tmp_path / "m1.csv"
+    path.write_text(HEADER_L2 + "-1,-1:-1.0,-1e0: 1\n")
+    ts = load_strict(path)
+    assert ts.params.tolist() == [[-1.0]]
+    assert ts.samples.tolist() == [[-1 - 1j, -1 + 1j]]
 
 
 def test_csv_header_larger_than_its_rows(tmp_path):

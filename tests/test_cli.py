@@ -25,6 +25,7 @@ def read(path):
 
 def test_generate_writes_training_csv(tmp_path):
     assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv", "training.csv.f64"]
     lines = read(tmp_path / "training.csv")
     assert lines[0] == "# emprint-training v1, L=201, t_start=0.0, t_end=1.0, d=1"
     assert len(lines) == 26
@@ -42,7 +43,8 @@ def test_generate_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["generate", *CHIRP, "--out-dir", str(out)]) == 0
-    assert (a / "training.csv").read_bytes() == (b / "training.csv").read_bytes()
+    for name in ("training.csv", "training.csv.f64"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -327,8 +328,10 @@ def cmd_verify_theorem(cfg: RunConfig) -> int:
     lines += [f"{j + 2},{fmt_float(d)}" for j, d in enumerate(discrepancies)]
     out = Path(cfg.out_dir) / "theorem_check.csv"
     atomic_write_text(out, "\n".join(lines) + "\n")
-    worst = max(discrepancies) if discrepancies else 0.0
-    ok = worst <= THEOREM_TOLERANCE
+    # max() would drop a NaN that is not first; a NaN step must fail.
+    ok = all(d <= THEOREM_TOLERANCE for d in discrepancies)
+    worst = (math.nan if any(map(math.isnan, discrepancies))
+             else max(discrepancies, default=0.0))
     print(f"wrote {out}; worst step discrepancy {worst:.3e} "
           f"({'pass' if ok else 'FAIL'} at {THEOREM_TOLERANCE:g})")
     return EXIT_OK if ok else EXIT_VERIFICATION

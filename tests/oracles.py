@@ -3,9 +3,11 @@
 These deliberately avoid the code paths of the package: the determinant
 oracle is a recursive cofactor expansion, the norm oracle is plain power
 iteration, parity is counted by inversions, and interpolation residuals come
-from numpy linear solves. The exception is ``full_scan``: it scores every kappa/lambda candidate with the package's own
-objective, so it is the reference for which candidates the node selection
-may leave unscored, not for the objective values.
+from numpy linear solves. Determinant ratios over the grid take one numpy LU
+determinant per candidate matrix. The exception is ``full_scan``: it scores
+every kappa/lambda candidate with the package's own objective, so it is the
+reference for which candidates the node selection may leave unscored, not
+for the objective values.
 """
 
 from __future__ import annotations
@@ -88,16 +90,22 @@ def orthonormal_rows(rng: np.random.Generator, n: int, length: int) -> np.ndarra
     return q[:, :n].T.copy()
 
 
+def candidate_stack(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:
+    """V_j(t) for every grid index t, as one (L, j, j) stack: the node-value
+    matrix of the first j-1 ``nodes`` with t appended as node j."""
+    rows = basis_rows[:j]
+    stack = np.empty((rows.shape[1], j, j), dtype=complex)
+    stack[:, : j - 1] = rows[:, list(nodes[: j - 1])].T
+    stack[:, j - 1] = rows.T
+    return stack
+
+
 def full_scan(basis_rows: np.ndarray, j: int, nodes, objective, tie_rel_tol: float) -> int:
     """Step-j kappa/lambda pick from every candidate: ``objective`` of
     V_j(t), the node-value matrix of ``nodes`` (the first j-1 picks) with t
     appended, over one stack of all grid points t; chosen nodes are excluded
     and the lowest index within ``tie_rel_tol`` of the minimum wins."""
-    rows = basis_rows[:j]
-    stack = np.empty((rows.shape[1], j, j), dtype=complex)
-    stack[:, : j - 1] = rows[:, list(nodes)].T
-    stack[:, j - 1] = rows.T
-    values = np.asarray(objective(stack), dtype=float)
+    values = np.asarray(objective(candidate_stack(basis_rows, j, nodes)), dtype=float)
     values[list(nodes)] = np.inf
     best = values.min()
     assert np.isfinite(best)
@@ -112,3 +120,12 @@ def solve_residual(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:
     prefix = list(nodes[: j - 1])
     coeff = np.linalg.solve(basis_rows[: j - 1][:, prefix].T, basis_rows[j - 1, prefix])
     return basis_rows[j - 1] - coeff @ basis_rows[: j - 1]
+
+
+def lu_ratio_scan(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:
+    """det V_j(t) / det V_{j-1} for every grid index t, j >= 2, from one
+    numpy LU determinant per candidate V_j(t) (``candidate_stack``) and one
+    for V_{j-1}, the node-value matrix of the first j-1 ``nodes``."""
+    prefix = list(nodes[: j - 1])
+    det_prev = np.linalg.det(basis_rows[: j - 1][:, prefix].T)
+    return np.linalg.det(candidate_stack(basis_rows, j, nodes)) / det_prev

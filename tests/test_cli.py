@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from emprint import catalog, rbm
+from emprint import catalog, eim, rbm
 from emprint.cli import main
 from emprint.numerics import error_floor_sq
 
@@ -238,6 +239,25 @@ def test_verify_theorem_two_steps(tmp_path):
     step, disc = lines[1].split(",")
     assert step == "2"
     assert float(disc) <= 1e-10
+
+
+def test_verify_theorem_fails_on_nan_after_first_step(tmp_path, monkeypatch, capsys):
+    # max() keeps the first of [1e-16, nan]; a NaN at any step must fail.
+    monkeypatch.setattr(eim, "verify_determinant_identity",
+                        lambda rb, n: [1e-16, math.nan])
+    code = main(["verify-theorem", *CHIRP, "--n", "3", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert read(tmp_path / "theorem_check.csv") == [
+        "step,max_rel_discrepancy", "2,1e-16", "3,nan"]
+    assert "worst step discrepancy nan (FAIL" in capsys.readouterr().out
+
+
+def test_verify_theorem_fails_on_broken_elimination(tmp_path, monkeypatch):
+    def skewed(x, t, residual):
+        x -= (1 - 1e-6) * np.outer(x[:, t] / residual[t], residual)
+    monkeypatch.setattr(eim, "_eliminate", skewed)
+    code = main(["verify-theorem", *CHIRP, "--out-dir", str(tmp_path)])
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
                          truncate_interpolant, verify_determinant_identity)
 from emprint.rbm import ReducedBasis
 
-from oracles import full_scan, orthonormal_rows, solve_residual
+from oracles import (candidate_stack, full_scan, laplace_det, lu_ratio_scan,
+                     orthonormal_rows, solve_residual)
 
 ALL_CRITERIA = list(SelectionCriterion)
 OBJECTIVES = {SelectionCriterion.MIN_KAPPA: nm.condition_number_2,
@@ -147,17 +148,18 @@ def test_pruned_scan_matches_full_scan(request, basis_name, criterion, variant):
 
 
 @st.composite
-def hard_bases(draw):
-    """Random orthonormal complex rows, optionally made ill-conditioned:
-    half the grid points nearly repeat others (relative perturbation
-    ``near``), the rows are scaled from 1 down to 10^-``grading``, and each
-    grid point by a random factor within 10^(+-``spread``)."""
+def hard_bases(draw, max_n=7, gradings=(0, 3, 8), spreads=(0, 4)):
+    """Random orthonormal complex rows, n <= ``max_n``, optionally made
+    ill-conditioned: half the grid points nearly repeat others (relative
+    perturbation ``near``), the rows are scaled from 1 down to 10^-``grading``
+    (one of ``gradings``), and each grid point by a random factor within
+    10^(+-``spread``) (one of ``spreads``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 7))
+    n = draw(st.integers(2, max_n))
     length = draw(st.integers(2 * n, 60))
     near = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-11]))
-    grading = draw(st.sampled_from([0, 3, 8]))
-    spread = draw(st.sampled_from([0, 4]))
+    grading = draw(st.sampled_from(gradings))
+    spread = draw(st.sampled_from(spreads))
     points = rng.standard_normal((length, n)) + 1j * rng.standard_normal((length, n))
     if near:
         half = length // 2
@@ -379,6 +381,56 @@ def test_verify_determinant_identity_small(chirp_basis):
     discrepancies = verify_determinant_identity(chirp_basis, 12)
     assert len(discrepancies) == 11
     assert max(discrepancies) <= 1e-7
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_bases(max_n=12, gradings=(0, 4), spreads=(0,)))
+def test_cofactor_ratios_match_lu_oracle_on_hard_bases(rows):
+    # The cofactor expansion gives each det V_j(t) / det V_{j-1} that one LU
+    # per candidate gives, within roundoff relative to the residual's size,
+    # and the verifier's discrepancy (the graded rows are not orthonormal,
+    # so it is computed here as the verifier does) stays at roundoff. Grid
+    # points are not rescaled: with samples spread over 10^(+-4) on the grid
+    # the cofactor route's error exceeds the LU route's over 100-fold
+    # (ROADMAP, "Verifier accuracy").
+    n = rows.shape[0]
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    for j in range(2, n + 1):
+        dets, det_prev = eim._candidate_determinants(rows, j, nodes)
+        ratios = dets / det_prev
+        scale = np.abs(residuals[j - 1]).max()
+        assert np.abs(ratios - lu_ratio_scan(rows, j, nodes)).max() <= 1e-12 * scale
+        assert np.abs(residuals[j - 1] - ratios).max() <= 1e-13 * scale
+
+
+def test_cofactor_determinants_match_laplace_oracle(rng):
+    rows = orthonormal_rows(rng, 6, 30)
+    nodes, _ = eim._select_nodes(rows, SelectionCriterion.CLASSIC, 6, False)
+    for j in range(2, 7):
+        dets, det_prev = eim._candidate_determinants(rows, j, nodes)
+        assert abs(det_prev - laplace_det(rows[: j - 1][:, nodes[: j - 1]].T)) <= 1e-14
+        expected = [laplace_det(v) for v in candidate_stack(rows, j, nodes)]
+        assert np.abs(dets - expected).max() <= 1e-14
+
+
+def test_verifier_factors_few_matrices(monkeypatch, chirp_basis):
+    # One LU per minor of the chosen nodes' block: j matrices at step j, not
+    # one per grid point.
+    factored = []
+    determinant = nm.determinant
+    monkeypatch.setattr(nm, "determinant", lambda m: (
+        factored.append(len(m) if np.ndim(m) == 3 else 1) or determinant(m)))
+    verify_determinant_identity(chirp_basis, chirp_basis.n)
+    assert 0 < sum(factored) <= sum(range(2, chirp_basis.n + 1))
+
+
+def test_verifier_catches_a_broken_elimination(monkeypatch, chirp_basis):
+    # The determinant side never goes through the elimination, so an
+    # elimination off by a relative 1e-6 shows as a discrepancy.
+    def skewed(x, t, residual):
+        x -= (1 - 1e-6) * np.outer(x[:, t] / residual[t], residual)
+    monkeypatch.setattr(eim, "_eliminate", skewed)
+    assert max(verify_determinant_identity(chirp_basis, chirp_basis.n)) > 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Training data: synthetic waveform families, the uniform time grid, the
-weighted discrete inner product, and CSV ingestion/serialization.
+"""Training data: synthetic waveform families, the uniform time grid, and
+CSV ingestion/serialization.
 
-Waveforms are complex time series sampled on a closed uniform grid. The
-discrete inner product carries the uniform quadrature weight dt, so
-``discrete_norm(h)**2`` approximates the continuous squared L2 norm.
+Waveforms are complex time series sampled on a closed uniform grid. Errors
+elsewhere in the package are measured in the weighted discrete norm
+sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
+and approximates the continuous L2 norm.
 
 A training CSV is parsed once. ``save_training_csv`` writes, beside
 ``training.csv``, the parsed copy ``training.csv.f64``: one ASCII line
@@ -45,10 +46,6 @@ class InvalidRange(Exception):
 
 class ParseError(Exception):
     """A CSV file is structurally malformed; the message carries the line number."""
-
-
-class GridMismatch(Exception):
-    """The time grid in a file disagrees with the expected one."""
 
 
 class NonFiniteSample(Exception):
@@ -141,32 +138,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.params.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# Weighted discrete inner product and norm
-# ---------------------------------------------------------------------------
-
-def _as_grid_vector(f, grid: TimeGrid, name: str) -> np.ndarray:
-    v = np.asarray(f, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] != grid.n_samples:
-        raise LengthMismatch(
-            f"{name} has shape {v.shape}, expected ({grid.n_samples},)"
-        )
-    return v
-
-
-def discrete_inner(f, g, grid: TimeGrid) -> complex:
-    """Weighted inner product sum(conj(f) * g) * dt, conjugate-linear in ``f``."""
-    fv = _as_grid_vector(f, grid, "f")
-    gv = _as_grid_vector(g, grid, "g")
-    return complex(np.vdot(fv, gv)) * grid.dt
-
-
-def discrete_norm(f, grid: TimeGrid) -> float:
-    """Weighted 2-norm sqrt(sum |f|^2 * dt)."""
-    fv = _as_grid_vector(f, grid, "f")
-    return math.sqrt(float(np.vdot(fv, fv).real) * grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -509,29 +480,18 @@ def _read_parsed_copy(path):
     return grid, params, samples, kind
 
 
-def load_training_csv(path, expected_grid: TimeGrid | None = None) -> TrainingSet:
+def load_training_csv(path) -> TrainingSet:
     """Load a training CSV written by ``save_training_csv``.
 
     The values come from the parsed copy beside the CSV when it may be
     trusted (see ``_read_parsed_copy``), else from parsing the CSV; every
-    check below runs either way. Raises GridMismatch when ``expected_grid``
-    is given and the file's grid differs from it, and ParseError when two
-    rows share a parameter vector.
+    check below runs either way. Raises ParseError when two rows share a
+    parameter vector.
     """
     parsed = _read_parsed_copy(path)
     grid, params, samples, kind = parsed if parsed is not None else read_waveform_csv(path)
     if kind is not None:
         raise ParseError(f"line 1: expected a training file, found kind={kind}")
-    if expected_grid is not None and (
-        grid.n_samples != expected_grid.n_samples
-        or grid.t_start != expected_grid.t_start
-        or grid.t_end != expected_grid.t_end
-    ):
-        raise GridMismatch(
-            f"file grid [{grid.t_start}, {grid.t_end}] x {grid.n_samples} does not "
-            f"match expected [{expected_grid.t_start}, {expected_grid.t_end}] "
-            f"x {expected_grid.n_samples}"
-        )
     if params.shape[1] < 1:
         raise ParseError("line 1: training files need d >= 1")
     first_row = {}

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, diagnostics, eim, rbm
-from .catalog import (GridMismatch, InvalidRange, LengthMismatch, NonFiniteSample,
-                      ParseError, TimeGrid, UnknownFamily)
-from .eim import NoAdmissibleNode, SelectionCriterion, SingularVMatrix
+from .catalog import (InvalidRange, LengthMismatch, NonFiniteSample, ParseError,
+                      TimeGrid, UnknownFamily)
+from .eim import SelectionCriterion, SingularVMatrix
 from .numerics import ConvergenceFailure
 from .rbm import DegenerateResidual, EmptyTraining
 from ._fileio import atomic_write_text, fmt_float
@@ -348,10 +348,9 @@ COMMANDS = {
 # Input errors only: a ValueError from inside the library is a fault, not
 # bad input, and surfaces as a traceback.
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidRange, ParseError,
-                  GridMismatch, NonFiniteSample, LengthMismatch,
-                  FileNotFoundError)
+                  NonFiniteSample, LengthMismatch, FileNotFoundError)
 _DEGENERACY_ERRORS = (DegenerateResidual, EmptyTraining)
-_INTERPOLANT_ERRORS = (SingularVMatrix, NoAdmissibleNode, ConvergenceFailure)
+_INTERPOLANT_ERRORS = (SingularVMatrix, ConvergenceFailure)
 
 
 def main(argv=None) -> int:

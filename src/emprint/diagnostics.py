@@ -1,4 +1,4 @@
-"""Comparison runs across node-selection criteria and norm-identity checks.
+"""Comparison runs across node-selection criteria, and their serialization.
 
 For each criterion and every order n up to the basis size, a comparison run
 records the condition number and Lebesgue constant of the node-value matrix,
@@ -7,8 +7,8 @@ squared projection error (criterion-independent, the lower bound), and the
 node list. Each order's errors cost one pass over the training set: the
 interpolation residuals of the training rows are carried from order to order
 by the elimination step of ``eim``, and the projection residuals by removing
-one basis component, so no interpolant is truncated and no system is
-solved. Reports serialize to JSON plus four plot-ready CSV curves.
+one basis component, so no system is solved. Reports serialize to JSON
+plus four plot-ready CSV curves.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ import numpy as np
 
 from . import numerics as nm
 from .catalog import LengthMismatch, TimeGrid, TrainingSet
-from .eim import (EmpiricalInterpolant, SelectionCriterion, _eliminate,
-                  build_interpolant)
+from .eim import SelectionCriterion, _eliminate, build_interpolant
 from .rbm import ReducedBasis
 from ._fileio import atomic_write_text, fmt_float
 
-# The explicit interpolation operator is only materialized for grids up to
-# this size; beyond it the operator-norm check is skipped with a note.
-OPERATOR_CHECK_MAX_GRID = 5000
-
+# Written into every report: the condition numbers and Lebesgue constants
+# refer to the stored Euclidean-orthonormal basis rows.
 BASIS_CONVENTION = "euclidean-orthonormal-rows"
 
 
@@ -59,7 +56,6 @@ class DiagnosticsReport:
     per_n: tuple[OrderRecord, ...]
     dataset_id: str
     grid: TimeGrid
-    basis_convention: str = BASIS_CONVENTION
     max_train_norm_sq: float = 0.0
 
     def __post_init__(self):
@@ -75,21 +71,6 @@ class DiagnosticsReport:
                 raise ValueError(
                     f"projection error exceeds interpolation error at n={rec.n}"
                 )
-
-
-@dataclass(frozen=True)
-class IdentityChecks:
-    """Residuals of the two norm identities for one interpolant.
-
-    ``norm_product_residual``: |kappa - ||V|| * ||V^{-1}||| / kappa.
-    ``operator_norm_residual``: relative gap between the largest singular
-    value of the explicitly materialized interpolation operator and
-    ||V^{-1}||; None when the grid is too large to materialize.
-    """
-
-    norm_product_residual: float
-    operator_norm_residual: float | None
-    note: str = ""
 
 
 def _max_sq_weighted_rownorm(residual: np.ndarray, dt: float) -> float:
@@ -175,37 +156,6 @@ def error_ratio_curve(report_a: DiagnosticsReport,
     return ratios
 
 
-def identity_checks(itp: EmpiricalInterpolant) -> IdentityChecks:
-    """Numerically verify the two norm identities on one interpolant.
-
-    The condition number must factor as ||V|| times ||V^{-1}||, and the
-    2-norm of the interpolation operator (materialized explicitly as the
-    map from node values to the interpolated waveform, whose columns are
-    all the operator carries on a grid) must equal ||V^{-1}|| because the
-    stored basis rows are orthonormal.
-    """
-    kappa = nm.condition_number_2(itp.v_matrix)
-    norm_v = nm.two_norm(itp.v_matrix)
-    lebesgue = nm.inverse_two_norm(itp.v_matrix)
-    norm_product_residual = abs(kappa - norm_v * lebesgue) / kappa
-
-    n_grid = itp.basis.grid.n_samples
-    if n_grid <= OPERATOR_CHECK_MAX_GRID:
-        operator = itp.b_matrix.T.copy()  # maps node values to waveforms
-        operator_norm = nm.two_norm(operator)
-        operator_norm_residual = abs(operator_norm - lebesgue) / lebesgue
-        note = ""
-    else:
-        operator_norm_residual = None
-        note = (f"operator-norm check skipped: grid size {n_grid} exceeds "
-                f"{OPERATOR_CHECK_MAX_GRID}")
-    return IdentityChecks(
-        norm_product_residual=float(norm_product_residual),
-        operator_norm_residual=operator_norm_residual,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -214,7 +164,7 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
     return {
         "dataset_id": report.dataset_id,
         "criterion": report.criterion.value,
-        "basis_convention": report.basis_convention,
+        "basis_convention": BASIS_CONVENTION,
         "grid": {
             "t_start": report.grid.t_start,
             "t_end": report.grid.t_end,

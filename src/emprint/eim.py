@@ -37,9 +37,9 @@ root of a secular equation (the row-append SVD update), and one evaluation
 of it prunes every candidate that provably scores worse than the incumbent.
 The survivors are scored exactly, in stacks of at most CANDIDATE_STACK,
 under the lowest-index tie rule: the picks and every output are those of a
-scan that scores every candidate. The identity verifier expands det V_j(t)
-along the appended row: j LU determinants of the chosen nodes' block per
-step give every candidate's determinant, independently of the elimination.
+scan that scores every candidate. The identity verifier gets every
+det V_j(t) / det V_{j-1} from one null vector of the chosen nodes' block per
+step, taken from a Householder QR, independently of the elimination.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics as nm
 from .catalog import LengthMismatch
@@ -68,10 +69,6 @@ CANDIDATE_STACK = 256
 # candidates, far above TIE_REL_TOL: a candidate is scored exactly unless it
 # provably scores worse than the incumbent by more than this.
 PRUNE_MARGIN = 1e-8
-
-
-class NoAdmissibleNode(Exception):
-    """More nodes were requested than there are grid points."""
 
 
 class SingularVMatrix(Exception):
@@ -260,31 +257,10 @@ def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
                       residual_at_node=residual_at_node)
 
 
-def _interpolant(basis: ReducedBasis, nodes: list[int] | tuple[int, ...],
-                 residuals: np.ndarray, criterion: SelectionCriterion,
-                 per_step: tuple[StepRecord, ...]) -> EmpiricalInterpolant:
-    """V and the cardinal functions for the given nodes and their residuals.
-    Step j eliminates T_j from B_1..B_{j-1} and appends B_j = r_j / r_j(T_j),
-    so no linear system is solved."""
-    n = len(nodes)
-    b = np.empty_like(residuals)
-    for j, (t, residual) in enumerate(zip(nodes, residuals)):
-        _eliminate(b[:j], t, residual)
-        b[j] = residual / residual[t]
-    return EmpiricalInterpolant(
-        basis=basis, n=n, node_indices=tuple(nodes),
-        v_matrix=basis.basis[:n, list(nodes)].T.copy(), b_matrix=b,
-        residuals=residuals, criterion=criterion, per_step=per_step,
-    )
-
-
 def _check_order(rb: ReducedBasis, n: int) -> None:
+    # The basis rows are orthonormal, so rb.n is at most the grid size.
     if not 1 <= n <= rb.n:
         raise ValueError(f"order {n} outside 1..{rb.n}")
-    if n > rb.grid.n_samples:
-        raise NoAdmissibleNode(
-            f"cannot place {n} distinct nodes on {rb.grid.n_samples} grid points"
-        )
 
 
 def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
@@ -299,15 +275,17 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
         Node selection rule (classic residual maximization, condition-number
         minimization, or Lebesgue-constant minimization).
     n : int
-        Interpolant order, 1 <= n <= rb.n (and at most the grid size).
+        Interpolant order, 1 <= n <= rb.n.
     first_node_variant : bool
         When true, apply the criterion's own objective to the first node too
         instead of the shared max |e_1| rule. Off by default.
 
+    The cardinal functions come from the residuals: step j eliminates T_j
+    from B_1..B_{j-1} and appends B_j = r_j / r_j(T_j), so no linear system
+    is solved.
+
     Raises
     ------
-    NoAdmissibleNode
-        If n exceeds the number of grid points.
     SingularVMatrix
         If a node-value matrix becomes singular to working precision.
     """
@@ -315,22 +293,15 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
     nodes, residuals = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
     per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])))
                      for j, t in enumerate(nodes, start=1))
-    return _interpolant(rb, nodes, residuals, criterion, per_step)
-
-
-def truncate_interpolant(itp: EmpiricalInterpolant, n: int) -> EmpiricalInterpolant:
-    """Order-n interpolant reusing the first n nodes of ``itp``.
-
-    Node selection is nested, so this equals rebuilding at order n with the
-    same criterion; the cardinal functions come from the first n residuals,
-    with no linear solve.
-    """
-    if not 1 <= n <= itp.n:
-        raise ValueError(f"order {n} outside 1..{itp.n}")
-    if n == itp.n:
-        return itp
-    return _interpolant(itp.basis, itp.node_indices[:n], itp.residuals[:n],
-                        itp.criterion, itp.per_step[:n])
+    b = np.empty_like(residuals)
+    for j, (t, residual) in enumerate(zip(nodes, residuals)):
+        _eliminate(b[:j], t, residual)
+        b[j] = residual / residual[t]
+    return EmpiricalInterpolant(
+        basis=rb, n=n, node_indices=tuple(nodes),
+        v_matrix=rb.basis[:n, nodes].T.copy(), b_matrix=b,
+        residuals=residuals, criterion=criterion, per_step=per_step,
+    )
 
 
 def interpolate(itp: EmpiricalInterpolant, node_values) -> np.ndarray:
@@ -353,21 +324,22 @@ def interpolate_function(itp: EmpiricalInterpolant, h) -> np.ndarray:
     return interpolate(itp, hv[list(itp.node_indices)])
 
 
-def _candidate_determinants(basis_rows: np.ndarray, j: int,
-                            nodes: list[int]) -> tuple[np.ndarray, complex]:
-    """det V_j(t) for every grid index t, and det V_{j-1}, j >= 2.
+def _determinant_ratios(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:
+    """det V_j(t) / det V_{j-1} for every grid index t, j >= 2.
 
     V_j(t) = [A; x_t] with A the (j-1) x j block of the first j-1 nodes and
-    x_t = (e_1(t), ..., e_j(t)). Expanding along the appended row, det V_j(t)
-    = sum_k (-1)^(j-1+k) x_t[k] det(A without column k): one LU determinant
-    per column of A serves every grid point. A without its last column is
-    V_{j-1}.
+    x_t = (e_1(t), ..., e_j(t)). det V_j(t) is linear in x_t and vanishes on
+    the row space of A, so it is c (x_t . v) for a null vector v of A; the
+    row x_t = (0, ..., 0, 1) gives c v_j = det V_{j-1}. v is the last column
+    of the full Householder QR of A^H: it is orthogonal to every column of
+    A^H, so A v = 0. No LU and no solve is involved.
     """
     rows = basis_rows[:j]
-    block = rows[:, list(nodes[: j - 1])].T
-    minors = nm.determinant(np.stack([np.delete(block, k, axis=1) for k in range(j)]))
-    cofactors = (-1.0) ** (j - 1 + np.arange(j)) * minors
-    return rows.T @ cofactors, complex(minors[-1])
+    q, _ = scipy.linalg.qr(rows[:, nodes[: j - 1]].conj())
+    v = q[:, -1]
+    if v[-1] == 0:
+        raise SingularVMatrix(f"prefix determinant vanished at order {j - 1}")
+    return (rows.T @ v) / v[-1]
 
 
 def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
@@ -377,11 +349,11 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     residual r_j(t) = e_j(t) - I_{j-1}[e_j](t) over the whole grid at each
     step by elimination. At each step j = 2..n it computes independently
     det V_j(t) / det V_{j-1}, with V_j(t) the node-value matrix of the first
-    j-1 nodes and t, from j LU determinants of the chosen nodes' block (a
-    cofactor expansion along the appended row), never from the elimination
-    or a solve. Returns, per step, the maximum over t of |residual - ratio|
-    normalized by max_t |residual| (a per-point relative error is
-    meaningless at the residual's zeros).
+    j-1 nodes and t, from one QR of the chosen nodes' block (see
+    ``_determinant_ratios``), never from the elimination or a solve.
+    Returns, per step, the maximum over t of |residual - ratio| normalized
+    by max_t |residual| (a per-point relative error is meaningless at the
+    residual's zeros).
     """
     _check_order(rb, n)
     rows = rb.basis
@@ -389,11 +361,9 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     discrepancies: list[float] = []
     for j in range(2, n + 1):
         residual = residuals[j - 1]
-        dets, det_prev = _candidate_determinants(rows, j, nodes)
-        if det_prev == 0:
-            raise SingularVMatrix(f"prefix determinant vanished at order {j - 1}")
+        ratios = _determinant_ratios(rows, j, nodes)
         scale = float(np.abs(residual).max())
-        discrepancies.append(float(np.abs(residual - dets / det_prev).max() / scale))
+        discrepancies.append(float(np.abs(residual - ratios).max() / scale))
     return discrepancies
 
 

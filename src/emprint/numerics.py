@@ -5,7 +5,9 @@ function of its inputs. Determinants come from LAPACK partial-pivoting LU
 via scipy; singular values come from a dense SVD. Condition numbers and
 inverse norms are defined through singular values, never through adjugates
 or explicit inverses. No linear system is solved here: the interpolation
-arithmetic is the elimination step in ``eim``. ``determinant``,
+arithmetic is the elimination step in ``eim``, and the identity verifier
+there takes its determinant ratios from a QR null vector instead of these
+determinants. ``determinant``,
 ``condition_number_2`` and ``inverse_two_norm`` also take an ``(..., n, n)``
 stack of matrices and then return one value per matrix, from the same
 per-matrix LAPACK call. ``svd`` and ``secular`` give the smallest singular
@@ -42,24 +44,14 @@ def error_floor_sq(scale: float) -> float:
     return ERROR_FLOOR_SQ * max(1.0, float(scale))
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array, rejecting empty or non-finite input."""
+def _complex_matrices(a, square: bool) -> np.ndarray:
+    """Coerce ``a`` to a complex128 matrix or ``(..., m, n)`` stack of them,
+    rejecting empty, non-finite or (when ``square``) non-square input."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def _square_stack(a) -> np.ndarray:
-    """Coerce ``a`` to a complex128 square matrix or ``(..., n, n)`` stack of
-    them, rejecting empty or non-finite input."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if (m.ndim < 2 or min(m.shape[-2:]) < 1
+            or (square and m.shape[-2] != m.shape[-1])):
+        kind = "square matrices" if square else "a nonempty matrix"
+        raise ValueError(f"expected {kind}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -69,7 +61,7 @@ def determinant(m) -> complex | np.ndarray:
     """Determinant of a square complex matrix, or an array of the
     determinants of an ``(..., n, n)`` stack, from one LAPACK LU per matrix
     (``scipy.linalg.det``). Exactly singular input yields 0."""
-    a = _square_stack(m)
+    a = _complex_matrices(m, square=True)
     det = scipy.linalg.det(a, check_finite=False)
     # scipy returns a scalar when every dimension of the stack is 1.
     return complex(det) if a.ndim == 2 else np.reshape(det, a.shape[:-2])
@@ -86,7 +78,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full singular value decomposition ``m = u @ diag(s) @ vh`` of a
     complex matrix (``diag(s)`` zero-padded to the shape of ``m``): unitary
     ``u`` and ``vh``, singular values ``s`` in descending order."""
-    return _svd(as_complex_matrix(m), compute_uv=True)
+    return _svd(_complex_matrices(m, square=False), compute_uv=True)
 
 
 def secular(d: np.ndarray, w2: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
@@ -112,17 +104,12 @@ def secular(d: np.ndarray, w2: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
     return f, bound
 
 
-def two_norm(m) -> float:
-    """Induced 2-norm: the largest singular value of ``m``."""
-    return float(_svd(as_complex_matrix(m), compute_uv=False)[0])
-
-
 def _over_sigma_min(m, numerator_is_sigma_max: bool) -> float | np.ndarray:
     """sigma_max / sigma_min, or 1 / sigma_min, per matrix; ``inf`` where the
     matrix is singular to working precision: sigma_min <= sigma_max * 1e-300,
     or 1 / sigma_min overflows. The test runs on 1 / sigma_min, since
     sigma_max * 1e-300 underflows to 0 for matrices of tiny norm."""
-    a = _square_stack(m)
+    a = _complex_matrices(m, square=True)
     s = _svd(a, compute_uv=False)
     s_max, s_min = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -1,9 +1,10 @@
-"""Greedy reduced-basis construction and orthogonal projection.
+"""Greedy reduced-basis construction and its serialization.
 
 The basis is grown by a strong greedy sweep: each step adds the training
-waveform whose projection error (in the weighted discrete norm) is largest,
-orthonormalizes its residual by modified Gram-Schmidt with one
-reorthogonalization pass, and records the squared maximum projection error.
+waveform whose projection error (in the weighted discrete norm
+sqrt(sum |h|^2 dt)) is largest, orthonormalizes its residual by modified
+Gram-Schmidt with one reorthogonalization pass, and records the squared
+maximum projection error.
 
 Basis rows are stored Euclidean-orthonormal (sum_t conj(e_i) e_j = delta_ij).
 Because the discrete norm applies a single uniform weight dt, projection onto
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (LengthMismatch, ParseError, TimeGrid, TrainingSet, read_waveform_csv,
-                      write_waveform_csv)
+from .catalog import LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
 from .numerics import error_floor_sq
 from ._fileio import atomic_write_text, fmt_float
 
@@ -34,10 +34,6 @@ class EmptyTraining(Exception):
 class DegenerateResidual(Exception):
     """The best remaining residual is at roundoff level before the tolerance
     was reached: the training set is numerically degenerate."""
-
-
-class BadTruncation(Exception):
-    """Requested truncation order is outside 1..n."""
 
 
 @dataclass(frozen=True)
@@ -165,28 +161,6 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
     )
 
 
-def _check_truncation(rb: ReducedBasis, n: int) -> None:
-    if not 1 <= n <= rb.n:
-        raise BadTruncation(f"truncation order {n} outside 1..{rb.n}")
-
-
-def project(rb: ReducedBasis, h, n: int) -> np.ndarray:
-    """Orthogonal projection of ``h`` onto the span of the first n basis rows."""
-    _check_truncation(rb, n)
-    hv = np.asarray(h, dtype=np.complex128)
-    if hv.shape != (rb.grid.n_samples,):
-        raise LengthMismatch(f"waveform has shape {hv.shape}, grid expects "
-                             f"({rb.grid.n_samples},)")
-    coeff = rb.basis[:n].conj() @ hv
-    return coeff @ rb.basis[:n]
-
-
-def projection_error_sq(rb: ReducedBasis, h, n: int) -> float:
-    """Squared weighted projection error ||h - P_n h||_d^2."""
-    r = np.asarray(h, dtype=np.complex128) - project(rb, h, n)
-    return float(np.vdot(r, r).real) * rb.grid.dt
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -194,14 +168,6 @@ def projection_error_sq(rb: ReducedBasis, h, n: int) -> float:
 def save_basis_csv(rb: ReducedBasis, path) -> None:
     """Write basis rows in the waveform CSV format with kind=basis and d=0."""
     write_waveform_csv(path, rb.grid, np.empty((rb.n, 0)), rb.basis, kind="basis")
-
-
-def load_basis_csv(path) -> tuple[TimeGrid, np.ndarray]:
-    """Read back a basis CSV; returns (grid, basis rows)."""
-    grid, _, samples, kind = read_waveform_csv(path)
-    if kind != "basis":
-        raise ParseError(f"line 1: expected kind=basis, found kind={kind}")
-    return grid, samples
 
 
 def save_greedy_errors_csv(rb: ReducedBasis, path) -> None:

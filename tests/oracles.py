@@ -2,17 +2,23 @@
 
 These deliberately avoid the code paths of the package: the determinant
 oracle is a recursive cofactor expansion, the norm oracle is plain power
-iteration, parity is counted by inversions, and interpolation residuals come
-from numpy linear solves. Determinant ratios over the grid take one numpy LU
-determinant per candidate matrix. The exception is ``full_scan``: it scores
-every kappa/lambda candidate with the package's own objective, so it is the
-reference for which candidates the node selection may leave unscored, not
-for the objective values.
+iteration, parity is counted by inversions, and interpolation residuals and
+cardinal functions come from numpy linear solves. Determinant ratios over
+the grid take one numpy LU determinant per candidate matrix. Projections
+and weighted norms are the textbook formulas. There are two exceptions.
+``full_scan`` scores every kappa/lambda candidate with the package's own
+objective, so it is the reference for which candidates the node selection
+may leave unscored, not for the objective values. ``load_basis_csv`` reads
+through the package's CSV reader, which has tests of its own.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from emprint.catalog import ParseError, read_waveform_csv
 
 
 def laplace_det(a: np.ndarray) -> complex:
@@ -76,13 +82,6 @@ def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
     return z / peak if peak > 1 else z
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR factorization of a Gaussian matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def orthonormal_rows(rng: np.random.Generator, n: int, length: int) -> np.ndarray:
     """n random orthonormal rows of the given length."""
     z = rng.standard_normal((length, n)) + 1j * rng.standard_normal((length, n))
@@ -129,3 +128,36 @@ def lu_ratio_scan(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:
     prefix = list(nodes[: j - 1])
     det_prev = np.linalg.det(basis_rows[: j - 1][:, prefix].T)
     return np.linalg.det(candidate_stack(basis_rows, j, nodes)) / det_prev
+
+
+def cardinals(basis_rows: np.ndarray, nodes) -> np.ndarray:
+    """Cardinal functions B_n = (V_n^T)^{-1} E_n as rows, from one numpy
+    linear solve, with E_n the first n = len(``nodes``) basis rows and V_n
+    their node-value matrix; B_i(T_k) = delta_ik."""
+    rows = basis_rows[: len(nodes)]
+    return np.linalg.solve(rows[:, list(nodes)], rows)
+
+
+def weighted_norm(h: np.ndarray, dt: float) -> float:
+    """Discrete L2 norm sqrt(sum |h|^2 dt) of a gridded waveform."""
+    return math.sqrt(float(np.vdot(h, h).real) * dt)
+
+
+def project(basis_rows: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Orthogonal projection of ``h`` onto the span of the first n of the
+    orthonormal ``basis_rows``."""
+    return (basis_rows[:n].conj() @ h) @ basis_rows[:n]
+
+
+def projection_error_sq(basis_rows: np.ndarray, h: np.ndarray, n: int, dt: float) -> float:
+    """Squared weighted projection error ||h - P_n h||^2 with weight dt."""
+    r = h - project(basis_rows, h, n)
+    return float(np.vdot(r, r).real) * dt
+
+
+def load_basis_csv(path):
+    """(grid, basis rows) of a basis CSV written by ``rbm.save_basis_csv``."""
+    grid, _, samples, kind = read_waveform_csv(path)
+    if kind != "basis":
+        raise ParseError(f"line 1: expected kind=basis, found kind={kind}")
+    return grid, samples

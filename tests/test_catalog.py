@@ -9,22 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from emprint import catalog, rbm
-from emprint.catalog import (GridMismatch, InvalidRange, LengthMismatch,
-                             NonFiniteSample, ParseError, TimeGrid, TrainingSet,
-                             UnknownFamily, discrete_inner, discrete_norm)
+from emprint import catalog
+from emprint.catalog import (InvalidRange, LengthMismatch, NonFiniteSample,
+                             ParseError, TimeGrid, TrainingSet, UnknownFamily)
+
+from oracles import load_basis_csv
 
 GRID11 = TimeGrid(0.0, 1.0, 11)
-
-# Entries are exact zeros or live where squaring cannot underflow; below
-# ~1e-154 the squared magnitudes fall out of double range and norms lose
-# all precision, which is far outside any sensible waveform scale.
-vec11 = hnp.arrays(
-    np.complex128, 11,
-    elements=st.just(0j) | st.complex_numbers(
-        min_magnitude=1e-100, max_magnitude=100.0,
-        allow_nan=False, allow_infinity=False),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -71,62 +62,6 @@ def test_training_set_rejects_nonfinite():
 def test_training_set_rejects_wrong_length():
     with pytest.raises(LengthMismatch):
         TrainingSet(GRID11, np.array([[1.0]]), np.ones((1, 7), dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# Inner product and norm
-# ---------------------------------------------------------------------------
-
-def test_inner_constant_vectors():
-    f = np.ones(11, dtype=complex)
-    assert discrete_inner(f, f, GRID11) == pytest.approx(1.1 + 0j, rel=1e-12)
-
-
-def test_inner_orthogonal_fourier_modes():
-    # Periodic-style grid t_i = i/16: discrete Fourier modes are orthogonal.
-    g = TimeGrid(0.0, 15.0 / 16.0, 16)
-    t = g.points
-    f = np.exp(2j * np.pi * 1 * t)
-    h = np.exp(2j * np.pi * 2 * t)
-    assert abs(discrete_inner(f, h, g)) <= 1e-12
-
-
-def test_inner_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        discrete_inner(np.ones(10), np.ones(11), GRID11)
-    with pytest.raises(LengthMismatch):
-        discrete_norm(np.ones(12), GRID11)
-
-
-@settings(max_examples=50, deadline=None)
-@given(vec11, vec11)
-def test_inner_conjugate_symmetry_exact(f, g):
-    assert discrete_inner(f, g, GRID11) == np.conj(discrete_inner(g, f, GRID11))
-
-
-def test_norm_zero_vector():
-    assert discrete_norm(np.zeros(11), GRID11) == 0.0
-
-
-def test_norm_constant():
-    assert discrete_norm(np.ones(11), GRID11) == pytest.approx(math.sqrt(1.1))
-
-
-@settings(max_examples=50, deadline=None)
-@given(vec11, st.complex_numbers(max_magnitude=50.0, min_magnitude=1e-3,
-                                 allow_nan=False, allow_infinity=False))
-def test_norm_homogeneity(f, c):
-    lhs = discrete_norm(c * f, GRID11)
-    rhs = abs(c) * discrete_norm(f, GRID11)
-    assert abs(lhs - rhs) <= 1e-13 * max(rhs, 1e-30)
-
-
-@settings(max_examples=50, deadline=None)
-@given(vec11, vec11)
-def test_cauchy_schwarz(f, g):
-    lhs = abs(discrete_inner(f, g, GRID11))
-    rhs = discrete_norm(f, GRID11) * discrete_norm(g, GRID11)
-    assert lhs <= rhs * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +155,17 @@ def copy_of(path):
     return path.with_name(path.name + ".f64")
 
 
-def load_from_copy(path, **kwargs):
+def load_from_copy(path):
     """load_training_csv with the CSV parse disabled: only the copy can serve."""
     with mock.patch.object(catalog, "read_waveform_csv",
                            side_effect=AssertionError("the CSV was parsed")):
-        return catalog.load_training_csv(path, **kwargs)
+        return catalog.load_training_csv(path)
 
 
-def load_from_csv(path, **kwargs):
+def load_from_csv(path):
     """load_training_csv after deleting the parsed copy."""
     copy_of(path).unlink(missing_ok=True)
-    return catalog.load_training_csv(path, **kwargs)
+    return catalog.load_training_csv(path)
 
 
 @settings(max_examples=60, deadline=None,
@@ -311,7 +246,7 @@ def test_csv_negative_parameter_count_is_rejected(tmp_path):
         "1.0:0.0\n"
     )
     with pytest.raises(ParseError, match="line 1"):
-        rbm.load_basis_csv(path)
+        load_basis_csv(path)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):
@@ -335,16 +270,6 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     )
     with pytest.raises(ParseError, match="line 2"):
         catalog.load_training_csv(bad_pair)
-
-
-def test_csv_grid_mismatch(tmp_path):
-    grid = TimeGrid(0.0, 1.0, 4)
-    ts = TrainingSet(grid, np.array([[2.0]]), np.ones((1, 4), dtype=complex))
-    path = tmp_path / "g.csv"
-    catalog.save_training_csv(ts, path)
-    with pytest.raises(GridMismatch):
-        catalog.load_training_csv(path, expected_grid=TimeGrid(0.0, 2.0, 4))
-    assert catalog.load_training_csv(path, expected_grid=grid).k == 1
 
 
 def test_training_loader_rejects_basis_kind(tmp_path):
@@ -429,21 +354,19 @@ def test_damaged_copy_is_ignored(tmp_path, damage):
     assert copy_of(path).read_bytes() == damaged
 
 
-@pytest.mark.parametrize("row, kwargs, error", [
-    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,nan:0.0", {}, NonFiniteSample),
-    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,3.0", {}, ParseError),
-    ("1.0,4.0:0.0,5.0:0.0,6.0:0.0,0.0:7.0", {}, ParseError),
-    (None, {"expected_grid": TimeGrid(0.0, 2.0, 4)}, GridMismatch),
-], ids=["nan", "bad-pair", "duplicate-row", "grid"])
-def test_malformed_csv_beside_copy_raises_as_without(tmp_path, row, kwargs, error):
+@pytest.mark.parametrize("row, error", [
+    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,nan:0.0", NonFiniteSample),
+    ("1.0,0.5:0.25,1.0:0.0,2.0:0.0,3.0", ParseError),
+    ("1.0,4.0:0.0,5.0:0.0,6.0:0.0,0.0:7.0", ParseError),
+], ids=["nan", "bad-pair", "duplicate-row"])
+def test_malformed_csv_beside_copy_raises_as_without(tmp_path, row, error):
     path = saved_small(tmp_path)
-    if row is not None:
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([lines[0], lines[1], row]) + "\n")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], lines[1], row]) + "\n")
     with pytest.raises(error) as with_copy:
-        catalog.load_training_csv(path, **kwargs)
+        catalog.load_training_csv(path)
     with pytest.raises(error) as without_copy:
-        load_from_csv(path, **kwargs)
+        load_from_csv(path)
     assert str(with_copy.value) == str(without_copy.value)
 
 

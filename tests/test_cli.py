@@ -11,6 +11,8 @@ from emprint import catalog, eim, rbm
 from emprint.cli import main
 from emprint.numerics import error_floor_sq
 
+from oracles import load_basis_csv, weighted_norm
+
 CHIRP = ["--family", "damped_chirp", "--k", "25", "--l", "201"]
 COMPARE_ARTIFACTS = ("kappa.csv", "lambda.csv", "errors.csv", "nodes.csv",
                      "report_classic.json", "report_kappa.json", "report_lambda.json")
@@ -59,8 +61,7 @@ def test_basis_poly_fourier_has_ten_rows(tmp_path):
     lines = read(tmp_path / "greedy_errors.csv")
     assert lines[0] == "n,sigma_sq"
     assert len(lines) == 11
-    grid, rows = __import__("emprint.rbm", fromlist=["load_basis_csv"]).load_basis_csv(
-        tmp_path / "basis.csv")
+    grid, rows = load_basis_csv(tmp_path / "basis.csv")
     assert rows.shape == (10, 201)
 
 
@@ -146,8 +147,7 @@ def test_compare_outputs(tmp_path):
     # Roundoff floor on the same training rows the command generated.
     ts = catalog.generate_family(catalog.make_family_spec(
         "damped_chirp", 25, grid=catalog.TimeGrid(0.0, 1.0, 201)))
-    floor = error_floor_sq(max(catalog.discrete_norm(h, ts.grid) ** 2
-                               for h in ts.samples))
+    floor = error_floor_sq(max(weighted_norm(h, ts.grid.dt) ** 2 for h in ts.samples))
     err_lines = read(tmp_path / "errors.csv")
     assert err_lines[0].split(",")[1] == "proj_err_sq"
     for line in err_lines[1:]:

@@ -7,14 +7,13 @@ import pytest
 
 from emprint import catalog, diagnostics, numerics as nm, rbm
 from emprint.catalog import LengthMismatch, TimeGrid
-from emprint.diagnostics import (error_ratio_curve, identity_checks,
-                                 run_comparison, write_curve_csvs,
-                                 write_report_json)
-from emprint.eim import SelectionCriterion, build_interpolant, truncate_interpolant
+from emprint.diagnostics import (error_ratio_curve, run_comparison,
+                                 write_curve_csvs, write_report_json)
+from emprint.eim import SelectionCriterion, build_interpolant, interpolate
 from emprint.numerics import error_floor_sq
 from emprint.rbm import ReducedBasis
 
-from oracles import orthonormal_rows
+from oracles import cardinals, orthonormal_rows, weighted_norm
 
 ALL = list(SelectionCriterion)
 
@@ -181,14 +180,14 @@ def test_ratio_length_mismatch(small_reports):
 # ---------------------------------------------------------------------------
 
 def test_identity_checks_scalar_case(small_basis):
+    # At order 1, ||B||, ||V^{-1}|| and the Lebesgue constant are all
+    # 1 / |e_1(T_1)|, and kappa is exactly 1.
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 1)
     t1 = itp.node_indices[0]
     expected = 1.0 / abs(small_basis.basis[0, t1])
-    operator_norm = nm.two_norm(itp.b_matrix.T)
-    assert operator_norm == pytest.approx(expected, rel=1e-12)
-    checks = identity_checks(itp)
-    assert checks.norm_product_residual <= 1e-12
-    assert checks.operator_norm_residual <= 1e-12
+    assert np.linalg.norm(itp.b_matrix.T, 2) == pytest.approx(expected, rel=1e-12)
+    assert nm.inverse_two_norm(itp.v_matrix) == pytest.approx(expected, rel=1e-12)
+    assert itp.per_step[0].kappa == 1.0
 
 
 def test_operator_norm_identity_random_unitary_basis(rng):
@@ -196,35 +195,28 @@ def test_operator_norm_identity_random_unitary_basis(rng):
     rb = ReducedBasis(TimeGrid(0.0, 1.0, 120), rows, np.full(6, 0.5),
                       tuple(range(6)), 1e-12)
     itp = build_interpolant(rb, SelectionCriterion.CLASSIC, 6)
-    checks = identity_checks(itp)
-    assert checks.operator_norm_residual <= 1e-8
+    lam = nm.inverse_two_norm(itp.v_matrix)
+    assert abs(np.linalg.norm(itp.b_matrix.T, 2) - lam) <= 1e-8 * lam
     # Oracle: the zero-padded grid-to-grid operator has the same largest
-    # singular value as the node-value block the check materializes.
+    # singular value as the node-value block.
     full = np.zeros((120, 120), dtype=complex)
     full[:, list(itp.node_indices)] = itp.b_matrix.T
     sv = np.linalg.svd(full, compute_uv=False)
-    lam = nm.inverse_two_norm(itp.v_matrix)
     assert abs(sv[0] - lam) <= 1e-8 * lam
 
 
 def test_norm_product_identity_every_prefix(small_basis):
+    # Each step record's kappa factors as ||V_n|| ||V_n^{-1}||, and the
+    # operator norm of the order-n cardinals (a numpy solve) is its
+    # Lebesgue constant.
     full = build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n)
     for n in range(1, small_basis.n + 1):
-        checks = identity_checks(truncate_interpolant(full, n))
-        assert checks.norm_product_residual <= 1e-10
-        assert checks.operator_norm_residual <= 1e-8
-
-
-def test_operator_check_skipped_on_huge_grids(rng):
-    length = diagnostics.OPERATOR_CHECK_MAX_GRID + 10
-    rows = orthonormal_rows(rng, 2, length)
-    rb = ReducedBasis(TimeGrid(0.0, 1.0, length), rows, np.full(2, 0.5),
-                      (0, 1), 1e-12)
-    itp = build_interpolant(rb, SelectionCriterion.CLASSIC, 2)
-    checks = identity_checks(itp)
-    assert checks.operator_norm_residual is None
-    assert "skipped" in checks.note
-    assert checks.norm_product_residual <= 1e-10
+        nodes = full.node_indices[:n]
+        step = full.per_step[n - 1]
+        v = small_basis.basis[:n][:, list(nodes)].T
+        assert abs(step.kappa - np.linalg.norm(v, 2) * step.lebesgue) <= 1e-10 * step.kappa
+        b = cardinals(small_basis.basis, nodes)
+        assert abs(np.linalg.norm(b, 2) - step.lebesgue) <= 1e-8 * step.lebesgue
 
 
 def test_weighted_and_euclidean_operator_norms_coincide(rng, small_basis):
@@ -232,16 +224,14 @@ def test_weighted_and_euclidean_operator_norms_coincide(rng, small_basis):
     # the weighted norm through the interpolation map scales top and bottom
     # by the same sqrt(dt).
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n)
-    grid = small_basis.grid
-    op_norm = nm.two_norm(itp.b_matrix.T)
+    dt = small_basis.grid.dt
+    op_norm = np.linalg.norm(itp.b_matrix.T, 2)
     worst = 0.0
     for _ in range(40):
         vals = rng.standard_normal(itp.n) + 1j * rng.standard_normal(itp.n)
-        h = np.zeros(grid.n_samples, dtype=complex)
+        h = np.zeros(small_basis.grid.n_samples, dtype=complex)
         h[list(itp.node_indices)] = vals
-        from emprint.catalog import discrete_norm
-        from emprint.eim import interpolate
-        ratio = discrete_norm(interpolate(itp, vals), grid) / discrete_norm(h, grid)
+        ratio = weighted_norm(interpolate(itp, vals), dt) / weighted_norm(h, dt)
         worst = max(worst, ratio)
     assert worst <= op_norm * (1 + 1e-10)
 

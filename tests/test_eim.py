@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from emprint import eim
 from emprint import numerics as nm
-from emprint.catalog import LengthMismatch, TimeGrid, discrete_norm
+from emprint.catalog import LengthMismatch, TimeGrid
 from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
                          SingularVMatrix, build_interpolant, interpolate,
                          interpolate_function, save_interpolant_json,
-                         truncate_interpolant, verify_determinant_identity)
+                         verify_determinant_identity)
 from emprint.rbm import ReducedBasis
 
 from oracles import (candidate_stack, full_scan, laplace_det, lu_ratio_scan,
-                     orthonormal_rows, solve_residual)
+                     orthonormal_rows, project, solve_residual, weighted_norm)
 
 ALL_CRITERIA = list(SelectionCriterion)
 OBJECTIVES = {SelectionCriterion.MIN_KAPPA: nm.condition_number_2,
@@ -147,19 +147,11 @@ def test_pruned_scan_matches_full_scan(request, basis_name, criterion, variant):
     assert_picks_match_full_scan(basis.basis, criterion, variant)
 
 
-@st.composite
-def hard_bases(draw, max_n=7, gradings=(0, 3, 8), spreads=(0, 4)):
-    """Random orthonormal complex rows, n <= ``max_n``, optionally made
+def graded_rows(rng, n, length, near, grading, spread):
+    """Random orthonormal complex rows (n, ``length``), optionally made
     ill-conditioned: half the grid points nearly repeat others (relative
-    perturbation ``near``), the rows are scaled from 1 down to 10^-``grading``
-    (one of ``gradings``), and each grid point by a random factor within
-    10^(+-``spread``) (one of ``spreads``)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, max_n))
-    length = draw(st.integers(2 * n, 60))
-    near = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-11]))
-    grading = draw(st.sampled_from(gradings))
-    spread = draw(st.sampled_from(spreads))
+    perturbation ``near``), the rows are scaled from 1 down to 10^-``grading``,
+    and each grid point by a random factor within 10^(+-``spread``)."""
     points = rng.standard_normal((length, n)) + 1j * rng.standard_normal((length, n))
     if near:
         half = length // 2
@@ -169,6 +161,20 @@ def hard_bases(draw, max_n=7, gradings=(0, 3, 8), spreads=(0, 4)):
     q, _ = np.linalg.qr(points)
     return (q.T * np.logspace(0, -grading, n)[:, None]
             * 10.0 ** rng.uniform(-spread, spread, length))
+
+
+@st.composite
+def hard_bases(draw, max_n=7, gradings=(0, 3, 8), spreads=(0, 4)):
+    """``graded_rows`` with n <= ``max_n``, 2n <= L <= 60, ``near`` one of
+    0, 1e-3, 1e-7, 1e-11, and grading and spread drawn from ``gradings`` and
+    ``spreads``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_n))
+    length = draw(st.integers(2 * n, 60))
+    near = draw(st.sampled_from([0.0, 1e-3, 1e-7, 1e-11]))
+    grading = draw(st.sampled_from(gradings))
+    spread = draw(st.sampled_from(spreads))
+    return graded_rows(rng, n, length, near, grading, spread)
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,21 +227,11 @@ def test_nodes_are_distinct(small_basis):
         assert len(set(itp.node_indices)) == itp.n
 
 
-def test_truncate_matches_rebuild(small_basis):
-    for criterion in ALL_CRITERIA:
-        full = build_interpolant(small_basis, criterion, small_basis.n)
-        cut = truncate_interpolant(full, 4)
-        rebuilt = build_interpolant(small_basis, criterion, 4)
-        assert cut.node_indices == rebuilt.node_indices
-        assert np.array_equal(cut.b_matrix, rebuilt.b_matrix)
-        assert cut.per_step == rebuilt.per_step
-
-
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)
 def test_one_factorization_per_step(monkeypatch, small_basis, criterion):
     # Residuals, picks and cardinal functions all come from the elimination
-    # step: neither a build nor a truncation factors a matrix for a linear
-    # solve or inverts one. Determinants of the step records may use LU.
+    # step: a build neither factors a matrix for a linear solve nor inverts
+    # one. Determinants of the step records may use LU.
     def forbidden(*args, **kwargs):
         raise AssertionError("linear solve or factorization called")
     for module, names in ((np.linalg, ("solve", "inv", "lstsq")),
@@ -243,8 +239,7 @@ def test_one_factorization_per_step(monkeypatch, small_basis, criterion):
                                           "inv", "lstsq", "solve_triangular"))):
         for name in names:
             monkeypatch.setattr(module, name, forbidden)
-    itp = build_interpolant(small_basis, criterion, small_basis.n)
-    truncate_interpolant(itp, 3)
+    build_interpolant(small_basis, criterion, small_basis.n)
 
 
 def test_first_node_variant_flag(small_basis):
@@ -329,11 +324,10 @@ def test_interpolation_error_bounded_by_lebesgue(rng, small_basis):
     n = rb.n
     itp = build_interpolant(rb, SelectionCriterion.CLASSIC, n)
     lam = nm.inverse_two_norm(itp.v_matrix)
-    from emprint.rbm import project
     for _ in range(10):
         h = rng.standard_normal(rb.grid.n_samples) + 1j * rng.standard_normal(rb.grid.n_samples)
-        interp_err = discrete_norm(h - interpolate_function(itp, h), rb.grid)
-        proj_err = discrete_norm(h - project(rb, h, n), rb.grid)
+        interp_err = weighted_norm(h - interpolate_function(itp, h), rb.grid.dt)
+        proj_err = weighted_norm(h - project(rb.basis, h, n), rb.grid.dt)
         assert interp_err <= lam * proj_err * (1 + 1e-8)
 
 
@@ -385,43 +379,57 @@ def test_verify_determinant_identity_small(chirp_basis):
 
 @settings(max_examples=80, deadline=None)
 @given(hard_bases(max_n=12, gradings=(0, 4), spreads=(0,)))
-def test_cofactor_ratios_match_lu_oracle_on_hard_bases(rows):
-    # The cofactor expansion gives each det V_j(t) / det V_{j-1} that one LU
+def test_qr_ratios_match_lu_oracle_on_hard_bases(rows):
+    # The null-vector route gives each det V_j(t) / det V_{j-1} that one LU
     # per candidate gives, within roundoff relative to the residual's size,
     # and the verifier's discrepancy (the graded rows are not orthonormal,
-    # so it is computed here as the verifier does) stays at roundoff. Grid
-    # points are not rescaled: with samples spread over 10^(+-4) on the grid
-    # the cofactor route's error exceeds the LU route's over 100-fold
-    # (ROADMAP, "Verifier accuracy").
+    # so it is computed here as the verifier does) stays at roundoff.
     n = rows.shape[0]
     nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
     for j in range(2, n + 1):
-        dets, det_prev = eim._candidate_determinants(rows, j, nodes)
-        ratios = dets / det_prev
+        ratios = eim._determinant_ratios(rows, j, nodes)
         scale = np.abs(residuals[j - 1]).max()
         assert np.abs(ratios - lu_ratio_scan(rows, j, nodes)).max() <= 1e-12 * scale
         assert np.abs(residuals[j - 1] - ratios).max() <= 1e-13 * scale
 
 
-def test_cofactor_determinants_match_laplace_oracle(rng):
+def test_verifier_on_grid_points_scaled_over_eight_decades():
+    # Grading 0, each grid point scaled by a factor within 10^(+-4): n = 6,
+    # L = 14. Cramer's rule, which a cofactor expansion along the appended
+    # row is, leaves 5.3e-8 at the last step here; the QR null vector leaves
+    # 4.6e-10 and one LU per candidate (``lu_ratio_scan``) 1.2e-10.
+    rng = np.random.default_rng(662)
+    n = int(rng.integers(2, 13))
+    length = int(rng.integers(2 * n, 61))
+    near = [0.0, 1e-3, 1e-7, 1e-11][rng.integers(0, 4)]
+    rows = graded_rows(rng, n, length, near, grading=0, spread=4)
+    assert rows.shape == (6, 14)
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    for j in range(2, n + 1):
+        scale = np.abs(residuals[j - 1]).max()
+        ratios = eim._determinant_ratios(rows, j, nodes)
+        assert np.abs(residuals[j - 1] - ratios).max() <= 1e-8 * scale
+
+
+def test_qr_ratios_match_laplace_oracle(rng):
     rows = orthonormal_rows(rng, 6, 30)
     nodes, _ = eim._select_nodes(rows, SelectionCriterion.CLASSIC, 6, False)
     for j in range(2, 7):
-        dets, det_prev = eim._candidate_determinants(rows, j, nodes)
-        assert abs(det_prev - laplace_det(rows[: j - 1][:, nodes[: j - 1]].T)) <= 1e-14
-        expected = [laplace_det(v) for v in candidate_stack(rows, j, nodes)]
-        assert np.abs(dets - expected).max() <= 1e-14
+        ratios = eim._determinant_ratios(rows, j, nodes)
+        det_prev = laplace_det(rows[: j - 1][:, nodes[: j - 1]].T)
+        expected = [laplace_det(v) / det_prev for v in candidate_stack(rows, j, nodes)]
+        assert np.abs(ratios - expected).max() <= 1e-13
 
 
 def test_verifier_factors_few_matrices(monkeypatch, chirp_basis):
-    # One LU per minor of the chosen nodes' block: j matrices at step j, not
-    # one per grid point.
+    # One QR of the chosen nodes' block per step, not one factorization per
+    # grid point, and no LU.
     factored = []
-    determinant = nm.determinant
-    monkeypatch.setattr(nm, "determinant", lambda m: (
-        factored.append(len(m) if np.ndim(m) == 3 else 1) or determinant(m)))
+    qr = scipy.linalg.qr
+    monkeypatch.setattr(scipy.linalg, "qr", lambda a: factored.append(a.shape) or qr(a))
+    monkeypatch.setattr(nm, "determinant", None)
     verify_determinant_identity(chirp_basis, chirp_basis.n)
-    assert 0 < sum(factored) <= sum(range(2, chirp_basis.n + 1))
+    assert len(factored) == chirp_basis.n - 1
 
 
 def test_verifier_catches_a_broken_elimination(monkeypatch, chirp_basis):

@@ -4,11 +4,25 @@ For each criterion and every order n up to the basis size, a comparison run
 records the condition number and Lebesgue constant of the node-value matrix,
 the worst squared interpolation error over the training set, the worst
 squared projection error (criterion-independent, the lower bound), and the
-node list. Each order's errors cost one pass over the training set: the
-interpolation residuals of the training rows are carried from order to order
-by the elimination step of ``eim``, and the projection residuals by removing
-one basis component, so no system is solved. Reports serialize to JSON
-plus four plot-ready CSV curves.
+node list.
+
+The errors are measured in coefficient space. With c = h E^H the basis
+coefficients of a training row h and r_N = h - c E its full-order residual,
+which is orthogonal to every basis row, Pythagoras splits both errors:
+
+    ||h - P_n h||^2 = ||r_N||^2 + sum_{i>n} |c_i|^2
+    ||h - I_n h||^2 = ||r_N||^2 + ||c - a_n||^2
+
+where a_n holds the coefficients of I_n h, which lies in the span of the
+first n rows (Maday et al. 2009; Chaturantabut and Sorensen 2010). Only the
+products c = h E^H and c E read the K x L training rows, once per call. The
+projection errors are a reverse cumulative sum of nonnegative terms, so
+nothing cancels. The interpolation errors come from the elimination step of
+``eim`` applied to each row's node values and coefficients, [h(T) | c],
+with the residual rows restricted the same way, [r_j(T) | r_j E^H]: after n
+steps the second block is c - a_n. Each order costs O(K N) per criterion and
+no system is solved. Reports serialize to JSON plus four plot-ready CSV
+curves.
 """
 
 from __future__ import annotations
@@ -73,10 +87,6 @@ class DiagnosticsReport:
                 )
 
 
-def _max_sq_weighted_rownorm(residual: np.ndarray, dt: float) -> float:
-    return float(np.einsum("ij,ij->i", residual.conj(), residual).real.max() * dt)
-
-
 def run_comparison(rb: ReducedBasis, ts: TrainingSet,
                    criteria=(SelectionCriterion.CLASSIC,),
                    dataset_id: str = "training",
@@ -86,39 +96,53 @@ def run_comparison(rb: ReducedBasis, ts: TrainingSet,
 
     Builds, per criterion, the full-order interpolant once (prefixes give
     every smaller order for free) and measures the worst interpolation and
-    projection errors over the training rows at every order, each from a
-    running residual of the training rows that one pass updates per order.
+    projection errors over the training rows at every order in coefficient
+    space (see the module docstring): two products with the basis read the
+    training rows, and each order then costs one elimination step on the
+    rows' node values and basis coefficients.
     """
     if rb.grid != ts.grid:
         raise LengthMismatch("basis and training set live on different grids")
     samples = ts.samples
     dt = ts.grid.dt
     n_total = rb.n
-    # Scale of the roundoff floor: one norm pass over the training rows.
-    max_train_norm_sq = _max_sq_weighted_rownorm(samples, dt)
+    basis_h = rb.basis.conj().T
+    coeffs = samples @ basis_h
+    tail = coeffs @ rb.basis
+    np.subtract(samples, tail, out=tail)
+    # Squared row norms of complex arrays, summed over their real and
+    # imaginary parts read as one float array.
+    tail_parts = tail.view(np.float64)
+    tail_sq = np.einsum("ij,ij->i", tail_parts, tail_parts)
+    del tail, tail_parts  # the only K x L temporary; freed before the builds
 
-    # Projection errors are criterion-independent: one coefficient pass.
-    coeffs = samples @ rb.basis.conj().T
-    residual = samples.copy()
-    proj_err_sq = []
-    for n in range(1, n_total + 1):
-        residual -= np.outer(coeffs[:, n - 1], rb.basis[n - 1])
-        proj_err_sq.append(_max_sq_weighted_rownorm(residual, dt))
+    # Column n holds ||h - P_n h||^2 for n = 0..N; column 0 is ||h||^2, the
+    # scale of the roundoff floor.
+    proj_sq = np.zeros((samples.shape[0], n_total + 1))
+    proj_sq[:, :n_total] = np.cumsum(np.abs(coeffs[:, ::-1]) ** 2, axis=1)[:, ::-1]
+    proj_sq += tail_sq[:, None]
+    worst_proj_sq = proj_sq.max(axis=0) * dt
+    max_train_norm_sq = float(worst_proj_sq[0])
 
     reports: dict[SelectionCriterion, DiagnosticsReport] = {}
     for criterion in criteria:
         full = build_interpolant(rb, criterion, n_total,
                                  first_node_variant=first_node_variant)
-        residual = samples.copy()
+        nodes = list(full.node_indices)
+        # Row k: [h_k(T) | c_k], eliminated into [(h_k - I_n h_k)(T) | c_k - a_n].
+        x = np.hstack([samples[:, nodes], coeffs])
+        diff_parts = x.view(np.float64)[:, 2 * n_total:]
+        pivots = np.hstack([full.residuals[:, nodes], full.residuals @ basis_h])
         records = []
-        for n, (t, step) in enumerate(zip(full.node_indices, full.per_step), start=1):
-            _eliminate(residual, t, full.residuals[n - 1])
+        for n, step in enumerate(full.per_step, start=1):
+            _eliminate(x, n - 1, pivots[n - 1])
+            diff_sq = np.einsum("ij,ij->i", diff_parts, diff_parts)
             records.append(OrderRecord(
                 n=n,
                 kappa=step.kappa,
                 lebesgue=step.lebesgue,
-                max_interp_err_sq=_max_sq_weighted_rownorm(residual, dt),
-                max_proj_err_sq=proj_err_sq[n - 1],
+                max_interp_err_sq=float((tail_sq + diff_sq).max() * dt),
+                max_proj_err_sq=float(worst_proj_sq[n]),
                 nodes=full.node_indices[:n],
             ))
         reports[criterion] = DiagnosticsReport(

@@ -27,8 +27,10 @@ row j as r_j = e_j - I_{j-1}[e_j] (r_1 = e_1), so node selection needs no
 linear solve. The classic rule picks the argmax of |r_j|, and every step
 record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it. Applied to the
 cardinal functions it turns those of order j-1 into those of order j, with
-B_j = r_j / r_j(T_j); applied to training samples it leaves, after n steps,
-the interpolation error of every sample at order n.
+B_j = r_j / r_j(T_j). Applied to a training sample's node values and basis
+coefficients, with the residuals restricted the same way, it leaves after n
+steps those of the sample's interpolation error at order n (the comparison
+in ``diagnostics``).
 
 The kappa/lambda rules take the classic pick as the incumbent. Every
 candidate V_j(t) is the same block of chosen nodes with one row appended, so
@@ -252,8 +254,8 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
 def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
                  residual_at_node: float) -> StepRecord:
     vj = basis_rows[:j][:, nodes[:j]].T
-    return StepRecord(det_v=nm.determinant(vj), kappa=nm.condition_number_2(vj),
-                      lebesgue=nm.inverse_two_norm(vj),
+    kappa, lebesgue = nm.condition_and_inverse_norm(vj)
+    return StepRecord(det_v=nm.determinant(vj), kappa=kappa, lebesgue=lebesgue,
                       residual_at_node=residual_at_node)
 
 

@@ -7,10 +7,12 @@ inverse norms are defined through singular values, never through adjugates
 or explicit inverses. No linear system is solved here: the interpolation
 arithmetic is the elimination step in ``eim``, and the identity verifier
 there takes its determinant ratios from a QR null vector instead of these
-determinants. ``determinant``,
-``condition_number_2`` and ``inverse_two_norm`` also take an ``(..., n, n)``
-stack of matrices and then return one value per matrix, from the same
-per-matrix LAPACK call. ``svd`` and ``secular`` give the smallest singular
+determinants. ``condition_and_inverse_norm`` returns the condition number
+and the inverse norm from one singular-value computation.
+``determinant``, ``condition_number_2``, ``inverse_two_norm`` and
+``condition_and_inverse_norm`` also take an ``(..., n, n)`` stack of
+matrices and then return one value per matrix, from the same per-matrix
+LAPACK call. ``svd`` and ``secular`` give the smallest singular
 value of a matrix with one row appended to a fixed block, as the root of a
 secular equation. The roundoff floor that error comparisons across the
 package share also lives here.
@@ -104,37 +106,37 @@ def secular(d: np.ndarray, w2: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
     return f, bound
 
 
-def _over_sigma_min(m, numerator_is_sigma_max: bool) -> float | np.ndarray:
-    """sigma_max / sigma_min, or 1 / sigma_min, per matrix; ``inf`` where the
-    matrix is singular to working precision: sigma_min <= sigma_max * 1e-300,
-    or 1 / sigma_min overflows. The test runs on 1 / sigma_min, since
-    sigma_max * 1e-300 underflows to 0 for matrices of tiny norm."""
+def condition_and_inverse_norm(m) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """2-norm condition number sigma_max / sigma_min and inverse 2-norm
+    1 / sigma_min of a square matrix, from one singular-value computation;
+    for an ``(..., n, n)`` stack, one array of each.
+
+    Both are ``math.inf`` where the matrix is singular to working precision:
+    sigma_min <= sigma_max * 1e-300, or 1 / sigma_min overflows. The test
+    runs on 1 / sigma_min, since sigma_max * 1e-300 underflows to 0 for
+    matrices of tiny norm.
+    """
     a = _complex_matrices(m, square=True)
     s = _svd(a, compute_uv=False)
     s_max, s_min = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / s_min
         singular = np.isinf(inv) | (s_max * inv >= 1e300)
-        value = np.where(singular, math.inf,
-                         s_max / s_min if numerator_is_sigma_max else inv)
-    return float(value) if a.ndim == 2 else value
+        kappa = np.where(singular, math.inf, s_max / s_min)
+        inv = np.where(singular, math.inf, inv)
+    if a.ndim == 2:
+        return float(kappa), float(inv)
+    return kappa, inv
 
 
 def condition_number_2(m) -> float | np.ndarray:
     """2-norm condition number of a square matrix, or an array of them for
-    an ``(..., n, n)`` stack.
-
-    Returns ``math.inf`` where the matrix is singular to working precision
-    (sigma_min <= sigma_max * 1e-300, or 1 / sigma_min overflows), so
-    exactly where ``inverse_two_norm`` does.
-    """
-    return _over_sigma_min(m, numerator_is_sigma_max=True)
+    an ``(..., n, n)`` stack (see ``condition_and_inverse_norm``)."""
+    return condition_and_inverse_norm(m)[0]
 
 
 def inverse_two_norm(m) -> float | np.ndarray:
     """2-norm of the inverse of a square matrix, i.e. 1/sigma_min, or an
-    array of them for an ``(..., n, n)`` stack.
-
-    Returns ``math.inf`` where the matrix is singular to working precision.
-    """
-    return _over_sigma_min(m, numerator_is_sigma_max=False)
+    array of them for an ``(..., n, n)`` stack (see
+    ``condition_and_inverse_norm``)."""
+    return condition_and_inverse_norm(m)[1]

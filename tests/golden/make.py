@@ -52,7 +52,7 @@ DATASETS = {
 }
 
 VARIANTS = {"default": False, "first_node_variant": True}
-RULES = [c for c in SelectionCriterion]
+RULES = list(SelectionCriterion)
 
 
 def build(name: str) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]:
@@ -69,10 +69,11 @@ def outputs(ts: catalog.TrainingSet, rb: rbm.ReducedBasis) -> dict:
     doc = {"greedy_errors": [float(x) for x in rb.greedy_errors], "runs": {}}
     for variant, flag in VARIANTS.items():
         reports = run_comparison(rb, ts, criteria=RULES, first_node_variant=flag)
-        run = {}
+        # The scale and the projection errors are shared by every rule.
+        shared = reports[SelectionCriterion.CLASSIC]
+        doc["max_train_norm_sq"] = shared.max_train_norm_sq
+        run = {"proj_err_sq": [rec.max_proj_err_sq for rec in shared.per_n]}
         for rule, report in reports.items():
-            doc["max_train_norm_sq"] = report.max_train_norm_sq
-            run["proj_err_sq"] = [rec.max_proj_err_sq for rec in report.per_n]
             run[rule.value] = {
                 "nodes": list(report.per_n[-1].nodes),
                 "kappa": [rec.kappa for rec in report.per_n],

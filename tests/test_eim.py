@@ -242,6 +242,26 @@ def test_one_factorization_per_step(monkeypatch, small_basis, criterion):
     build_interpolant(small_basis, criterion, small_basis.n)
 
 
+def test_one_svd_per_step_record(monkeypatch, small_basis):
+    # A classic build scans nothing, so its only singular values are the
+    # step records': one computation per step gives kappa and lambda.
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n)
+    assert len(calls) == small_basis.n
+    monkeypatch.undo()
+    for j, step in enumerate(itp.per_step, start=1):
+        vj = itp.v_matrix[:j, :j]
+        assert step.kappa == nm.condition_number_2(vj)
+        assert step.lebesgue == nm.inverse_two_norm(vj)
+
+
 def test_first_node_variant_flag(small_basis):
     # kappa of any 1x1 matrix is 1, so the variant rule degenerates to the
     # lowest grid index with a nonzero first-row sample.

@@ -82,7 +82,8 @@ def test_scalar_results_for_single_matrix(rng):
 
 
 def test_stacked_functions_reject_bad_shapes():
-    for fn in (nm.determinant, nm.condition_number_2, nm.inverse_two_norm):
+    for fn in (nm.determinant, nm.condition_number_2, nm.inverse_two_norm,
+               nm.condition_and_inverse_norm):
         for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.ones((2, 0, 0))):
             with pytest.raises(ValueError):
                 fn(bad)
@@ -131,6 +132,21 @@ def test_inverse_two_norm_matches_explicit_inverse(rng):
 
 def test_inverse_two_norm_singular_is_infinite():
     assert math.isinf(nm.inverse_two_norm(np.zeros((3, 3))))
+
+
+def test_condition_and_inverse_norm_match_single_value_functions(rng):
+    # Both values equal those of the single-value functions, for a matrix
+    # and for a stack with a singular member.
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    stack = np.stack([a, np.zeros((4, 4)), np.diag([3.0, 2.0, 1.0, 0.5])])
+    kappa, inv = nm.condition_and_inverse_norm(a)
+    kappas, invs = nm.condition_and_inverse_norm(stack)
+    assert type(kappa) is float and type(inv) is float
+    assert (kappa, inv) == (nm.condition_number_2(a), nm.inverse_two_norm(a))
+    assert np.array_equal(kappas, nm.condition_number_2(stack))
+    assert np.array_equal(invs, nm.inverse_two_norm(stack))
+    assert math.isinf(kappas[1]) and math.isinf(invs[1])
+    assert kappas[2] == pytest.approx(6.0) and invs[2] == pytest.approx(2.0)
 
 
 @settings(max_examples=50, deadline=None)

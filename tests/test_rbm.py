@@ -98,6 +98,21 @@ def test_greedy_reproduces_training(chirp_training, chirp_basis):
 # Projection
 # ---------------------------------------------------------------------------
 
+def test_project_idempotent_on_basis(small_basis):
+    e1 = small_basis.basis[0]
+    out = project(small_basis.basis, e1, 1)
+    assert np.max(np.abs(out - e1)) <= 1e-13
+
+
+def test_project_annihilates_orthogonal_vectors(rng, small_basis):
+    g = small_basis.grid
+    h = _waveform(rng, g)
+    # Remove every basis component, leaving a vector orthogonal to the span.
+    h = h - (small_basis.basis.conj() @ h) @ small_basis.basis
+    out = project(small_basis.basis, h, small_basis.n)
+    assert np.max(np.abs(out)) <= 1e-13 * np.max(np.abs(h))
+
+
 def test_built_basis_spans_its_greedy_picks(small_training, small_basis):
     # The package-built rows are orthonormal, and the training row picked at
     # step m is reproduced by the first m rows to the greedy tolerance.
@@ -149,6 +164,15 @@ def test_projection_is_least_squares_optimal(rng, small_basis):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         other = weighted_norm(h - c @ rb.basis[:n], rb.grid.dt)
         assert best <= other * (1 + 1e-12)
+
+
+def test_weighted_euclidean_bridge(rng, small_basis):
+    rb = small_basis
+    h = _waveform(rng, rb.grid)
+    p = project(rb.basis, h, rb.n)
+    weighted = weighted_norm(p, rb.grid.dt)
+    euclidean = float(np.linalg.norm(p)) * math.sqrt(rb.grid.dt)
+    assert weighted == pytest.approx(euclidean, rel=1e-12)
 
 
 def test_constructor_rejects_non_orthonormal(small_basis):

@@ -179,9 +179,10 @@ DEFAULT_GRID = TimeGrid(0.0, 1.0, 1001)
 class FamilySpec:
     """Recipe for a synthetic training set.
 
-    ``param_range`` holds one (lo, hi) pair per parameter dimension.
-    ``sampling`` is "equispaced" (default) or "random"; random draws use
-    ``seed`` so generation stays deterministic either way.
+    ``family`` names an entry of ``FAMILIES``; ``param_range`` holds one
+    (lo, hi) pair per parameter dimension of that family. ``sampling`` is
+    "equispaced" (default) or "random"; random draws use ``seed`` so
+    generation stays deterministic either way.
     """
 
     family: str
@@ -192,6 +193,12 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise UnknownFamily(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
+        dim = FAMILIES[self.family][0]
+        if len(self.param_range) != dim:
+            raise InvalidRange(f"family {self.family!r} takes {dim} parameter range(s), "
+                               f"got {len(self.param_range)}")
         rng = tuple((float(lo), float(hi)) for lo, hi in self.param_range)
         for lo, hi in rng:
             if not lo < hi:
@@ -207,15 +214,10 @@ def make_family_spec(family: str, n_params: int, grid: TimeGrid | None = None,
                      param_range=None, sampling: str = "equispaced",
                      seed: int = 0) -> FamilySpec:
     """Build a FamilySpec, filling the family's default parameter ranges."""
-    if family not in FAMILIES:
-        raise UnknownFamily(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    dim, default_range, _ = FAMILIES[family]
-    rng = tuple(param_range) if param_range is not None else default_range
-    if len(rng) != dim:
-        raise InvalidRange(
-            f"family {family!r} takes {dim} parameter range(s), got {len(rng)}"
-        )
-    return FamilySpec(family, rng, n_params, grid or DEFAULT_GRID, sampling, seed)
+    if param_range is None:
+        param_range = FAMILIES[family][1] if family in FAMILIES else ()
+    return FamilySpec(family, tuple(param_range), n_params, grid or DEFAULT_GRID,
+                      sampling, seed)
 
 
 def _equispaced_params(ranges, k: int) -> np.ndarray:
@@ -249,16 +251,7 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
     InvalidRange when the ranges are too narrow for ``spec.n_params``
     distinct parameter vectors.
     """
-    if spec.family not in FAMILIES:
-        raise UnknownFamily(
-            f"unknown family {spec.family!r}; known: {sorted(FAMILIES)}"
-        )
-    dim, _, evaluator = FAMILIES[spec.family]
-    if len(spec.param_range) != dim:
-        raise InvalidRange(
-            f"family {spec.family!r} takes {dim} parameter range(s), "
-            f"got {len(spec.param_range)}"
-        )
+    evaluator = FAMILIES[spec.family][2]
     if spec.sampling == "equispaced":
         params = _equispaced_params(spec.param_range, spec.n_params)
     else:
@@ -290,7 +283,7 @@ def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
 def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
                        samples: np.ndarray, kind: str | None = None) -> bytes:
     """Write a waveform CSV; returns the bytes written."""
-    d = params.shape[1] if params.size else 0
+    d = params.shape[1]
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
         f"t_end={fmt_float(grid.t_end)}, d={d}"
@@ -298,10 +291,8 @@ def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
     if kind is not None:
         header += f", kind={kind}"
     lines = [header]
-    empty = np.empty(0)
     for k in range(samples.shape[0]):
-        prow = params[k] if d else empty
-        lines.append(_format_row(prow, samples[k]))
+        lines.append(_format_row(params[k], samples[k]))
     lines.append("")  # the final line ending
     data = "\n".join(lines).encode("utf-8")
     atomic_write_bytes(path, data)

@@ -159,18 +159,22 @@ def error_ratio_curve(report_a: DiagnosticsReport,
 
     Where both errors sit at or below the roundoff floor the ratio is
     reported as 1; a zero denominator with a nonzero numerator gives inf.
-    The floor is relative to the larger of the two reports' largest squared
-    training norms (``numerics.error_floor_sq``).
+    The floor at order n is ``numerics.error_floor_sq`` of the larger of the
+    two reports' largest squared training norms, times
+    max(1, lambda_a,n, lambda_b,n)^2: an interpolant amplifies the roundoff
+    in its node values by up to its Lebesgue constant, so two errors that
+    are both roundoff can differ by that factor squared.
     """
     if len(report_a.per_n) != len(report_b.per_n):
         raise LengthMismatch(
             f"reports cover {len(report_a.per_n)} and {len(report_b.per_n)} orders"
         )
-    floor = nm.error_floor_sq(max(report_a.max_train_norm_sq,
-                                  report_b.max_train_norm_sq))
+    base_floor = nm.error_floor_sq(max(report_a.max_train_norm_sq,
+                                       report_b.max_train_norm_sq))
     ratios = []
     for ra, rb_ in zip(report_a.per_n, report_b.per_n):
         a, b = ra.max_interp_err_sq, rb_.max_interp_err_sq
+        floor = base_floor * max(1.0, ra.lebesgue, rb_.lebesgue) ** 2
         if a <= floor and b <= floor:
             ratios.append(1.0)
         elif b == 0.0:

@@ -4,7 +4,8 @@ The basis is grown by a strong greedy sweep: each step adds the training
 waveform whose projection error (in the weighted discrete norm
 sqrt(sum |h|^2 dt)) is largest, orthonormalizes its residual by modified
 Gram-Schmidt with one reorthogonalization pass, and records the squared
-maximum projection error.
+maximum projection error. The seed is the sweep's first pick, the waveform
+of largest norm, and passes the same roundoff test as every later pick.
 
 Basis rows are stored Euclidean-orthonormal (sum_t conj(e_i) e_j = delta_ij).
 Because the discrete norm applies a single uniform weight dt, projection onto
@@ -33,7 +34,8 @@ class EmptyTraining(Exception):
 
 class DegenerateResidual(Exception):
     """The best remaining residual is at roundoff level before the tolerance
-    was reached: the training set is numerically degenerate."""
+    was reached: the training set is numerically degenerate. This includes
+    a training set whose largest waveform has zero norm."""
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,14 @@ class ReducedBasis:
             )
         if errors.shape != (basis.shape[0],):
             raise ValueError("need one greedy error per basis vector")
+        # Both gates are written so that a NaN fails them.
         gram = basis @ basis.conj().T
-        if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(basis.shape[0]))) <= 1e-10:
             raise ValueError("basis rows are not orthonormal to 1e-10")
         floor = error_floor_sq(errors[0])
-        for a, b in zip(errors, errors[1:]):
-            if b > a * (1.0 + 1e-14) + floor:
-                raise ValueError("greedy errors must be nonincreasing")
+        if not (np.isfinite(errors[0])
+                and np.all(errors[1:] <= errors[:-1] * (1.0 + 1e-14) + floor)):
+            raise ValueError("greedy errors must be finite and nonincreasing")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "greedy_errors", errors)
         object.__setattr__(self, "greedy_params", tuple(int(i) for i in self.greedy_params))
@@ -83,6 +86,10 @@ class ReducedBasis:
 def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
                         n_max: int | None = None) -> ReducedBasis:
     """Run the strong greedy sweep over a training set.
+
+    The seed is the sweep's first pick, the waveform of largest weighted
+    norm (ties pick the lowest row); its norm scales the roundoff test that
+    every pick, the seed included, must pass.
 
     Parameters
     ----------
@@ -98,8 +105,10 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
     Raises
     ------
     DegenerateResidual
-        If the selected residual falls to roundoff level (1e-14 of the seed
-        norm) while the error is still above ``tol``.
+        If the selected residual, after reorthogonalization, falls to
+        roundoff level (1e-14 of the seed norm) or is NaN while the error is
+        still above ``tol``. A training set whose largest waveform has zero
+        norm raises it at step 1.
     """
     samples = ts.samples
     k, _ = samples.shape
@@ -110,42 +119,32 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
     cap = k if n_max is None else min(n_max, k)
     dt = ts.grid.dt
 
-    # Seed with the waveform of largest weighted norm; ties pick the lowest row.
-    norms_sq = np.einsum("ij,ij->i", samples.conj(), samples).real * dt
-    seed = int(np.argmax(norms_sq))
-    seed_norm = float(np.sqrt(norms_sq[seed]))
-
     residual = samples.astype(np.complex128, copy=True)
     basis_rows: list[np.ndarray] = []
-    selected = [seed]
+    selected: list[int] = []
     errors: list[float] = []
-
-    row = residual[seed]
-    e = row / np.linalg.norm(row)
-    basis_rows.append(e)
-    residual -= np.outer(residual @ e.conj(), e)
 
     while True:
         errs_sq = np.einsum("ij,ij->i", residual.conj(), residual).real * dt
-        sigma_sq = float(errs_sq.max())
-        errors.append(sigma_sq)
-        m = len(basis_rows)
-        if sigma_sq <= tol or m >= cap:
-            break
         pick = int(np.argmax(errs_sq))
+        sigma_sq = float(errs_sq[pick])
+        m = len(basis_rows)
+        if m == 0:
+            seed_norm = np.sqrt(sigma_sq)
+        else:
+            errors.append(sigma_sq)
+            if sigma_sq <= tol or m >= cap:
+                break
         vec = residual[pick].copy()
-        if np.sqrt(errs_sq[pick]) <= _DEGENERATE_FACTOR * seed_norm:
-            raise DegenerateResidual(
-                f"residual at step {m + 1} is at roundoff level "
-                f"({np.sqrt(errs_sq[pick]):.3e}) before tol={tol:.3e} was met"
-            )
         # One reorthogonalization pass keeps orthonormality near machine precision.
         for b in basis_rows:
             vec -= (b.conj() @ vec) * b
         norm = np.linalg.norm(vec)
-        if norm * np.sqrt(dt) <= _DEGENERATE_FACTOR * seed_norm:
+        # Written so that a NaN norm fails too.
+        if not norm * np.sqrt(dt) > _DEGENERATE_FACTOR * seed_norm:
             raise DegenerateResidual(
-                f"residual at step {m + 1} collapsed during reorthogonalization"
+                f"residual at step {m + 1} is at roundoff level "
+                f"({norm * np.sqrt(dt):.3e}) before tol={tol:.3e} was met"
             )
         e = vec / norm
         basis_rows.append(e)

@@ -138,6 +138,15 @@ def test_unknown_family_and_bad_range():
         catalog.make_family_spec("gaussian_packet", 5, param_range=((0.0, 1.0),))
 
 
+def test_family_spec_checks_family_and_range_count_at_construction():
+    # The checks live in FamilySpec itself, so a spec built directly is
+    # refused before it can reach generate_family.
+    with pytest.raises(UnknownFamily, match="nope"):
+        catalog.FamilySpec("nope", ((0.0, 1.0),), 5)
+    with pytest.raises(InvalidRange, match="takes 2 parameter range"):
+        catalog.FamilySpec("gaussian_packet", ((0.0, 1.0),), 5)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip and error paths
 # ---------------------------------------------------------------------------

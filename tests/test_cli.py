@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from emprint import catalog, eim, rbm
+from emprint import catalog, diagnostics, eim, rbm
 from emprint.cli import main
 from emprint.numerics import error_floor_sq
 
@@ -250,6 +250,31 @@ def test_verify_theorem_fails_on_nan_after_first_step(tmp_path, monkeypatch, cap
     assert read(tmp_path / "theorem_check.csv") == [
         "step,max_rel_discrepancy", "2,1e-16", "3,nan"]
     assert "worst step discrepancy nan (FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["basis", "eim", "compare", "verify-theorem"])
+def test_all_zero_training_exits_3(tmp_path, capsys, command):
+    # The largest waveform has zero norm: the seed itself is degenerate.
+    path = tmp_path / "training.csv"
+    rows = [",".join([f"{k}.0"] + ["0.0:0.0"] * 5) for k in (1, 2, 3)]
+    path.write_text("# emprint-training v1, L=5, t_start=0.0, t_end=1.0, d=1\n"
+                    + "\n".join(rows) + "\n")
+    code = main([command, "--input", str(path), "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "error: residual at step 1 is at roundoff level" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
+
+
+@pytest.mark.parametrize("command, module", [("eim", eim), ("compare", diagnostics)])
+def test_singular_interpolant_exits_4(tmp_path, monkeypatch, capsys, command, module):
+    # Each command reaches build_interpolant through its own namespace;
+    # diagnostics imports it by name.
+    def singular(*args, **kwargs):
+        raise eim.SingularVMatrix("node-value matrix is singular at step 2")
+    monkeypatch.setattr(module, "build_interpolant", singular)
+    code = main([command, *CHIRP, "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert "error: node-value matrix is singular at step 2" in capsys.readouterr().err
 
 
 def test_verify_theorem_fails_on_broken_elimination(tmp_path, monkeypatch):

@@ -207,12 +207,17 @@ def test_ratio_classic_vs_kappa_band(small_reports):
     assert all(1e-2 <= r <= 1e2 for r in ratios)
 
 
-def test_poly_fourier_full_order_ratio_is_one(poly_fourier_reports):
+def test_poly_fourier_full_order_ratio_is_one(poly_fourier_data, poly_fourier_reports):
     # Full-order errors are all roundoff; their ratio is noise, reported as 1.
-    classic = poly_fourier_reports[SelectionCriterion.CLASSIC]
-    for other in (SelectionCriterion.MIN_KAPPA, SelectionCriterion.MIN_LAMBDA):
-        ratios = error_ratio_curve(classic, poly_fourier_reports[other])
-        assert ratios[-1] == 1.0
+    # With the first-node variant the kappa interpolant's lambda_10 (14.4)
+    # amplifies that roundoff to 7.8e-25, above the unscaled floor 2.8e-25.
+    rb, ts = poly_fourier_data
+    variant = run_comparison(rb, ts, criteria=ALL, first_node_variant=True)
+    for reports in (poly_fourier_reports, variant):
+        classic = reports[SelectionCriterion.CLASSIC]
+        for other in (SelectionCriterion.MIN_KAPPA, SelectionCriterion.MIN_LAMBDA):
+            ratios = error_ratio_curve(classic, reports[other])
+            assert ratios[-1] == 1.0
 
 
 def test_ratio_length_mismatch(small_reports):

@@ -77,6 +77,20 @@ def test_degenerate_training_raises(rng):
         build_reduced_basis(ts, tol=1e-40)
 
 
+def test_all_zero_training_raises_at_the_seed():
+    # The seed is the sweep's first pick and passes the same roundoff test:
+    # a largest waveform of zero norm is degenerate at step 1.
+    grid = TimeGrid(0.0, 1.0, 5)
+    ts = TrainingSet(grid, np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 5)))
+    with pytest.raises(DegenerateResidual, match="step 1 is at roundoff level"):
+        build_reduced_basis(ts, tol=1e-12)
+
+
+def test_seed_is_the_row_of_largest_norm(small_training, small_basis):
+    norms = np.linalg.norm(small_training.samples, axis=1)
+    assert small_basis.greedy_params[0] == int(np.argmax(norms))
+
+
 def test_empty_training_raises(small_training):
     ts = small_training
     hollow = object.__new__(TrainingSet)
@@ -181,6 +195,19 @@ def test_constructor_rejects_non_orthonormal(small_basis):
     with pytest.raises(ValueError):
         ReducedBasis(small_basis.grid, bad, small_basis.greedy_errors,
                      small_basis.greedy_params, small_basis.tol)
+
+
+def test_constructor_rejects_nan_basis():
+    with pytest.raises(ValueError, match="orthonormal"):
+        ReducedBasis(TimeGrid(0.0, 1.0, 5), np.full((2, 5), math.nan),
+                     [math.nan, math.nan], (0, 1), 1e-12)
+
+
+@pytest.mark.parametrize("errors", [[math.nan, 0.5], [0.5, math.nan], [math.nan]])
+def test_constructor_rejects_nan_greedy_errors(errors):
+    rows = np.eye(5)[:len(errors)]
+    with pytest.raises(ValueError, match="finite and nonincreasing"):
+        ReducedBasis(TimeGrid(0.0, 1.0, 5), rows, errors, tuple(range(len(errors))), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -370,18 +369,26 @@ def _check_row(line: str, lineno: int, row: int, d: int, l: int) -> None:
             )
 
 
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: not valid UTF-8") from exc
+
+
 def read_waveform_csv(path):
     """Parse a waveform CSV; returns (grid, params, samples, kind).
 
-    Each row is parsed in C by ``np.fromstring`` straight into arrays sized
-    from the header. A row is taken only if its separators are exactly d
-    commas followed by L alternating ':' and ',' (so '1:2:3,4' cannot pass
-    as two pairs) and it yields d + 2L finite values; any other row is
-    walked cell by cell to raise the error that names its bad cell.
+    Each row is read with Python's ``float()``, the parser the cell walk
+    uses, straight into arrays sized from the header. A row is taken only if
+    it is ASCII without '_', its separators are exactly d commas followed by
+    L alternating ':' and ',' (so '1:2:3,4' cannot pass as two pairs) and
+    all its d + 2L values are finite; any other row is walked cell by cell
+    to raise the error that names its bad cell.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(Path(path)).splitlines()
     if not lines:
         raise ParseError("line 1: empty file")
     grid, d, kind = _parse_header(lines[0])
@@ -401,29 +408,22 @@ def read_waveform_csv(path):
     params = np.empty((len(rows), d))
     samples = np.empty((len(rows), l), dtype=np.complex128)
     flat = samples.view(np.float64)
-    with warnings.catch_warnings():
-        # numpy < 2 warns on text it cannot parse and returns the values read
-        # so far; later versions raise ValueError. Both reject the row.
-        warnings.simplefilter("error")
-        for row, (lineno, line) in enumerate(rows):
-            raw = np.frombuffer(line.encode(), dtype=np.uint8)
+    for row, (lineno, line) in enumerate(rows):
+        values = None
+        if line.isascii() and "_" not in line:
+            raw = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
             seps = raw[(raw == ord(",")) | (raw == ord(":"))]
-            values = None
             if seps.shape == pattern.shape and (seps == pattern).all():
                 try:
-                    values = np.fromstring(line.replace(":", ","), sep=",")
-                except (ValueError, Warning):
+                    values = np.fromiter(map(float, line.replace(":", ",").split(",")),
+                                         dtype=np.float64, count=d + 2 * l)
+                except ValueError:
                     pass
-            if (values is None or values.shape != (d + 2 * l,)
-                    or not np.isfinite(values).all()):
-                _check_row(line, lineno, row, d, l)
-                raise ParseError(f"line {lineno}: cells must be ASCII decimal floats")
-            if (values == -1.0).any():
-                # np.fromstring reads a blank cell (" ") as -1.0; the walk
-                # faults a blank cell and passes a written -1.
-                _check_row(line, lineno, row, d, l)
-            params[row] = values[:d]
-            flat[row] = values[d:]
+        if values is None or not np.isfinite(values).all():
+            _check_row(line, lineno, row, d, l)
+            raise ParseError(f"line {lineno}: cells must be ASCII decimal floats")
+        params[row] = values[:d]
+        flat[row] = values[d:]
     return grid, params, samples, kind
 
 

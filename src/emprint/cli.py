@@ -129,7 +129,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config path is not a file: {path}")
         try:
             file_values = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")

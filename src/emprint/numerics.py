@@ -9,13 +9,13 @@ arithmetic is the elimination step in ``eim``, and the identity verifier
 there takes its determinant ratios from a QR null vector instead of these
 determinants. ``condition_and_inverse_norm`` returns the condition number
 and the inverse norm from one singular-value computation.
-``determinant``, ``condition_number_2``, ``inverse_two_norm`` and
+``condition_number_2``, ``inverse_two_norm`` and
 ``condition_and_inverse_norm`` also take an ``(..., n, n)`` stack of
 matrices and then return one value per matrix, from the same per-matrix
-LAPACK call. ``svd`` and ``secular`` give the smallest singular
-value of a matrix with one row appended to a fixed block, as the root of a
-secular equation. The roundoff floor that error comparisons across the
-package share also lives here.
+LAPACK call; ``determinant`` takes one matrix. ``svd`` and ``secular``
+give the smallest singular value of a matrix with one row appended to a
+fixed block, as the root of a secular equation. The roundoff floor that
+error comparisons across the package share also lives here.
 """
 
 from __future__ import annotations
@@ -59,14 +59,13 @@ def _complex_matrices(a, square: bool) -> np.ndarray:
     return m
 
 
-def determinant(m) -> complex | np.ndarray:
-    """Determinant of a square complex matrix, or an array of the
-    determinants of an ``(..., n, n)`` stack, from one LAPACK LU per matrix
+def determinant(m) -> complex:
+    """Determinant of one square complex matrix, from one LAPACK LU
     (``scipy.linalg.det``). Exactly singular input yields 0."""
     a = _complex_matrices(m, square=True)
-    det = scipy.linalg.det(a, check_finite=False)
-    # scipy returns a scalar when every dimension of the stack is 1.
-    return complex(det) if a.ndim == 2 else np.reshape(det, a.shape[:-2])
+    if a.ndim != 2:
+        raise ValueError(f"expected one square matrix, got shape {a.shape}")
+    return complex(scipy.linalg.det(a, check_finite=False))
 
 
 def _svd(a: np.ndarray, compute_uv: bool):

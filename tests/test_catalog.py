@@ -405,7 +405,7 @@ def test_load_never_writes_the_copy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Rows the C parse must not take
+# Rows the reader must not take
 # ---------------------------------------------------------------------------
 
 HEADER_L2 = "# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d=1\n"
@@ -413,8 +413,7 @@ GOOD_ROW = "1.0,0.5:0.5,0.0:0.0\n"
 
 
 def load_strict(path):
-    # numpy 1.24 warns on unparsable text where later versions raise; no
-    # warning may escape the reader either way.
+    # No warning may escape the reader.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return catalog.load_training_csv(path)
@@ -430,7 +429,7 @@ def load_strict(path):
     ("2.0,1:2,3:4 5", ParseError, "line 3: bad float '4 5'"),
     ("2.0,1:2,0x1p3:4", ParseError, "line 3: bad float '0x1p3'"),
     ("2.0,1:2,nan(1):4", ParseError, "line 3: bad float 'nan\\(1\\)'"),
-    # np.fromstring reads a blank cell as -1.0.
+    # A blank cell is not a number.
     ("2.0,1:2,3: ", ParseError, "line 3: bad float ' '"),
     (" ,1:2,3:4", ParseError, "line 3: bad float ' '"),
     # float() reads these, the documented decimal format does not.
@@ -485,12 +484,37 @@ def test_csv_whitespace_around_cells_is_read(tmp_path):
 
 
 def test_csv_minus_one_is_read(tmp_path):
-    # A written -1 is data, though np.fromstring gives -1.0 for a blank cell.
+    # A written -1 is data, though a blank cell is not.
     path = tmp_path / "m1.csv"
     path.write_text(HEADER_L2 + "-1,-1:-1.0,-1e0: 1\n")
     ts = load_strict(path)
     assert ts.params.tolist() == [[-1.0]]
     assert ts.samples.tolist() == [[-1 - 1j, -1 + 1j]]
+
+
+def test_csv_good_rows_are_not_walked(tmp_path, monkeypatch):
+    # A row that float() reads in full is taken as read; the cell walk runs
+    # only to name the bad cell of a rejected row.
+    walked = []
+    check_row = catalog._check_row
+    monkeypatch.setattr(catalog, "_check_row",
+                        lambda *args: walked.append(args) or check_row(*args))
+    path = tmp_path / "m1.csv"
+    path.write_text(HEADER_L2 + "-1,-1:-1.0,-1e0: 1\n")
+    catalog.load_training_csv(path)
+    assert walked == []
+
+
+def test_csv_parse_reads_numbers_with_float_only(tmp_path, monkeypatch):
+    ts = catalog.generate_family(catalog.make_family_spec(
+        "gaussian_packet", 9, TimeGrid(-1.0, 1.0, 33), sampling="random", seed=3))
+    path = tmp_path / "t.csv"
+    catalog.save_training_csv(ts, path)
+    monkeypatch.setattr(np, "fromstring",
+                        mock.Mock(side_effect=AssertionError("np.fromstring was called")))
+    loaded = load_from_csv(path)
+    assert np.array_equal(bits(loaded.params), bits(ts.params))
+    assert np.array_equal(bits(loaded.samples), bits(ts.samples))
 
 
 def test_csv_header_larger_than_its_rows(tmp_path):

@@ -415,6 +415,22 @@ def test_corrupt_training_csv(tmp_path, capsys):
     assert main(["basis", "--input", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_non_utf8_training_csv_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d=1\n"
+                    b"1.0,0.5:0.5,0.0:0.0\n\n2.0,0.5:0.5,0.0:0.\xff\n")
+    assert main(["basis", "--input", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "error: line 4: not valid UTF-8" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"family": "damped_chirp\xff"}')
+    assert main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "error: config file is not valid JSON" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "emprint", "generate", *CHIRP,

@@ -63,10 +63,15 @@ def test_determinant_product_rule(a, b):
     assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
-@pytest.mark.parametrize("fn", [nm.determinant, nm.condition_number_2, nm.inverse_two_norm])
+def test_determinant_takes_one_matrix():
+    with pytest.raises(ValueError, match="one square matrix"):
+        nm.determinant(np.ones((2, 3, 3)))
+
+
+@pytest.mark.parametrize("fn", [nm.condition_number_2, nm.inverse_two_norm])
 def test_stack_matches_per_matrix(rng, fn):
     stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    stack[1, 2] = 1.0  # exactly singular: determinant 0, norms inf
+    stack[1, 2] = 1.0  # exactly singular: norms inf
     got = fn(stack)
     assert got.shape == (2, 3)
     assert np.array_equal(got, [[fn(a) for a in row] for row in stack])

@@ -39,8 +39,10 @@ class UnknownFamily(Exception):
     """Requested synthetic family name is not registered."""
 
 
-class InvalidRange(Exception):
-    """A parameter range is empty or reversed."""
+class InvalidRange(ValueError):
+    """An argument lies outside its valid range: a parameter range, a time
+    grid, a sample count, sampling mode or seed, a greedy tolerance or cap,
+    or an interpolant order. Each is checked once, where it is used."""
 
 
 class ParseError(Exception):
@@ -66,7 +68,11 @@ SAMPLING_MODES = ("equispaced", "random")
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Closed uniform grid t_i = t_start + i*dt, i = 0..n_samples-1."""
+    """Closed uniform grid t_i = t_start + i*dt, i = 0..n_samples-1.
+
+    Raises InvalidRange unless n_samples >= 2, the endpoints are finite with
+    t_end > t_start, and dt is positive and finite.
+    """
 
     t_start: float
     t_end: float
@@ -74,14 +80,15 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n_samples < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {self.n_samples}")
+            raise InvalidRange(f"grid needs at least 2 samples, got {self.n_samples}")
         if not (self.t_end > self.t_start):
-            raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+            raise InvalidRange(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError(f"grid endpoints must be finite, got [{self.t_start}, {self.t_end}]")
+            raise InvalidRange(f"grid endpoints must be finite, "
+                               f"got [{self.t_start}, {self.t_end}]")
         if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"grid spacing {self.dt} on [{self.t_start}, {self.t_end}] "
-                             f"is not positive and finite")
+            raise InvalidRange(f"grid spacing {self.dt} on [{self.t_start}, {self.t_end}] "
+                               f"is not positive and finite")
 
     @property
     def dt(self) -> float:
@@ -181,7 +188,8 @@ class FamilySpec:
     ``family`` names an entry of ``FAMILIES``; ``param_range`` holds one
     (lo, hi) pair per parameter dimension of that family. ``sampling`` is
     "equispaced" (default) or "random"; random draws use ``seed`` so
-    generation stays deterministic either way.
+    generation stays deterministic either way. Raises UnknownFamily for an
+    unregistered family and InvalidRange for any other bad field.
     """
 
     family: str
@@ -203,9 +211,12 @@ class FamilySpec:
             if not lo < hi:
                 raise InvalidRange(f"parameter range [{lo}, {hi}] is empty")
         if self.n_params < 1:
-            raise ValueError(f"n_params must be >= 1, got {self.n_params}")
+            raise InvalidRange(f"n_params must be >= 1, got {self.n_params}")
         if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
+            raise InvalidRange(f"unknown sampling mode {self.sampling!r}; "
+                               f"known: {', '.join(SAMPLING_MODES)}")
+        if self.seed < 0:
+            raise InvalidRange(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "param_range", rng)
 
 

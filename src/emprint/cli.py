@@ -16,7 +16,10 @@ rerun with the same configuration reproduces them byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
 error, 3 numerical degeneracy while building the basis, 4 interpolant
-construction failure.
+construction failure. The CLI checks only what it parses itself (config
+types, --criteria, --param-range, paths); the grid, family spec, tolerance,
+cap and order are checked by the library where it uses them, so an option
+that a command does not read is not checked.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog, diagnostics, eim, rbm
-from .catalog import (InvalidRange, LengthMismatch, NonFiniteSample, ParseError,
-                      TimeGrid, UnknownFamily)
+from .catalog import InvalidRange, NonFiniteSample, ParseError, TimeGrid, UnknownFamily
 from .eim import SelectionCriterion, SingularVMatrix
 from .numerics import ConvergenceFailure
 from .rbm import DegenerateResidual, EmptyTraining
@@ -147,17 +149,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             _check_config_value(name, file_values[name], annotation)
             setattr(cfg, name, file_values[name])
 
-    if not cfg.tol > 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    if cfg.n_max is not None and cfg.n_max < 1:
-        raise ConfigError(f"n-max must be >= 1, got {cfg.n_max}")
-    if cfg.k < 1 or cfg.l < 2:
-        raise ConfigError(f"need k >= 1 and l >= 2, got k={cfg.k}, l={cfg.l}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.sampling not in catalog.SAMPLING_MODES:
-        raise ConfigError(f"sampling must be one of {', '.join(catalog.SAMPLING_MODES)}, "
-                          f"got {cfg.sampling!r}")
     # Outputs go under out-dir, created if missing; its nearest existing
     # ancestor must be a directory, or nothing could be written there.
     out_dir = Path(cfg.out_dir)
@@ -209,16 +200,10 @@ def _parse_param_range(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _family_spec(cfg: RunConfig) -> catalog.FamilySpec:
-    if not cfg.t_end > cfg.t_start:
-        raise ConfigError(f"need t-end > t-start, got [{cfg.t_start}, {cfg.t_end}]")
-    try:
-        grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.l)
-    except ValueError as exc:
-        raise ConfigError(f"bad time grid: {exc}") from exc
     param_range = _parse_param_range(cfg.param_range) if cfg.param_range else None
     return catalog.make_family_spec(
-        cfg.family, cfg.k, grid=grid, param_range=param_range,
-        sampling=cfg.sampling, seed=cfg.seed,
+        cfg.family, cfg.k, grid=TimeGrid(cfg.t_start, cfg.t_end, cfg.l),
+        param_range=param_range, sampling=cfg.sampling, seed=cfg.seed,
     )
 
 
@@ -239,14 +224,6 @@ def _build_basis(cfg: RunConfig) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]
     ts = _load_training(cfg)
     rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
     return ts, rb
-
-
-def _order(cfg: RunConfig, rb: rbm.ReducedBasis) -> int:
-    if cfg.n is None:
-        return rb.n
-    if not 1 <= cfg.n <= rb.n:
-        raise ConfigError(f"--n must lie in 1..{rb.n} (basis size), got {cfg.n}")
-    return cfg.n
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -271,7 +248,7 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 def cmd_eim(cfg: RunConfig) -> int:
     _, rb = _build_basis(cfg)
-    n = _order(cfg, rb)
+    n = rb.n if cfg.n is None else cfg.n
     out_dir = Path(cfg.out_dir)
     for criterion in _parse_criteria(cfg.criteria):
         itp = eim.build_interpolant(rb, criterion, n,
@@ -322,7 +299,7 @@ def _print_comparison(reports, criteria) -> None:
 
 def cmd_verify_theorem(cfg: RunConfig) -> int:
     _, rb = _build_basis(cfg)
-    n = _order(cfg, rb)
+    n = rb.n if cfg.n is None else cfg.n
     discrepancies = eim.verify_determinant_identity(rb, n)
     lines = ["step,max_rel_discrepancy"]
     lines += [f"{j + 2},{fmt_float(d)}" for j, d in enumerate(discrepancies)]
@@ -345,10 +322,11 @@ COMMANDS = {
     "verify-theorem": cmd_verify_theorem,
 }
 
-# Input errors only: a ValueError from inside the library is a fault, not
-# bad input, and surfaces as a traceback.
+# Input errors only: the library checks each argument where it uses it and
+# raises InvalidRange when it is out of range. Any other ValueError from
+# inside the library is a fault, not bad input, and surfaces as a traceback.
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidRange, ParseError,
-                  NonFiniteSample, LengthMismatch, FileNotFoundError)
+                  NonFiniteSample, FileNotFoundError)
 _DEGENERACY_ERRORS = (DegenerateResidual, EmptyTraining)
 _INTERPOLANT_ERRORS = (SingularVMatrix, ConvergenceFailure)
 

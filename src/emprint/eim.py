@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics as nm
-from .catalog import LengthMismatch
+from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis
 from ._fileio import atomic_write_text, fmt_float
 
@@ -262,7 +262,7 @@ def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
 def _check_order(rb: ReducedBasis, n: int) -> None:
     # The basis rows are orthonormal, so rb.n is at most the grid size.
     if not 1 <= n <= rb.n:
-        raise ValueError(f"order {n} outside 1..{rb.n}")
+        raise InvalidRange(f"order {n} outside 1..{rb.n} (the basis size)")
 
 
 def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
@@ -288,6 +288,8 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
 
     Raises
     ------
+    InvalidRange
+        If n lies outside 1..rb.n.
     SingularVMatrix
         If a node-value matrix becomes singular to working precision.
     """
@@ -355,7 +357,7 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     ``_determinant_ratios``), never from the elimination or a solve.
     Returns, per step, the maximum over t of |residual - ratio| normalized
     by max_t |residual| (a per-point relative error is meaningless at the
-    residual's zeros).
+    residual's zeros). Raises InvalidRange if n lies outside 1..rb.n.
     """
     _check_order(rb, n)
     rows = rb.basis

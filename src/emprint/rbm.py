@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
+from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
 from .numerics import error_floor_sq
 from ._fileio import atomic_write_text, fmt_float
 
@@ -97,25 +97,30 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
         Source waveforms.
     tol : float
         Stop once the squared maximum weighted projection error drops to
-        ``tol`` or below.
+        ``tol`` or below; must be > 0.
     n_max : int, optional
-        Hard cap on the basis size; defaults to the number of training rows.
-        Whichever of the two stopping rules triggers first wins.
+        Hard cap on the basis size, >= 1; defaults to the number of training
+        rows. Whichever of the two stopping rules triggers first wins.
 
     Raises
     ------
+    InvalidRange
+        If ``tol`` is not > 0 (NaN included) or ``n_max`` is below 1.
     DegenerateResidual
         If the selected residual, after reorthogonalization, falls to
         roundoff level (1e-14 of the seed norm) or is NaN while the error is
         still above ``tol``. A training set whose largest waveform has zero
         norm raises it at step 1.
     """
+    # Written so that a NaN tol fails.
+    if not tol > 0:
+        raise InvalidRange(f"tol must be positive, got {tol}")
+    if n_max is not None and n_max < 1:
+        raise InvalidRange(f"n_max must be >= 1, got {n_max}")
     samples = ts.samples
     k, _ = samples.shape
     if k == 0:
         raise EmptyTraining("training set holds no waveforms")
-    if tol <= 0 and (n_max is None or n_max < 1):
-        raise ValueError("need tol > 0 or n_max >= 1")
     cap = k if n_max is None else min(n_max, k)
     dt = ts.grid.dt
 

@@ -138,6 +138,17 @@ def test_unknown_family_and_bad_range():
         catalog.make_family_spec("gaussian_packet", 5, param_range=((0.0, 1.0),))
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"sampling": "sobol"}, "'sobol'; known: equispaced, random"),
+    ({"n_params": 0}, "n_params must be >= 1, got 0"),
+], ids=["negative-seed", "unknown-sampling", "no-params"])
+def test_bad_family_spec_raises_invalid_range(field, message):
+    spec = {"family": "damped_chirp", "param_range": ((1.0, 5.0),), "n_params": 5, **field}
+    with pytest.raises(InvalidRange, match=message):
+        catalog.FamilySpec(**spec)
+
+
 def test_family_spec_checks_family_and_range_count_at_construction():
     # The checks live in FamilySpec itself, so a spec built directly is
     # refused before it can reach generate_family.
@@ -445,34 +456,6 @@ def test_csv_malformed_row_names_its_cell(tmp_path, row, error, message):
     path.write_text(HEADER_L2 + GOOD_ROW + row + "\n", encoding="utf-8")
     with pytest.raises(error, match=message):
         load_strict(path)
-
-
-@pytest.mark.parametrize("row, message", [
-    ("2.0,1_0:2,3:4", "cells must be ASCII decimal floats"),
-    ("2.0,1:2,3:4 5", "bad float '4 5'"),
-])
-def test_csv_reader_under_numpy_1_24_behaviour(tmp_path, monkeypatch, row, message):
-    # Before numpy 2, np.fromstring met unparsable text with a
-    # DeprecationWarning and returned an array anyway. Even a full-length,
-    # finite one must be refused, and the warning must not escape.
-    real = np.fromstring
-
-    def warning_fromstring(text, sep):
-        try:
-            return real(text, sep=sep)
-        except ValueError:
-            warnings.warn("string or file could not be read to its end due to "
-                          "unmatched data", DeprecationWarning)
-            return np.zeros(text.count(sep) + 1)
-
-    monkeypatch.setattr(np, "fromstring", warning_fromstring)
-    path = tmp_path / "bad.csv"
-    path.write_text(HEADER_L2 + GOOD_ROW + row + "\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ParseError, match=f"line 3: {message}"):
-            catalog.load_training_csv(path)
-    assert caught == []
 
 
 def test_csv_whitespace_around_cells_is_read(tmp_path):

@@ -357,7 +357,7 @@ def test_bad_tol(tmp_path, capsys, tol, source):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--t-start", "1", "--t-end", "0"], "t-end > t-start"),
+    (["--t-start", "1", "--t-end", "0"], "t_end > t_start"),
     (["--sampling", "random", "--seed", "-1"], "seed"),
     (["--param-range", "1:1.0000000000000002"], "too narrow"),
     (["--t-start=-inf", "--t-end", "inf"], "grid endpoints must be finite"),
@@ -407,6 +407,65 @@ def test_library_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(rbm, "build_reduced_basis", broken)
     with pytest.raises(ValueError, match="internal invariant"):
         main(["basis", *CHIRP, "--out-dir", str(tmp_path)])
+
+
+def test_library_length_mismatch_is_not_a_config_error(tmp_path, monkeypatch):
+    # The reader fixes every row's length, so a LengthMismatch from inside
+    # the library is a shape fault, not bad input.
+    def broken(*args, **kwargs):
+        raise catalog.LengthMismatch("internal shape fault")
+    monkeypatch.setattr(diagnostics, "run_comparison", broken)
+    with pytest.raises(catalog.LengthMismatch, match="internal shape fault"):
+        main(["compare", *CHIRP, "--out-dir", str(tmp_path)])
+
+
+TRAINING_HEADER = "# emprint-training v1, L=2, t_start=0.0, t_end=1.0, d={d}{extra}\n"
+BAD_INPUTS = {
+    "k-0": (["generate", "--family", "damped_chirp", "--k", "0"], "n_params must be >= 1"),
+    "l-1": (["generate", "--family", "damped_chirp", "--l", "1"], "at least 2 samples"),
+    "n-above-basis": (["eim", *CHIRP, "--n", "99"], "order 99 outside 1.."),
+    "n-0": (["verify-theorem", *CHIRP, "--n", "0"], "order 0 outside 1.."),
+    "n-max-0": (["basis", *CHIRP, "--n-max", "0"], "n_max must be >= 1"),
+    "config-missing": (["basis", *CHIRP, "--config", "{tmp}/missing.json"],
+                       "config file not found"),
+    "config-list": (["basis", *CHIRP, "--config", "{tmp}/list.json"], "a JSON object"),
+    "criteria-empty": (["eim", *CHIRP, "--criteria", ","], "no criteria requested"),
+    "range-dash": (["generate", *CHIRP, "--param-range", "1-50"], "bad range '1-50'"),
+    "range-words": (["generate", *CHIRP, "--param-range", "a:b"], "bad range 'a:b'"),
+    "no-family": (["generate", "--k", "5"], "generate needs --family"),
+    "csv-empty": ("", "line 1: empty file"),
+    "csv-no-rows": (TRAINING_HEADER.format(d=1, extra=""), "line 2: file contains no"),
+    "csv-d-0": (TRAINING_HEADER.format(d=0, extra="") + "0.5:0.5,0.0:0.0\n",
+                "training files need d >= 1"),
+    "csv-field-without-=": (TRAINING_HEADER.format(d=1, extra=", kind")
+                            + "1.0,0.5:0.5,0.0:0.0\n", "malformed header field 'kind'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    args, message = BAD_INPUTS[case]
+    if isinstance(args, str):  # a training CSV's text
+        (tmp_path / "training.csv").write_text(args)
+        args = ["basis", "--input", "{tmp}/training.csv"]
+    (tmp_path / "list.json").write_text("[1, 2]")
+    out = tmp_path / "out"
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    assert main([*args, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("generate", [*CHIRP, "--tol", "nan", "--n-max", "0", "--n", "0"]),
+    ("basis", ["--input", "{tmp}/training.csv", "--seed", "-1", "--k", "0", "--l", "1",
+               "--sampling", "random"]),
+], ids=["generate-ignores-basis-options", "input-ignores-family-options"])
+def test_options_a_command_does_not_read_are_not_checked(tmp_path, command, args):
+    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    assert main([command, *args, "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_corrupt_training_csv(tmp_path, capsys):

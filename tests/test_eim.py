@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from emprint import eim
 from emprint import numerics as nm
-from emprint.catalog import LengthMismatch, TimeGrid
+from emprint.catalog import InvalidRange, LengthMismatch, TimeGrid
 from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
                          SingularVMatrix, build_interpolant, interpolate,
                          interpolate_function, save_interpolant_json,
@@ -281,6 +281,18 @@ def test_build_rejects_bad_order(small_basis):
         build_interpolant(small_basis, SelectionCriterion.CLASSIC, 0)
     with pytest.raises(ValueError):
         build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n + 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rb, n: build_interpolant(rb, SelectionCriterion.CLASSIC, n),
+    verify_determinant_identity,
+], ids=["build_interpolant", "verify_determinant_identity"])
+@pytest.mark.parametrize("order", ["zero", "above-basis-size"])
+def test_bad_order_raises_invalid_range(small_basis, build, order):
+    n = 0 if order == "zero" else small_basis.n + 1
+    with pytest.raises(InvalidRange, match=rf"order {n} outside 1\.\.{small_basis.n} "
+                                           r"\(the basis size\)"):
+        build(small_basis, n)
 
 
 # ---------------------------------------------------------------------------

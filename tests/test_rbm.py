@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emprint import catalog, rbm
-from emprint.catalog import TimeGrid, TrainingSet
+from emprint.catalog import InvalidRange, TimeGrid, TrainingSet
 from emprint.rbm import (DegenerateResidual, EmptyTraining, ReducedBasis,
                          build_reduced_basis)
 
@@ -67,6 +67,15 @@ def test_n_max_caps_the_sweep(small_training):
 def test_tol_larger_than_first_error(small_training):
     rb = build_reduced_basis(small_training, tol=1e6)
     assert rb.n == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_max": 0}, {"n_max": -1}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0},
+], ids=["n_max-0", "n_max-negative", "tol-nan", "tol-0", "tol-negative"])
+def test_bad_tol_or_cap_raises_invalid_range(small_training, kwargs):
+    # A NaN tol would sweep on until the residual reached roundoff.
+    with pytest.raises(InvalidRange, match=next(iter(kwargs))):
+        build_reduced_basis(small_training, **kwargs)
 
 
 def test_degenerate_training_raises(rng):

@@ -208,6 +208,9 @@ class FamilySpec:
                                f"got {len(self.param_range)}")
         rng = tuple((float(lo), float(hi)) for lo, hi in self.param_range)
         for lo, hi in rng:
+            if not math.isfinite(hi - lo):
+                raise InvalidRange(f"parameter range [{lo}, {hi}] needs finite "
+                                   f"endpoints and width")
             if not lo < hi:
                 raise InvalidRange(f"parameter range [{lo}, {hi}] is empty")
         if self.n_params < 1:

@@ -74,7 +74,6 @@ class RunConfig:
     n_max: int | None = None
     n: int | None = None
     criteria: str = "classic,kappa,lambda"
-    first_node_variant: bool = False
     embed_matrices: bool = False
 
 
@@ -95,8 +94,6 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--n", type=int, help="interpolant order (default: basis size)")
     p.add_argument("--criteria", help="comma list from classic,kappa,lambda")
-    p.add_argument("--first-node-variant", action="store_true", default=None,
-                   dest="first_node_variant")
     p.add_argument("--embed-matrices", action="store_true", default=None,
                    dest="embed_matrices")
 
@@ -251,8 +248,7 @@ def cmd_eim(cfg: RunConfig) -> int:
     n = rb.n if cfg.n is None else cfg.n
     out_dir = Path(cfg.out_dir)
     for criterion in _parse_criteria(cfg.criteria):
-        itp = eim.build_interpolant(rb, criterion, n,
-                                    first_node_variant=cfg.first_node_variant)
+        itp = eim.build_interpolant(rb, criterion, n)
         path = out_dir / f"interpolant_{criterion.value}.json"
         eim.save_interpolant_json(itp, path, include_matrices=cfg.embed_matrices)
         print(f"wrote {path} (n={n})")
@@ -263,10 +259,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     ts, rb = _build_basis(cfg)
     criteria = _parse_criteria(cfg.criteria)
     dataset_id = Path(cfg.input).name if cfg.input else f"family:{cfg.family}"
-    reports = diagnostics.run_comparison(
-        rb, ts, criteria=criteria, dataset_id=dataset_id,
-        first_node_variant=cfg.first_node_variant,
-    )
+    reports = diagnostics.run_comparison(rb, ts, criteria=criteria, dataset_id=dataset_id)
     out_dir = Path(cfg.out_dir)
     for criterion in criteria:
         diagnostics.write_report_json(

@@ -90,7 +90,6 @@ class DiagnosticsReport:
 def run_comparison(rb: ReducedBasis, ts: TrainingSet,
                    criteria=(SelectionCriterion.CLASSIC,),
                    dataset_id: str = "training",
-                   first_node_variant: bool = False,
                    ) -> dict[SelectionCriterion, DiagnosticsReport]:
     """In-sample comparison of node-selection criteria.
 
@@ -126,8 +125,7 @@ def run_comparison(rb: ReducedBasis, ts: TrainingSet,
 
     reports: dict[SelectionCriterion, DiagnosticsReport] = {}
     for criterion in criteria:
-        full = build_interpolant(rb, criterion, n_total,
-                                 first_node_variant=first_node_variant)
+        full = build_interpolant(rb, criterion, n_total)
         nodes = list(full.node_indices)
         # Row k: [h_k(T) | c_k], eliminated into [(h_k - I_n h_k)(T) | c_k - a_n].
         x = np.hstack([samples[:, nodes], coeffs])

@@ -15,8 +15,9 @@ supported for the node added at step j:
 * lambda:  minimize ||V_j^{-1}||, which for an orthonormal basis is the
   2-norm of the resulting interpolation operator (the Lebesgue constant).
 
-The first node is the location of max |e_1| under every rule by default; an
-opt-in flag applies each rule's own objective to the first node as well.
+The first node is the location of max |e_1| under every rule: V_1(t) is
+1x1, so its condition number is 1 at every t and ||V_1^{-1}|| = 1/|e_1(t)|
+is least there, and neither rule has anything else to optimize at step 1.
 
 One elimination step is the only interpolation arithmetic. With r the
 residual of the step that picked node t, it updates a stack of grid
@@ -209,16 +210,14 @@ def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
 def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
           criterion: SelectionCriterion, incumbent: int) -> int:
     """Kappa/lambda pick: the lowest grid index whose V_j(t) ties the best
-    objective, chosen nodes excluded. From step 2 on, the candidate
+    objective, chosen nodes excluded, at step j >= 2. The candidate
     ``incumbent`` is scored first and only the survivors of ``_survivors``
     against it are scored exactly, so the pick is the one a scan of every
-    candidate makes; step 1 scores every 1x1 candidate."""
+    candidate makes."""
     objective = (nm.condition_number_2 if criterion is SelectionCriterion.MIN_KAPPA
                  else nm.inverse_two_norm)
-    columns = np.arange(basis_rows.shape[1])
-    if j > 1:
-        best = objective(basis_rows[:j][:, nodes + [incumbent]].T)
-        columns = _survivors(basis_rows, j, nodes, criterion, best)
+    best = objective(basis_rows[:j][:, nodes + [incumbent]].T)
+    columns = _survivors(basis_rows, j, nodes, criterion, best)
     values = np.full(basis_rows.shape[1], math.inf)
     values[columns] = np.concatenate([objective(stack) for stack in
                                       _candidates(basis_rows, j, nodes, columns)])
@@ -228,8 +227,8 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
     return _argmin_tied(values)
 
 
-def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
-                  first_node_variant: bool) -> tuple[list[int], np.ndarray]:
+def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
+                  n: int) -> tuple[list[int], np.ndarray]:
     """The per-step kernel: nodes T_1..T_n and the residuals r_1..r_n as the
     rows of an (n, L) array. Step j eliminates its pick from the rows below
     j, which leaves row j + 1 as r_{j+1}. The argmax of |r_j| is the classic
@@ -239,7 +238,7 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion, n: int,
     for j in range(1, n + 1):
         residual = residuals[j - 1]
         pick = _argmax_tied(np.abs(residual))
-        if criterion is not SelectionCriterion.CLASSIC and (j > 1 or first_node_variant):
+        if criterion is not SelectionCriterion.CLASSIC and j > 1:
             pick = _scan(basis_rows, j, nodes, criterion, pick)
         if pick in nodes or residual[pick] == 0:
             raise SingularVMatrix(
@@ -265,8 +264,8 @@ def _check_order(rb: ReducedBasis, n: int) -> None:
         raise InvalidRange(f"order {n} outside 1..{rb.n} (the basis size)")
 
 
-def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
-                      first_node_variant: bool = False) -> EmpiricalInterpolant:
+def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion,
+                      n: int) -> EmpiricalInterpolant:
     """Select n interpolation nodes for the first n basis rows.
 
     Parameters
@@ -278,9 +277,6 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
         minimization, or Lebesgue-constant minimization).
     n : int
         Interpolant order, 1 <= n <= rb.n.
-    first_node_variant : bool
-        When true, apply the criterion's own objective to the first node too
-        instead of the shared max |e_1| rule. Off by default.
 
     The cardinal functions come from the residuals: step j eliminates T_j
     from B_1..B_{j-1} and appends B_j = r_j / r_j(T_j), so no linear system
@@ -294,7 +290,7 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion, n: int,
         If a node-value matrix becomes singular to working precision.
     """
     _check_order(rb, n)
-    nodes, residuals = _select_nodes(rb.basis[:n], criterion, n, first_node_variant)
+    nodes, residuals = _select_nodes(rb.basis[:n], criterion, n)
     per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])))
                      for j, t in enumerate(nodes, start=1))
     b = np.empty_like(residuals)
@@ -361,7 +357,7 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
     """
     _check_order(rb, n)
     rows = rb.basis
-    nodes, residuals = _select_nodes(rows[:n], SelectionCriterion.CLASSIC, n, False)
+    nodes, residuals = _select_nodes(rows[:n], SelectionCriterion.CLASSIC, n)
     discrepancies: list[float] = []
     for j in range(2, n + 1):
         residual = residuals[j - 1]

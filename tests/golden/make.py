@@ -6,9 +6,9 @@ Run from the root of a source checkout:
 
 For each dataset in ``DATASETS`` this writes ``tests/golden/<name>.json``:
 the greedy errors, the largest squared weighted training norm (the scale of
-the roundoff floor) and, with and without the first-node variant, every
-rule's nodes with the runner-up gap of each pick and the per-order kappa,
-lambda, interpolation and projection errors of ``run_comparison``.
+the roundoff floor), the per-order projection errors and every rule's nodes
+with the runner-up gap of each pick and the per-order kappa, lambda and
+interpolation errors of ``run_comparison``.
 
 A pick's gap is the relative distance from its objective to the nearest
 different objective of another admissible candidate: |r_j(t)| where the
@@ -51,7 +51,6 @@ DATASETS = {
                          param_range=None, tol=1e-12),
 }
 
-VARIANTS = {"default": False, "first_node_variant": True}
 RULES = list(SelectionCriterion)
 
 
@@ -66,21 +65,19 @@ def build(name: str) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]:
 
 def outputs(ts: catalog.TrainingSet, rb: rbm.ReducedBasis) -> dict:
     """Everything the golden test compares, as JSON-ready values."""
-    doc = {"greedy_errors": [float(x) for x in rb.greedy_errors], "runs": {}}
-    for variant, flag in VARIANTS.items():
-        reports = run_comparison(rb, ts, criteria=RULES, first_node_variant=flag)
-        # The scale and the projection errors are shared by every rule.
-        shared = reports[SelectionCriterion.CLASSIC]
-        doc["max_train_norm_sq"] = shared.max_train_norm_sq
-        run = {"proj_err_sq": [rec.max_proj_err_sq for rec in shared.per_n]}
-        for rule, report in reports.items():
-            run[rule.value] = {
-                "nodes": list(report.per_n[-1].nodes),
-                "kappa": [rec.kappa for rec in report.per_n],
-                "lambda": [rec.lebesgue for rec in report.per_n],
-                "interp_err_sq": [rec.max_interp_err_sq for rec in report.per_n],
-            }
-        doc["runs"][variant] = run
+    reports = run_comparison(rb, ts, criteria=RULES)
+    # The scale and the projection errors are shared by every rule.
+    shared = reports[SelectionCriterion.CLASSIC]
+    doc = {"greedy_errors": [float(x) for x in rb.greedy_errors],
+           "max_train_norm_sq": shared.max_train_norm_sq,
+           "proj_err_sq": [rec.max_proj_err_sq for rec in shared.per_n]}
+    for rule, report in reports.items():
+        doc[rule.value] = {
+            "nodes": list(report.per_n[-1].nodes),
+            "kappa": [rec.kappa for rec in report.per_n],
+            "lambda": [rec.lebesgue for rec in report.per_n],
+            "interp_err_sq": [rec.max_interp_err_sq for rec in report.per_n],
+        }
     return doc
 
 
@@ -92,14 +89,13 @@ def _gap(values: np.ndarray, pick: int) -> float | None:
     return float(np.min(np.abs(others - best)) / best)
 
 
-def pick_gaps(rb: rbm.ReducedBasis, rule: SelectionCriterion, flag: bool) -> list:
+def pick_gaps(rb: rbm.ReducedBasis, rule: SelectionCriterion) -> list:
     """Runner-up gap of each pick of ``rule`` at full order."""
-    itp = build_interpolant(rb, rule, rb.n, first_node_variant=flag)
+    itp = build_interpolant(rb, rule, rb.n)
     nodes = list(itp.node_indices)
     gaps = []
     for j, pick in enumerate(nodes, start=1):
-        scans = rule is not SelectionCriterion.CLASSIC and (j > 1 or flag)
-        if scans:
+        if rule is not SelectionCriterion.CLASSIC and j > 1:
             objective = (nm.condition_number_2 if rule is SelectionCriterion.MIN_KAPPA
                          else nm.inverse_two_norm)
             values = np.asarray(objective(candidate_stack(rb.basis, j, nodes)), float)
@@ -114,9 +110,8 @@ def main() -> None:
     for name in DATASETS:
         ts, rb = build(name)
         doc = {"dataset": DATASETS[name], **outputs(ts, rb)}
-        for variant, flag in VARIANTS.items():
-            for rule in RULES:
-                doc["runs"][variant][rule.value]["gaps"] = pick_gaps(rb, rule, flag)
+        for rule in RULES:
+            doc[rule.value]["gaps"] = pick_gaps(rb, rule)
         path = HERE / f"{name}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path} (n={rb.n})")

@@ -311,12 +311,12 @@ def test_config_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("command, values", [
     ("eim", {"criteria": 5}),
     ("verify-theorem", {"n": "3"}),
-    ("eim", {"first_node_variant": "yes"}),
+    ("eim", {"embed_matrices": "yes"}),
     ("generate", {"k": True}),
     ("generate", {"k": None}),
     ("generate", {"t_end": "2"}),
     ("basis", {"tol": False}),
-], ids=["criteria-int", "n-str", "first_node_variant-str", "k-bool", "k-null",
+], ids=["criteria-int", "n-str", "embed_matrices-str", "k-bool", "k-null",
         "t_end-str", "tol-bool"])
 def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
     cfg = tmp_path / "run.json"
@@ -362,7 +362,13 @@ def test_bad_tol(tmp_path, capsys, tol, source):
     (["--param-range", "1:1.0000000000000002"], "too narrow"),
     (["--t-start=-inf", "--t-end", "inf"], "grid endpoints must be finite"),
     (["--t-start=-1e308", "--t-end", "1e308"], "grid spacing inf"),
-], ids=["t-range", "negative-seed", "narrow-range", "t-infinite", "t-overflow"])
+    (["--param-range", "1:inf"], "finite endpoints and width"),
+    (["--param-range", "1:inf", "--sampling", "random"], "finite endpoints and width"),
+    (["--param-range=-1e308:1e308"], "finite endpoints and width"),
+    (["--param-range=-1e308:1e308", "--sampling", "random"], "finite endpoints and width"),
+], ids=["t-range", "negative-seed", "narrow-range", "t-infinite", "t-overflow",
+        "param-infinite", "param-infinite-random", "param-overflow",
+        "param-overflow-random"])
 def test_bad_family_input_exits_2(tmp_path, capsys, args, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic

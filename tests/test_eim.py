@@ -110,26 +110,23 @@ def test_variant_steps_are_optimal(request, basis_name, criterion, objective):
             assert chosen_value <= objective(vj) * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("variant", [False, True], ids=["default", "first-node-variant"])
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)
-def test_exact_ties_resolve_to_lower_index(rng, criterion, variant):
+def test_exact_ties_resolve_to_lower_index(rng, criterion):
     # Every grid column appears twice, at t and t + 300, so every candidate
     # matrix has an identical twin in another candidate stack; every pick,
     # the first node included, must be the lower copy.
     m = 300
     base = orthonormal_rows(rng, 6, m)
     rb = make_basis(np.hstack([base, base]) / np.sqrt(2))
-    itp = build_interpolant(rb, criterion, 6, first_node_variant=variant)
+    itp = build_interpolant(rb, criterion, 6)
     assert all(t < m for t in itp.node_indices)
 
 
-def assert_picks_match_full_scan(rows, criterion, first_node_variant):
+def assert_picks_match_full_scan(rows, criterion):
     """Each pick of the pruned scan is the full scan's pick after the same
     prefix, and that pick survives the pruning against the classic pick."""
     objective = OBJECTIVES[criterion]
-    nodes, _ = eim._select_nodes(rows, criterion, rows.shape[0], first_node_variant)
-    if first_node_variant:
-        assert nodes[0] == full_scan(rows, 1, [], objective, TIE_REL_TOL)
+    nodes, _ = eim._select_nodes(rows, criterion, rows.shape[0])
     for j in range(2, rows.shape[0] + 1):
         prefix = nodes[: j - 1]
         reference = full_scan(rows, j, prefix, objective, TIE_REL_TOL)
@@ -139,12 +136,11 @@ def assert_picks_match_full_scan(rows, criterion, first_node_variant):
         assert reference in eim._survivors(rows, j, prefix, criterion, best)
 
 
-@pytest.mark.parametrize("variant", [False, True], ids=["default", "first-node-variant"])
 @pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])
 @pytest.mark.parametrize("basis_name", ["small_basis", "chirp_basis"])
-def test_pruned_scan_matches_full_scan(request, basis_name, criterion, variant):
+def test_pruned_scan_matches_full_scan(request, basis_name, criterion):
     basis = request.getfixturevalue(basis_name)
-    assert_picks_match_full_scan(basis.basis, criterion, variant)
+    assert_picks_match_full_scan(basis.basis, criterion)
 
 
 def graded_rows(rng, n, length, near, grading, spread):
@@ -178,9 +174,9 @@ def hard_bases(draw, max_n=7, gradings=(0, 3, 8), spreads=(0, 4)):
 
 
 @settings(max_examples=80, deadline=None)
-@given(hard_bases(), st.sampled_from(list(OBJECTIVES)), st.booleans())
-def test_pruned_scan_matches_full_scan_on_hard_bases(rows, criterion, variant):
-    assert_picks_match_full_scan(rows, criterion, variant)
+@given(hard_bases(), st.sampled_from(list(OBJECTIVES)))
+def test_pruned_scan_matches_full_scan_on_hard_bases(rows, criterion):
+    assert_picks_match_full_scan(rows, criterion)
 
 
 @settings(max_examples=80, deadline=None)
@@ -190,7 +186,7 @@ def test_elimination_matches_solve_oracle_on_hard_bases(rows):
     # same prefix, within roundoff amplified by kappa(V_{j-1}), and each
     # classic pick is the oracle's.
     n = rows.shape[0]
-    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n)
     eps = np.finfo(np.float64).eps
     for j in range(1, n + 1):
         reference = solve_residual(rows, j, nodes)
@@ -260,20 +256,6 @@ def test_one_svd_per_step_record(monkeypatch, small_basis):
         vj = itp.v_matrix[:j, :j]
         assert step.kappa == nm.condition_number_2(vj)
         assert step.lebesgue == nm.inverse_two_norm(vj)
-
-
-def test_first_node_variant_flag(small_basis):
-    # kappa of any 1x1 matrix is 1, so the variant rule degenerates to the
-    # lowest grid index with a nonzero first-row sample.
-    itp = build_interpolant(small_basis, SelectionCriterion.MIN_KAPPA, 2,
-                            first_node_variant=True)
-    moduli = np.abs(small_basis.basis[0])
-    assert itp.node_indices[0] == int(np.flatnonzero(moduli > 0)[0])
-    # The lambda objective 1/|e_1(t)| reproduces the default rule.
-    default = build_interpolant(small_basis, SelectionCriterion.MIN_LAMBDA, 2)
-    variant = build_interpolant(small_basis, SelectionCriterion.MIN_LAMBDA, 2,
-                                first_node_variant=True)
-    assert default.node_indices == variant.node_indices
 
 
 def test_build_rejects_bad_order(small_basis):
@@ -417,7 +399,7 @@ def test_qr_ratios_match_lu_oracle_on_hard_bases(rows):
     # and the verifier's discrepancy (the graded rows are not orthonormal,
     # so it is computed here as the verifier does) stays at roundoff.
     n = rows.shape[0]
-    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n)
     for j in range(2, n + 1):
         ratios = eim._determinant_ratios(rows, j, nodes)
         scale = np.abs(residuals[j - 1]).max()
@@ -436,7 +418,7 @@ def test_verifier_on_grid_points_scaled_over_eight_decades():
     near = [0.0, 1e-3, 1e-7, 1e-11][rng.integers(0, 4)]
     rows = graded_rows(rng, n, length, near, grading=0, spread=4)
     assert rows.shape == (6, 14)
-    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n, False)
+    nodes, residuals = eim._select_nodes(rows, SelectionCriterion.CLASSIC, n)
     for j in range(2, n + 1):
         scale = np.abs(residuals[j - 1]).max()
         ratios = eim._determinant_ratios(rows, j, nodes)
@@ -445,7 +427,7 @@ def test_verifier_on_grid_points_scaled_over_eight_decades():
 
 def test_qr_ratios_match_laplace_oracle(rng):
     rows = orthonormal_rows(rng, 6, 30)
-    nodes, _ = eim._select_nodes(rows, SelectionCriterion.CLASSIC, 6, False)
+    nodes, _ = eim._select_nodes(rows, SelectionCriterion.CLASSIC, 6)
     for j in range(2, 7):
         ratios = eim._determinant_ratios(rows, j, nodes)
         det_prev = laplace_det(rows[: j - 1][:, nodes[: j - 1]].T)

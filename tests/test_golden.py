@@ -9,7 +9,7 @@ import pytest
 from emprint.eim import verify_determinant_identity
 from emprint.numerics import error_floor_sq
 
-from golden.make import DATASETS, RULES, VARIANTS, build, outputs
+from golden.make import DATASETS, RULES, build, outputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -57,12 +57,10 @@ def test_golden_files_describe_the_datasets():
 
 def test_nodes_match_golden(case):
     _, got, golden = case
-    for variant in VARIANTS:
-        for rule in RULES:
-            want = golden["runs"][variant][rule.value]
-            n = _trusted_orders(want)
-            nodes = got["runs"][variant][rule.value]["nodes"]
-            assert nodes[:n] == want["nodes"][:n], (variant, rule.value)
+    for rule in RULES:
+        want = golden[rule.value]
+        n = _trusted_orders(want)
+        assert got[rule.value]["nodes"][:n] == want["nodes"][:n], rule.value
 
 
 def test_floats_match_golden(case):
@@ -71,16 +69,13 @@ def test_floats_match_golden(case):
     _assert_close([got["max_train_norm_sq"]], [golden["max_train_norm_sq"]], 0.0,
                   "max_train_norm_sq")
     _assert_close(got["greedy_errors"], golden["greedy_errors"], floor, "greedy")
-    for variant in VARIANTS:
-        run, want_run = got["runs"][variant], golden["runs"][variant]
-        _assert_close(run["proj_err_sq"], want_run["proj_err_sq"], floor,
-                      f"{variant} projection")
-        for rule in RULES:
-            want = want_run[rule.value]
-            n = _trusted_orders(want)
-            for key, slack in (("kappa", 0.0), ("lambda", 0.0), ("interp_err_sq", floor)):
-                _assert_close(run[rule.value][key][:n], want[key][:n], slack,
-                              f"{variant} {rule.value} {key}")
+    _assert_close(got["proj_err_sq"], golden["proj_err_sq"], floor, "projection")
+    for rule in RULES:
+        want = golden[rule.value]
+        n = _trusted_orders(want)
+        for key, slack in (("kappa", 0.0), ("lambda", 0.0), ("interp_err_sq", floor)):
+            _assert_close(got[rule.value][key][:n], want[key][:n], slack,
+                          f"{rule.value} {key}")
 
 
 def test_identity_holds_on_golden_data(case):

@@ -60,17 +60,13 @@ from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis
 from ._fileio import atomic_write_text, fmt_float
 
-# Two candidate objectives are "tied" when they agree to this relative
-# tolerance; ties resolve to the lowest grid index for determinism.
-TIE_REL_TOL = 1e-14
-
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
 CANDIDATE_STACK = 256
 
 # Relative slack on the objective to beat when pruning kappa/lambda
-# candidates, far above TIE_REL_TOL: a candidate is scored exactly unless it
-# provably scores worse than the incumbent by more than this.
+# candidates, far above numerics.TIE_REL_TOL: a candidate is scored exactly
+# unless it provably scores worse than the incumbent by more than this.
 PRUNE_MARGIN = 1e-8
 
 
@@ -140,18 +136,6 @@ class EmpiricalInterpolant:
         object.__setattr__(self, "node_indices", nodes)
 
 
-def _argmax_tied(values: np.ndarray) -> int:
-    """Lowest index whose value ties the maximum within TIE_REL_TOL."""
-    best = float(values.max())
-    return int(np.flatnonzero(values >= best * (1.0 - TIE_REL_TOL))[0])
-
-
-def _argmin_tied(values: np.ndarray) -> int:
-    """Lowest index whose value ties the minimum within TIE_REL_TOL."""
-    best = float(values.min())
-    return int(np.flatnonzero(values <= best * (1.0 + TIE_REL_TOL))[0])
-
-
 def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
     """V_j(t) for each grid index t in ``columns``, in that order: the
     node-value matrix of the first j-1 nodes with t appended as node j, as
@@ -175,9 +159,9 @@ def _eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> None:
 
 def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
                criterion: SelectionCriterion, best: float) -> np.ndarray:
-    """Grid indices t whose V_j(t), j >= 2, may score within TIE_REL_TOL of
-    ``best``, the computed objective of one candidate; every other V_j(t)
-    provably scores worse.
+    """Grid indices t whose V_j(t), j >= 2, may score within
+    numerics.TIE_REL_TOL of ``best``, the computed objective of one
+    candidate; every other V_j(t) provably scores worse.
 
     V_j(t) is the fixed block A of the first j-1 nodes with the row x_t
     appended, so one SVD of A gives every candidate's sigma_min^2 as the root
@@ -224,7 +208,7 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
     values[nodes] = math.inf
     if math.isinf(values.min()):
         raise SingularVMatrix(f"every candidate matrix is singular at order {j}")
-    return _argmin_tied(values)
+    return nm.argmin_tied(values)
 
 
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
@@ -237,7 +221,7 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
     nodes: list[int] = []
     for j in range(1, n + 1):
         residual = residuals[j - 1]
-        pick = _argmax_tied(np.abs(residual))
+        pick = nm.argmax_tied(np.abs(residual))
         if criterion is not SelectionCriterion.CLASSIC and j > 1:
             pick = _scan(basis_rows, j, nodes, criterion, pick)
         if pick in nodes or residual[pick] == 0:

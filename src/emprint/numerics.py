@@ -15,7 +15,10 @@ matrices and then return one value per matrix, from the same per-matrix
 LAPACK call; ``determinant`` takes one matrix. ``svd`` and ``secular``
 give the smallest singular value of a matrix with one row appended to a
 fixed block, as the root of a secular equation. The roundoff floor that
-error comparisons across the package share also lives here.
+error comparisons across the package share also lives here, and so does the
+one tie rule every greedy pick uses (``argmax_tied``, ``argmin_tied``):
+values within ``TIE_REL_TOL`` of the best tie, and the lowest index wins, so
+a pick between twins does not depend on summation order or the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -44,6 +47,23 @@ def error_floor_sq(scale: float) -> float:
     absolute floor rejects exact results on data of large norm.
     """
     return ERROR_FLOOR_SQ * max(1.0, float(scale))
+
+
+# Two objectives are "tied" when they agree to this relative tolerance; ties
+# resolve to the lowest index for determinism.
+TIE_REL_TOL = 1e-14
+
+
+def argmax_tied(values: np.ndarray) -> int:
+    """Lowest index whose value ties the maximum within TIE_REL_TOL."""
+    best = float(values.max())
+    return int(np.flatnonzero(values >= best * (1.0 - TIE_REL_TOL))[0])
+
+
+def argmin_tied(values: np.ndarray) -> int:
+    """Lowest index whose value ties the minimum within TIE_REL_TOL."""
+    best = float(values.min())
+    return int(np.flatnonzero(values <= best * (1.0 + TIE_REL_TOL))[0])
 
 
 def _complex_matrices(a, square: bool) -> np.ndarray:

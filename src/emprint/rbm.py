@@ -7,6 +7,14 @@ Gram-Schmidt with one reorthogonalization pass, and records the squared
 maximum projection error. The seed is the sweep's first pick, the waveform
 of largest norm, and passes the same roundoff test as every later pick.
 
+Each step allocates no K x L temporary: the squared residual norms are sums
+of squares over the residual's real view (real and imaginary parts side by
+side), and the new basis row is removed from the residual in place by one
+BLAS rank-1 update (``zgeru``) of its Fortran-ordered transpose. Every pick,
+the seed included, is the lowest row whose error ties the largest within
+``numerics.TIE_REL_TOL``, so twins of equal norm in exact arithmetic, such
+as mirrored waveforms, resolve by index and not by roundoff.
+
 Basis rows are stored Euclidean-orthonormal (sum_t conj(e_i) e_j = delta_ij).
 Because the discrete norm applies a single uniform weight dt, projection onto
 the span is the same operator in both norms; dt enters only when errors are
@@ -18,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgeru
 
 from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
-from .numerics import error_floor_sq
+from .numerics import argmax_tied, error_floor_sq
 from ._fileio import atomic_write_text, fmt_float
 
 DEFAULT_TOL = 1e-12
@@ -88,8 +97,11 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
     """Run the strong greedy sweep over a training set.
 
     The seed is the sweep's first pick, the waveform of largest weighted
-    norm (ties pick the lowest row); its norm scales the roundoff test that
-    every pick, the seed included, must pass.
+    norm; its norm scales the roundoff test that every pick, the seed
+    included, must pass. Every pick is ``numerics.argmax_tied`` of the
+    squared residual norms, which are sums of squares over the residual's
+    real view. Each new basis row e leaves the residual in place,
+    residual -= (residual e^H) e, by ``zgeru`` on the residual's transpose.
 
     Parameters
     ----------
@@ -124,14 +136,17 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
     cap = k if n_max is None else min(n_max, k)
     dt = ts.grid.dt
 
-    residual = samples.astype(np.complex128, copy=True)
+    # C order, so the real view below is (K, 2L) and residual.T is the
+    # Fortran-ordered matrix zgeru updates in place.
+    residual = np.array(samples, dtype=np.complex128, order="C")
     basis_rows: list[np.ndarray] = []
     selected: list[int] = []
     errors: list[float] = []
 
     while True:
-        errs_sq = np.einsum("ij,ij->i", residual.conj(), residual).real * dt
-        pick = int(np.argmax(errs_sq))
+        parts = residual.view(np.float64)
+        errs_sq = np.einsum("ij,ij->i", parts, parts) * dt
+        pick = argmax_tied(errs_sq)
         sigma_sq = float(errs_sq[pick])
         m = len(basis_rows)
         if m == 0:
@@ -154,7 +169,9 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
         e = vec / norm
         basis_rows.append(e)
         selected.append(pick)
-        residual -= np.outer(residual @ e.conj(), e)
+        # residual -= c e with c = residual e^H, as a rank-1 update of the
+        # transpose; rebinding keeps it right should f2py hand back a copy.
+        residual = zgeru(-1.0, e, residual @ e.conj(), a=residual.T, overwrite_a=True).T
 
     return ReducedBasis(
         grid=ts.grid,

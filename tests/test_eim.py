@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from emprint import eim
 from emprint import numerics as nm
 from emprint.catalog import InvalidRange, LengthMismatch, TimeGrid
-from emprint.eim import (TIE_REL_TOL, EmpiricalInterpolant, SelectionCriterion,
-                         SingularVMatrix, build_interpolant, interpolate,
-                         interpolate_function, save_interpolant_json,
-                         verify_determinant_identity)
+from emprint.eim import (EmpiricalInterpolant, SelectionCriterion, SingularVMatrix,
+                         build_interpolant, interpolate, interpolate_function,
+                         save_interpolant_json, verify_determinant_identity)
+from emprint.numerics import TIE_REL_TOL, argmax_tied
 from emprint.rbm import ReducedBasis
 
 from oracles import (candidate_stack, full_scan, laplace_det, lu_ratio_scan,
@@ -131,7 +131,7 @@ def assert_picks_match_full_scan(rows, criterion):
         prefix = nodes[: j - 1]
         reference = full_scan(rows, j, prefix, objective, TIE_REL_TOL)
         assert nodes[j - 1] == reference
-        incumbent = eim._argmax_tied(np.abs(solve_residual(rows, j, prefix)))
+        incumbent = argmax_tied(np.abs(solve_residual(rows, j, prefix)))
         best = objective(rows[:j][:, prefix + [incumbent]].T)
         assert reference in eim._survivors(rows, j, prefix, criterion, best)
 
@@ -193,7 +193,7 @@ def test_elimination_matches_solve_oracle_on_hard_bases(rows):
         kappa = nm.condition_number_2(rows[: j - 1][:, nodes[: j - 1]].T) if j > 1 else 1.0
         bound = 32 * j * eps * kappa * np.abs(rows[:j]).max()
         assert np.abs(residuals[j - 1] - reference).max() <= bound
-        assert nodes[j - 1] == eim._argmax_tied(np.abs(reference))
+        assert nodes[j - 1] == argmax_tied(np.abs(reference))
 
 
 @pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])

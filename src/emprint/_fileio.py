@@ -1,10 +1,17 @@
-"""Small file-writing helpers shared by the CSV/JSON emitters."""
+"""Atomic file writes, and the one owner of every artifact's text format:
+numeric tables (``write_table``), JSON documents (``write_json``) and
+``re:im`` cells of complex values (``_re_im``). Every float is written in
+its shortest round-trip form. The writers elsewhere only say what goes into
+each file."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -37,3 +44,35 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def fmt_float(x) -> str:
     """Shortest decimal form that round-trips to the same double."""
     return repr(float(x))
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):  # numpy's float64 included
+        return fmt_float(value)
+    if isinstance(value, (tuple, list)):
+        return " ".join(map(_cell, value))
+    return str(value)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a numeric table: a line of the column names ``header``, then one
+    line per row, cells separated by ',' (a sequence is one cell of
+    space-separated values), LF line endings and a final newline."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Write the JSON document ``doc``, indented by 2, with a final newline."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _re_im(z) -> str:
+    """``re:im`` cells of a row of complex values joined by ',', or of each
+    row of a matrix, the rows joined by LF."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim == 2:
+        return "\n".join(map(_re_im, z))
+    # repr of a Python float is its shortest round-trip form, as fmt_float.
+    return ",".join([f"{a!r}:{b!r}" for a, b in zip(z.real.tolist(), z.imag.tolist())])

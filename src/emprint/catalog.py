@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import atomic_write_bytes, fmt_float
+from ._fileio import _re_im, atomic_write_bytes, fmt_float
 
 
 class LengthMismatch(Exception):
@@ -288,8 +288,7 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
     # repr of a Python float is the shortest round-trip form, as fmt_float.
     cells = [repr(p) for p in params_row.tolist()]
-    cells += [f"{a!r}:{b!r}" for a, b in zip(samples_row.real.tolist(),
-                                             samples_row.imag.tolist())]
+    cells.append(_re_im(samples_row))
     return ",".join(cells)
 
 
@@ -319,14 +318,13 @@ def save_training_csv(ts: TrainingSet, path) -> None:
     of the text (see the module docstring).
     """
     data = write_waveform_csv(path, ts.grid, ts.params, ts.samples)
-    d, l = ts.d, ts.grid.n_samples
-    values = np.empty((ts.k, d + 2 * l), dtype="<f8")
-    values[:, :d] = ts.params
-    values[:, d::2] = ts.samples.real
-    values[:, d + 1::2] = ts.samples.imag
+    # Each row: the parameters, then the samples' real view (re, im, ...),
+    # the layout ``_read_parsed_copy`` views back as complex.
+    values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
     header = (f"{PARSED_MAGIC} sha256={hashlib.sha256(data).hexdigest()} "
-              f"k={ts.k} d={d} l={l}\n")
-    atomic_write_bytes(_parsed_copy_path(path), header.encode("ascii") + values.tobytes())
+              f"k={ts.k} d={ts.d} l={ts.grid.n_samples}\n")
+    atomic_write_bytes(_parsed_copy_path(path),
+                       header.encode("ascii") + values.astype("<f8", copy=False).tobytes())
 
 
 def _parse_header(line: str):

@@ -37,8 +37,8 @@ from . import catalog, diagnostics, eim, rbm
 from .catalog import InvalidRange, NonFiniteSample, ParseError, TimeGrid, UnknownFamily
 from .eim import SelectionCriterion, SingularVMatrix
 from .numerics import ConvergenceFailure
-from .rbm import DegenerateResidual, EmptyTraining
-from ._fileio import atomic_write_text, fmt_float
+from .rbm import DegenerateResidual
+from ._fileio import write_table
 
 THEOREM_TOLERANCE = 1e-7
 
@@ -294,10 +294,8 @@ def cmd_verify_theorem(cfg: RunConfig) -> int:
     _, rb = _build_basis(cfg)
     n = rb.n if cfg.n is None else cfg.n
     discrepancies = eim.verify_determinant_identity(rb, n)
-    lines = ["step,max_rel_discrepancy"]
-    lines += [f"{j + 2},{fmt_float(d)}" for j, d in enumerate(discrepancies)]
     out = Path(cfg.out_dir) / "theorem_check.csv"
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    write_table(out, ["step", "max_rel_discrepancy"], enumerate(discrepancies, start=2))
     # max() would drop a NaN that is not first; a NaN step must fail.
     ok = all(d <= THEOREM_TOLERANCE for d in discrepancies)
     worst = (math.nan if any(map(math.isnan, discrepancies))
@@ -320,7 +318,7 @@ COMMANDS = {
 # inside the library is a fault, not bad input, and surfaces as a traceback.
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidRange, ParseError,
                   NonFiniteSample, FileNotFoundError)
-_DEGENERACY_ERRORS = (DegenerateResidual, EmptyTraining)
+_DEGENERACY_ERRORS = (DegenerateResidual,)
 _INTERPOLANT_ERRORS = (SingularVMatrix, ConvergenceFailure)
 
 

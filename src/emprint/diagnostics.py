@@ -27,7 +27,6 @@ curves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ from . import numerics as nm
 from .catalog import LengthMismatch, TimeGrid, TrainingSet
 from .eim import SelectionCriterion, _eliminate, build_interpolant
 from .rbm import ReducedBasis
-from ._fileio import atomic_write_text, fmt_float
+from ._fileio import write_json, write_table
 
 # Written into every report: the condition numbers and Lebesgue constants
 # refer to the stored Euclidean-orthonormal basis rows.
@@ -186,8 +185,8 @@ def error_ratio_curve(report_a: DiagnosticsReport,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def report_to_dict(report: DiagnosticsReport) -> dict:
-    return {
+def write_report_json(report: DiagnosticsReport, path) -> None:
+    write_json(path, {
         "dataset_id": report.dataset_id,
         "criterion": report.criterion.value,
         "basis_convention": BASIS_CONVENTION,
@@ -208,11 +207,7 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
             }
             for rec in report.per_n
         ],
-    }
-
-
-def write_report_json(report: DiagnosticsReport, path) -> None:
-    atomic_write_text(path, json.dumps(report_to_dict(report), indent=2) + "\n")
+    })
 
 
 def write_curve_csvs(reports: dict[SelectionCriterion, DiagnosticsReport],
@@ -228,34 +223,17 @@ def write_curve_csvs(reports: dict[SelectionCriterion, DiagnosticsReport],
     ordered = [reports[c] for c in sorted(reports, key=lambda c: c.value)]
     if not ordered:
         raise ValueError("no reports to write")
-    n_orders = len(ordered[0].per_n)
-    for rep in ordered[1:]:
-        if len(rep.per_n) != n_orders:
-            raise LengthMismatch("reports cover different numbers of orders")
+    if any(len(rep.per_n) != len(ordered[0].per_n) for rep in ordered):
+        raise LengthMismatch("reports cover different numbers of orders")
     tags = [rep.criterion.value for rep in ordered]
-
-    kappa_lines = ["n," + ",".join(f"kappa_{t}" for t in tags)]
-    lambda_lines = ["n," + ",".join(f"lambda_{t}" for t in tags)]
-    err_lines = ["n,proj_err_sq," + ",".join(f"interp_err_sq_{t}" for t in tags)]
-    for i in range(n_orders):
-        n = ordered[0].per_n[i].n
-        kappa_lines.append(
-            f"{n}," + ",".join(fmt_float(rep.per_n[i].kappa) for rep in ordered))
-        lambda_lines.append(
-            f"{n}," + ",".join(fmt_float(rep.per_n[i].lebesgue) for rep in ordered))
-        err_lines.append(
-            f"{n},{fmt_float(ordered[0].per_n[i].max_proj_err_sq)},"
-            + ",".join(fmt_float(rep.per_n[i].max_interp_err_sq) for rep in ordered))
-
-    node_lines = ["criterion,n,nodes"]
-    for rep in ordered:
-        for rec in rep.per_n:
-            node_lines.append(
-                f"{rep.criterion.value},{rec.n}," + " ".join(str(i) for i in rec.nodes))
-
-    written = []
-    for name, lines in [("kappa.csv", kappa_lines), ("lambda.csv", lambda_lines),
-                        ("errors.csv", err_lines), ("nodes.csv", node_lines)]:
-        atomic_write_text(out / name, "\n".join(lines) + "\n")
-        written.append(name)
-    return written
+    orders = list(zip(*(rep.per_n for rep in ordered)))  # the records of each order
+    write_table(out / "kappa.csv", ["n", *(f"kappa_{t}" for t in tags)],
+                [[rs[0].n, *(r.kappa for r in rs)] for rs in orders])
+    write_table(out / "lambda.csv", ["n", *(f"lambda_{t}" for t in tags)],
+                [[rs[0].n, *(r.lebesgue for r in rs)] for rs in orders])
+    write_table(out / "errors.csv", ["n", "proj_err_sq", *(f"interp_err_sq_{t}" for t in tags)],
+                [[rs[0].n, rs[0].max_proj_err_sq, *(r.max_interp_err_sq for r in rs)]
+                 for rs in orders])
+    write_table(out / "nodes.csv", ["criterion", "n", "nodes"],
+                [[rep.criterion.value, rec.n, rec.nodes] for rep in ordered for rec in rep.per_n])
+    return ["kappa.csv", "lambda.csv", "errors.csv", "nodes.csv"]

@@ -48,7 +48,6 @@ step, taken from a Householder QR, independently of the elimination.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,7 +57,7 @@ import scipy.linalg
 from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis
-from ._fileio import atomic_write_text, fmt_float
+from ._fileio import _re_im, write_json
 
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
@@ -101,17 +100,15 @@ class StepRecord:
 class EmpiricalInterpolant:
     """Interpolation nodes plus everything needed to apply the interpolant.
 
-    ``v_matrix`` is V[i, j] = e_j(T_i); ``b_matrix`` holds the cardinal
-    functions as rows, B_i = sum_j (V^{-1})_{ji} e_j, which satisfy
-    B_i(T_j) = delta_ij. ``residuals`` holds r_1..r_n as rows, r_j = e_j -
-    I_{j-1}[e_j] over the grid. ``per_step`` has one StepRecord per prefix
-    order.
+    ``b_matrix`` holds the cardinal functions as rows, B_i = sum_j
+    (V^{-1})_{ji} e_j, which satisfy B_i(T_j) = delta_ij. ``residuals``
+    holds r_1..r_n as rows, r_j = e_j - I_{j-1}[e_j] over the grid.
+    ``per_step`` has one StepRecord per prefix order. The order ``n`` and
+    ``v_matrix``, V[i, j] = e_j(T_i), are derived from nodes and basis.
     """
 
     basis: ReducedBasis
-    n: int
     node_indices: tuple[int, ...]
-    v_matrix: np.ndarray
     b_matrix: np.ndarray
     residuals: np.ndarray
     criterion: SelectionCriterion
@@ -119,10 +116,8 @@ class EmpiricalInterpolant:
 
     def __post_init__(self):
         nodes = tuple(int(i) for i in self.node_indices)
-        if len(nodes) != self.n or len(set(nodes)) != self.n:
-            raise ValueError("node indices must be distinct and match n")
-        if self.v_matrix.shape != (self.n, self.n):
-            raise ValueError("v_matrix shape mismatch")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("node indices must be distinct")
         if self.b_matrix.shape != (self.n, self.basis.grid.n_samples):
             raise ValueError("b_matrix shape mismatch")
         if self.residuals.shape != self.b_matrix.shape:
@@ -134,6 +129,14 @@ class EmpiricalInterpolant:
                 "is too ill-conditioned"
             )
         object.__setattr__(self, "node_indices", nodes)
+
+    @property
+    def n(self) -> int:
+        return len(self.node_indices)
+
+    @property
+    def v_matrix(self) -> np.ndarray:
+        return self.basis.basis[:self.n, list(self.node_indices)].T
 
 
 def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
@@ -282,8 +285,7 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion,
         _eliminate(b[:j], t, residual)
         b[j] = residual / residual[t]
     return EmpiricalInterpolant(
-        basis=rb, n=n, node_indices=tuple(nodes),
-        v_matrix=rb.basis[:n, nodes].T.copy(), b_matrix=b,
+        basis=rb, node_indices=tuple(nodes), b_matrix=b,
         residuals=residuals, criterion=criterion, per_step=per_step,
     )
 
@@ -355,17 +357,10 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _complex_str(z: complex) -> str:
-    return f"{fmt_float(z.real)}:{fmt_float(z.imag)}"
-
-
-def _matrix_csv(m: np.ndarray) -> str:
-    return "\n".join(",".join(_complex_str(z) for z in row) for row in m)
-
-
-def interpolant_to_dict(itp: EmpiricalInterpolant, include_matrices: bool = False) -> dict:
-    """JSON-ready summary: nodes, criterion, per-step diagnostics, and
-    optionally the V and B matrices as CSV blocks of re:im pairs."""
+def save_interpolant_json(itp: EmpiricalInterpolant, path,
+                          include_matrices: bool = False) -> None:
+    """Write nodes, criterion, per-step diagnostics, and optionally the V and
+    B matrices as CSV blocks of re:im pairs."""
     doc = {
         "criterion": itp.criterion.value,
         "n": itp.n,
@@ -378,7 +373,7 @@ def interpolant_to_dict(itp: EmpiricalInterpolant, include_matrices: bool = Fals
         "per_step": [
             {
                 "n": j + 1,
-                "det_v": _complex_str(rec.det_v),
+                "det_v": _re_im([rec.det_v]),
                 "kappa": rec.kappa,
                 "lambda": rec.lebesgue,
                 "residual_at_node": rec.residual_at_node,
@@ -387,12 +382,6 @@ def interpolant_to_dict(itp: EmpiricalInterpolant, include_matrices: bool = Fals
         ],
     }
     if include_matrices:
-        doc["v_matrix_csv"] = _matrix_csv(itp.v_matrix)
-        doc["b_matrix_csv"] = _matrix_csv(itp.b_matrix)
-    return doc
-
-
-def save_interpolant_json(itp: EmpiricalInterpolant, path,
-                          include_matrices: bool = False) -> None:
-    doc = interpolant_to_dict(itp, include_matrices=include_matrices)
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+        doc["v_matrix_csv"] = _re_im(itp.v_matrix)
+        doc["b_matrix_csv"] = _re_im(itp.b_matrix)
+    write_json(path, doc)

@@ -30,15 +30,11 @@ from scipy.linalg.blas import zgeru
 
 from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
 from .numerics import argmax_tied, error_floor_sq
-from ._fileio import atomic_write_text, fmt_float
+from ._fileio import write_table
 
 DEFAULT_TOL = 1e-12
 
 _DEGENERATE_FACTOR = 1e-14  # residual below this times the seed norm is noise
-
-
-class EmptyTraining(Exception):
-    """The training set holds no waveforms."""
 
 
 class DegenerateResidual(Exception):
@@ -129,16 +125,12 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
         raise InvalidRange(f"tol must be positive, got {tol}")
     if n_max is not None and n_max < 1:
         raise InvalidRange(f"n_max must be >= 1, got {n_max}")
-    samples = ts.samples
-    k, _ = samples.shape
-    if k == 0:
-        raise EmptyTraining("training set holds no waveforms")
-    cap = k if n_max is None else min(n_max, k)
+    cap = ts.k if n_max is None else min(n_max, ts.k)
     dt = ts.grid.dt
 
     # C order, so the real view below is (K, 2L) and residual.T is the
     # Fortran-ordered matrix zgeru updates in place.
-    residual = np.array(samples, dtype=np.complex128, order="C")
+    residual = np.array(ts.samples, dtype=np.complex128, order="C")
     basis_rows: list[np.ndarray] = []
     selected: list[int] = []
     errors: list[float] = []
@@ -193,6 +185,4 @@ def save_basis_csv(rb: ReducedBasis, path) -> None:
 
 def save_greedy_errors_csv(rb: ReducedBasis, path) -> None:
     """Two-column CSV (n, sigma_sq) of the greedy error curve."""
-    lines = ["n,sigma_sq"]
-    lines += [f"{m + 1},{fmt_float(err)}" for m, err in enumerate(rb.greedy_errors)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, ["n", "sigma_sq"], enumerate(rb.greedy_errors, start=1))

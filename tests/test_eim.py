@@ -463,9 +463,8 @@ def test_constructor_rejects_duplicate_nodes(small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
     with pytest.raises(ValueError):
         EmpiricalInterpolant(
-            basis=itp.basis, n=3,
-            node_indices=(itp.node_indices[0],) * 3,
-            v_matrix=itp.v_matrix, b_matrix=itp.b_matrix,
+            basis=itp.basis, node_indices=(itp.node_indices[0],) * 3,
+            b_matrix=itp.b_matrix,
             residuals=itp.residuals, criterion=itp.criterion, per_step=itp.per_step,
         )
 
@@ -474,8 +473,7 @@ def test_constructor_rejects_broken_cardinals(small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
     with pytest.raises(SingularVMatrix):
         EmpiricalInterpolant(
-            basis=itp.basis, n=3, node_indices=itp.node_indices,
-            v_matrix=itp.v_matrix, b_matrix=itp.b_matrix * 2.0,
+            basis=itp.basis, node_indices=itp.node_indices, b_matrix=itp.b_matrix * 2.0,
             residuals=itp.residuals, criterion=itp.criterion, per_step=itp.per_step,
         )
 
@@ -484,8 +482,7 @@ def test_constructor_rejects_residuals_of_wrong_shape(small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
     with pytest.raises(ValueError, match="residuals"):
         EmpiricalInterpolant(
-            basis=itp.basis, n=3, node_indices=itp.node_indices,
-            v_matrix=itp.v_matrix, b_matrix=itp.b_matrix,
+            basis=itp.basis, node_indices=itp.node_indices, b_matrix=itp.b_matrix,
             residuals=itp.residuals[:2], criterion=itp.criterion, per_step=itp.per_step,
         )
 

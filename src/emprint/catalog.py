@@ -15,7 +15,9 @@ doubles, row-major (the parameters, then re, im of each sample).
 digest matches the CSV's current bytes and its d and L match the CSV's
 header; otherwise it parses the CSV. Either way the CSV header is parsed and
 every check runs, so the two routes differ only in time. Loads never write
-the copy, and deleting it is always safe.
+the copy, and deleting it is always safe. A loaded set carries the SHA-256
+of the CSV's bytes, which both routes compute anyway; ``rbm`` keys its
+binary basis copy with it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,12 +107,15 @@ class TrainingSet:
 
     ``params`` is a (K, d) real array of parameter vectors, pairwise
     distinct; ``samples`` is the (K, L) complex array with row k holding the
-    waveform for ``params[k]``.
+    waveform for ``params[k]``. ``csv_sha256`` is the hex SHA-256 of the
+    training CSV's bytes for a set loaded by ``load_training_csv``, and None
+    for a set built in memory.
     """
 
     grid: TimeGrid
     params: np.ndarray
     samples: np.ndarray
+    csv_sha256: str | None = None
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -294,7 +299,11 @@ def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
 
 def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
                        samples: np.ndarray, kind: str | None = None) -> bytes:
-    """Write a waveform CSV; returns the bytes written."""
+    """Write a waveform CSV; returns the bytes written.
+
+    Each line is encoded as it is built, so the text is held at most twice:
+    as the encoded lines and as the bytes they are joined into.
+    """
     d = params.shape[1]
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
@@ -302,11 +311,12 @@ def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
     )
     if kind is not None:
         header += f", kind={kind}"
-    lines = [header]
+    lines = [header.encode("utf-8")]
     for k in range(samples.shape[0]):
-        lines.append(_format_row(params[k], samples[k]))
-    lines.append("")  # the final line ending
-    data = "\n".join(lines).encode("utf-8")
+        lines.append(_format_row(params[k], samples[k]).encode("utf-8"))
+    lines.append(b"")  # the final line ending
+    data = b"\n".join(lines)
+    del lines
     atomic_write_bytes(path, data)
     return data
 
@@ -317,11 +327,12 @@ def save_training_csv(ts: TrainingSet, path) -> None:
     Also writes the parsed copy ``<path>.f64`` that later loads read in place
     of the text (see the module docstring).
     """
-    data = write_waveform_csv(path, ts.grid, ts.params, ts.samples)
+    # The CSV's bytes are dropped once hashed, before the copy is built.
+    digest = hashlib.sha256(write_waveform_csv(path, ts.grid, ts.params, ts.samples))
     # Each row: the parameters, then the samples' real view (re, im, ...),
     # the layout ``_read_parsed_copy`` views back as complex.
     values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
-    header = (f"{PARSED_MAGIC} sha256={hashlib.sha256(data).hexdigest()} "
+    header = (f"{PARSED_MAGIC} sha256={digest.hexdigest()} "
               f"k={ts.k} d={ts.d} l={ts.grid.n_samples}\n")
     atomic_write_bytes(_parsed_copy_path(path),
                        header.encode("ascii") + values.astype("<f8", copy=False).tobytes())
@@ -381,17 +392,19 @@ def _check_row(line: str, lineno: int, row: int, d: int, l: int) -> None:
             )
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: Path) -> tuple[str, str]:
+    """The text of the file at ``path`` and the hex SHA-256 of its bytes."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"line {lineno}: not valid UTF-8") from exc
 
 
 def read_waveform_csv(path):
-    """Parse a waveform CSV; returns (grid, params, samples, kind).
+    """Parse a waveform CSV; returns (grid, params, samples, kind, sha256),
+    the last the hex SHA-256 of the file's bytes.
 
     Each row is read with Python's ``float()``, the parser the cell walk
     uses, straight into arrays sized from the header. A row is taken only if
@@ -400,7 +413,9 @@ def read_waveform_csv(path):
     all its d + 2L values are finite; any other row is walked cell by cell
     to raise the error that names its bad cell.
     """
-    lines = _read_text(Path(path)).splitlines()
+    text, digest = _read_text(Path(path))
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ParseError("line 1: empty file")
     grid, d, kind = _parse_header(lines[0])
@@ -436,7 +451,7 @@ def read_waveform_csv(path):
             raise ParseError(f"line {lineno}: cells must be ASCII decimal floats")
         params[row] = values[:d]
         flat[row] = values[d:]
-    return grid, params, samples, kind
+    return grid, params, samples, kind, digest
 
 
 def _parsed_copy_path(path) -> Path:
@@ -445,8 +460,8 @@ def _parsed_copy_path(path) -> Path:
 
 
 def _read_parsed_copy(path):
-    """(grid, params, samples, kind) of the CSV at ``path`` from its parsed
-    copy, or None when there is no copy that may be trusted.
+    """(grid, params, samples, kind, sha256) of the CSV at ``path`` from its
+    parsed copy, or None when there is no copy that may be trusted.
 
     A copy is trusted only when its header names the SHA-256 of the CSV's
     current bytes and the d and L of the CSV's own header, and its payload
@@ -462,14 +477,15 @@ def _read_parsed_copy(path):
             payload = fh.read()
         with open(path, "rb") as fh:
             first_line = fh.readline()
-            digest = hashlib.sha256(first_line)
+            hasher = hashlib.sha256(first_line)
             while block := fh.read(1 << 20):
-                digest.update(block)
+                hasher.update(block)
     except OSError:
         return None
     k, d, l = (int(g) for g in match.group(2, 3, 4))
+    digest = hasher.hexdigest()
     if (k < 1 or len(payload) != k * (d + 2 * l) * 8
-            or digest.hexdigest() != match.group(1).decode("ascii")):
+            or digest != match.group(1).decode("ascii")):
         return None
     try:
         grid, csv_d, kind = _parse_header(first_line.decode("utf-8"))
@@ -480,7 +496,7 @@ def _read_parsed_copy(path):
     values = np.frombuffer(payload, dtype="<f8").reshape(k, d + 2 * l)
     params = np.array(values[:, :d], dtype=np.float64, order="C")
     samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
-    return grid, params, samples, kind
+    return grid, params, samples, kind, digest
 
 
 def load_training_csv(path) -> TrainingSet:
@@ -488,11 +504,13 @@ def load_training_csv(path) -> TrainingSet:
 
     The values come from the parsed copy beside the CSV when it may be
     trusted (see ``_read_parsed_copy``), else from parsing the CSV; every
-    check below runs either way. Raises ParseError when two rows share a
+    check below runs either way, and either way the set's ``csv_sha256`` is
+    the digest of the CSV's bytes. Raises ParseError when two rows share a
     parameter vector.
     """
     parsed = _read_parsed_copy(path)
-    grid, params, samples, kind = parsed if parsed is not None else read_waveform_csv(path)
+    grid, params, samples, kind, digest = (
+        parsed if parsed is not None else read_waveform_csv(path))
     if kind is not None:
         raise ParseError(f"line 1: expected a training file, found kind={kind}")
     if params.shape[1] < 1:
@@ -502,4 +520,4 @@ def load_training_csv(path) -> TrainingSet:
         if first_row.setdefault(p, row) != row:
             raise ParseError(f"waveform row {row} repeats the parameters of row "
                              f"{first_row[p]}")
-    return TrainingSet(grid, params, samples)
+    return TrainingSet(grid, params, samples, csv_sha256=digest)

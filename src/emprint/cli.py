@@ -14,6 +14,14 @@ Every command reads either a training CSV (--input) or a family spec
 never consulted. All outputs are plain CSV/JSON written atomically, and a
 rerun with the same configuration reproduces them byte for byte.
 
+The greedy sweep runs once per input: ``basis`` on a training CSV also
+writes ``basis.f64``, the basis's binary copy (see ``rbm``), into --out-dir,
+and ``eim``, ``compare`` and ``verify-theorem`` on a training CSV read the
+basis from the copy in their --out-dir when it may be trusted, and sweep
+again when it may not. Only ``basis`` writes the copy, and only from a
+training CSV; the copy holds the sweep's exact bits, so every output is the
+same whether it was read or swept.
+
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
 error, 3 numerical degeneracy while building the basis, 4 interpolant
 construction failure. The CLI checks only what it parses itself (config
@@ -41,6 +49,9 @@ from .rbm import DegenerateResidual
 from ._fileio import write_table
 
 THEOREM_TOLERANCE = 1e-7
+
+# The basis's binary copy, written by basis into --out-dir (see rbm).
+BASIS_COPY = "basis.f64"
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -218,8 +229,12 @@ def _load_training(cfg: RunConfig) -> catalog.TrainingSet:
 
 
 def _build_basis(cfg: RunConfig) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]:
+    """The training set and its basis: read from the copy in --out-dir when
+    it may be trusted, else swept."""
     ts = _load_training(cfg)
-    rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
+    rb = rbm.load_basis_copy(Path(cfg.out_dir) / BASIS_COPY, ts, cfg.tol, cfg.n_max)
+    if rb is None:
+        rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
     return ts, rb
 
 
@@ -234,10 +249,13 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_basis(cfg: RunConfig) -> int:
-    _, rb = _build_basis(cfg)
+    ts = _load_training(cfg)
+    rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
     out_dir = Path(cfg.out_dir)
     rbm.save_basis_csv(rb, out_dir / "basis.csv")
     rbm.save_greedy_errors_csv(rb, out_dir / "greedy_errors.csv")
+    if ts.csv_sha256 is not None:
+        rbm.save_basis_copy(rb, out_dir / BASIS_COPY, ts.csv_sha256, cfg.n_max)
     print(f"wrote {out_dir / 'basis.csv'} and {out_dir / 'greedy_errors.csv'} "
           f"(n={rb.n}, final error {rb.greedy_errors[-1]:.3e})")
     return EXIT_OK

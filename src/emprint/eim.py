@@ -48,6 +48,7 @@ step, taken from a Householder QR, independently of the elimination.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,7 +137,12 @@ class EmpiricalInterpolant:
 
     @property
     def v_matrix(self) -> np.ndarray:
-        return self.basis.basis[:self.n, list(self.node_indices)].T
+        return self.basis.basis[:self.n, self._node_array].T
+
+    @functools.cached_property
+    def _node_array(self) -> np.ndarray:
+        """``node_indices`` as an index array, built once per interpolant."""
+        return np.array(self.node_indices, dtype=np.intp)
 
 
 def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
@@ -300,14 +306,15 @@ def interpolate(itp: EmpiricalInterpolant, node_values) -> np.ndarray:
 
 
 def interpolate_function(itp: EmpiricalInterpolant, h) -> np.ndarray:
-    """Interpolate a gridded waveform by reading it off at the nodes."""
+    """Interpolate a gridded waveform by reading it off at the nodes; the
+    same sum as ``interpolate`` of those values."""
     hv = np.asarray(h, dtype=np.complex128)
     if hv.shape != (itp.basis.grid.n_samples,):
         raise LengthMismatch(
             f"waveform has shape {hv.shape}, grid expects "
             f"({itp.basis.grid.n_samples},)"
         )
-    return interpolate(itp, hv[list(itp.node_indices)])
+    return hv[itp._node_array] @ itp.b_matrix
 
 
 def _determinant_ratios(basis_rows: np.ndarray, j: int, nodes: list[int]) -> np.ndarray:

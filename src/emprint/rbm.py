@@ -19,20 +19,39 @@ Basis rows are stored Euclidean-orthonormal (sum_t conj(e_i) e_j = delta_ij).
 Because the discrete norm applies a single uniform weight dt, projection onto
 the span is the same operator in both norms; dt enters only when errors are
 measured.
+
+A basis swept from a training CSV can be kept in a binary copy, so that
+later commands on the same data read it instead of sweeping again. The copy
+is one ASCII line ``emprint-basis v1 sha256=<hex> code=<hex> tol=<float>
+n_max=<int|none> n=<n> l=<L>``, then the n greedy errors, the n picks and
+the n x 2L basis values (re, im of each sample, row by row) as
+little-endian doubles. ``sha256`` is the digest of the training CSV's bytes
+and ``code`` that of this module's and ``numerics``' source and the numpy
+and scipy versions, so the header names everything that decides the sweep's
+bits. ``load_basis_copy`` trusts a copy only when its header is that of the
+current run, its payload has exactly that size and ``ReducedBasis`` accepts
+what it holds; deleting a copy is always safe.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.blas import zgeru
 
+from . import numerics
 from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
 from .numerics import argmax_tied, error_floor_sq
-from ._fileio import write_table
+from ._fileio import atomic_write_bytes, write_table
 
 DEFAULT_TOL = 1e-12
+
+BASIS_COPY_MAGIC = "emprint-basis v1"
 
 _DEGENERATE_FACTOR = 1e-14  # residual below this times the seed norm is noise
 
@@ -186,3 +205,65 @@ def save_basis_csv(rb: ReducedBasis, path) -> None:
 def save_greedy_errors_csv(rb: ReducedBasis, path) -> None:
     """Two-column CSV (n, sigma_sq) of the greedy error curve."""
     write_table(path, ["n", "sigma_sq"], enumerate(rb.greedy_errors, start=1))
+
+
+@functools.cache
+def _code_digest() -> str:
+    """SHA-256 of the code that decides a sweep's bits: the numpy and scipy
+    versions and the source of this module and of ``numerics``."""
+    digest = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    for source in (__file__, numerics.__file__):
+        digest.update(Path(source).read_bytes())
+    return digest.hexdigest()
+
+
+def _copy_header(csv_sha256: str, tol: float, n_max: int | None, n: int, l: int) -> bytes:
+    return (f"{BASIS_COPY_MAGIC} sha256={csv_sha256} code={_code_digest()} tol={float(tol)!r} "
+            f"n_max={'none' if n_max is None else int(n_max)} n={n} l={l}\n").encode()
+
+
+def save_basis_copy(rb: ReducedBasis, path, csv_sha256: str,
+                    n_max: int | None = None) -> None:
+    """Write the binary copy of ``rb``, swept from the training CSV of digest
+    ``csv_sha256`` with cap ``n_max`` (see the module docstring)."""
+    values = np.concatenate([rb.greedy_errors, rb.greedy_params,
+                             rb.basis.ravel().view(np.float64)])
+    atomic_write_bytes(path, _copy_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples)
+                       + values.astype("<f8", copy=False).tobytes())
+
+
+def load_basis_copy(path, ts: TrainingSet, tol: float,
+                    n_max: int | None = None) -> ReducedBasis | None:
+    """The basis that ``build_reduced_basis(ts, tol, n_max)`` returns, read
+    from the copy at ``path``, or None when there is no copy that may be
+    trusted.
+
+    A copy is trusted only when its header is the one this run would write
+    (the digest ``ts.csv_sha256``, this code, ``tol``, ``n_max`` and the
+    grid's L), its payload holds exactly n(2 + 2L) doubles for its n >= 1,
+    its picks are distinct rows of ``ts`` and ``ReducedBasis`` accepts the
+    result. Anything else returns None: a set built in memory, which has
+    no digest (the file is then not opened), or a missing or unreadable
+    file included.
+    """
+    if ts.csv_sha256 is None:
+        return None
+    l = ts.grid.n_samples
+    try:
+        with open(path, "rb") as fh:
+            header, payload = fh.readline(1024), fh.read()
+    except OSError:
+        return None
+    n, rest = divmod(len(payload), 8 * (2 + 2 * l))
+    if n < 1 or rest or header != _copy_header(ts.csv_sha256, tol, n_max, n, l):
+        return None
+    # Copies, so the arrays are laid out in memory as the sweep's own.
+    errors, picks = np.frombuffer(payload, dtype="<f8", count=2 * n).reshape(2, n).tolist()
+    basis = np.frombuffer(payload, dtype="<c16", offset=16 * n).astype(np.complex128)
+    if len(set(picks)) < n or not all(0 <= p < ts.k and p % 1 == 0 for p in picks):
+        return None
+    try:
+        return ReducedBasis(ts.grid, basis.reshape(n, l), np.array(errors),
+                            tuple(map(int, picks)), tol)
+    except ValueError:
+        return None

@@ -157,7 +157,7 @@ def projection_error_sq(basis_rows: np.ndarray, h: np.ndarray, n: int, dt: float
 
 def load_basis_csv(path):
     """(grid, basis rows) of a basis CSV written by ``rbm.save_basis_csv``."""
-    grid, _, samples, kind = read_waveform_csv(path)
+    grid, _, samples, kind, _ = read_waveform_csv(path)
     if kind != "basis":
         raise ParseError(f"line 1: expected kind=basis, found kind={kind}")
     return grid, samples

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -105,7 +109,141 @@ def test_basis_from_ingested_csv(tmp_path):
     code = main(["basis", "--input", str(tmp_path / "training.csv"),
                  "--out-dir", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "basis.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "basis.csv", "basis.f64", "greedy_errors.csv", "training.csv", "training.csv.f64"]
+
+
+# ---------------------------------------------------------------------------
+# The basis copy
+# ---------------------------------------------------------------------------
+
+LATER_COMMANDS = (
+    ["eim", "--criteria", "classic,lambda", "--n", "5", "--embed-matrices"],
+    ["compare", "--criteria", "classic,kappa"],
+    ["verify-theorem"],
+)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts the calls of rbm.build_reduced_basis."""
+    calls = []
+    sweep = rbm.build_reduced_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+    monkeypatch.setattr(rbm, "build_reduced_basis", counted)
+    return calls
+
+
+def _pipeline_dir(path, *options):
+    """generate and basis in ``path``; returns the training CSV."""
+    assert main(["generate", *CHIRP, "--out-dir", str(path)]) == 0
+    csv = path / "training.csv"
+    assert main(["basis", "--input", str(csv), *options, "--out-dir", str(path)]) == 0
+    return csv
+
+
+def _run_later(path, *options):
+    """eim, compare and verify-theorem on the CSV in ``path``; their exit codes."""
+    return [main([*cmd, "--input", str(path / "training.csv"), *options,
+                  "--out-dir", str(path)]) for cmd in LATER_COMMANDS]
+
+
+def _artifacts(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())
+            if p.suffix in (".csv", ".json")}
+
+
+def _without_copy(tmp_path, src):
+    """A directory holding the files of ``src`` except the basis copy."""
+    out = tmp_path / "without-copy"
+    shutil.copytree(src, out, ignore=shutil.ignore_patterns("basis.f64"))
+    return out
+
+
+def test_later_commands_read_the_copy_and_sweep_never(tmp_path, sweeps):
+    a = tmp_path / "a"
+    _pipeline_dir(a)
+    b = _without_copy(tmp_path, a)
+    assert len(sweeps) == 1  # basis
+    assert _run_later(a) == [0, 0, 0]
+    assert len(sweeps) == 1
+    assert _run_later(b) == [0, 0, 0]
+    assert len(sweeps) == 4
+    assert not (b / "basis.f64").exists()
+    assert _artifacts(a) == _artifacts(b)
+
+
+def _rewrite(path, damage):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b"".join(damage(header + b"\n", payload)))
+
+
+def _break_orthonormality(header, payload):
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[-1] *= 2.0  # one basis value; the header and size still match
+    return header, values.tobytes()
+
+
+COPY_DAMAGE = {
+    "edited-csv": lambda d: (d / "training.csv").write_bytes(
+        (d / "training.csv").read_bytes() + b"\n"),  # a blank line: same data
+    "another-tol": None,
+    "another-n-max": None,
+    "code-field": lambda d: _rewrite(d / "basis.f64", lambda h, p: (
+        re.sub(rb"code=[0-9a-f]{64}", b"code=" + b"0" * 64, h), p)),
+    "truncated": lambda d: _rewrite(d / "basis.f64", lambda h, p: (h, p[:-8])),
+    "foreign-header": lambda d: shutil.copyfile(d / "training.csv.f64", d / "basis.f64"),
+    "not-orthonormal": lambda d: _rewrite(d / "basis.f64", _break_orthonormality),
+}
+LATER_OPTIONS = {"another-tol": ["--tol", "1e-8"], "another-n-max": ["--n-max", "6"]}
+
+
+@pytest.mark.parametrize("case", COPY_DAMAGE)
+def test_an_untrusted_copy_falls_back_to_the_sweep(tmp_path, sweeps, capsys, case):
+    a = tmp_path / "a"
+    _pipeline_dir(a)
+    if COPY_DAMAGE[case] is not None:
+        COPY_DAMAGE[case](a)
+    copy = (a / "basis.f64").read_bytes()
+    b = _without_copy(tmp_path, a)
+    options = LATER_OPTIONS.get(case, [])
+    del sweeps[:]
+    capsys.readouterr()
+    assert _run_later(a, *options) == [0, 0, 0]
+    assert len(sweeps) == 3
+    with_copy = capsys.readouterr()
+    assert _run_later(b, *options) == [0, 0, 0]
+    without_copy = capsys.readouterr()
+    assert without_copy.out == with_copy.out.replace(str(a), str(b))
+    assert without_copy.err == with_copy.err == ""
+    assert _artifacts(a) == _artifacts(b)
+    assert (a / "basis.f64").read_bytes() == copy  # never written nor repaired
+
+
+def test_family_runs_neither_write_nor_read_a_copy(tmp_path, sweeps):
+    assert main(["basis", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.csv", "greedy_errors.csv"]
+    # A trusted copy of the same data beside a --family run is not read.
+    _pipeline_dir(tmp_path)
+    del sweeps[:]
+    for cmd in LATER_COMMANDS:
+        assert main([*cmd, *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    assert len(sweeps) == 3
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_basis_copy_respects_umask(tmp_path, umask, mode):
+    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    old = os.umask(umask)
+    try:
+        assert main(["basis", "--input", str(tmp_path / "training.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "basis.f64").stat().st_mode) == mode
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -250,3 +251,75 @@ def test_greedy_errors_csv(tmp_path, small_basis):
     n, err = lines[1].split(",")
     assert int(n) == 1
     assert float(err) == small_basis.greedy_errors[0]
+
+
+# ---------------------------------------------------------------------------
+# The binary basis copy
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture
+def saved_small(tmp_path, small_training):
+    """The small training set as loaded from its CSV, which gives it a digest."""
+    catalog.save_training_csv(small_training, tmp_path / "training.csv")
+    return catalog.load_training_csv(tmp_path / "training.csv")
+
+
+def test_basis_copy_round_trip_is_bitwise(tmp_path, saved_small):
+    rb = build_reduced_basis(saved_small, tol=1e-12)
+    rbm.save_basis_copy(rb, tmp_path / "basis.f64", saved_small.csv_sha256)
+    copy = rbm.load_basis_copy(tmp_path / "basis.f64", saved_small, 1e-12)
+    assert copy.grid == rb.grid and copy.tol == rb.tol
+    assert copy.greedy_params == rb.greedy_params
+    assert np.array_equal(_bits(copy.greedy_errors), _bits(rb.greedy_errors))
+    assert np.array_equal(_bits(copy.basis), _bits(rb.basis))
+
+
+def test_basis_copy_layout(tmp_path, saved_small):
+    rb = build_reduced_basis(saved_small, tol=1e-12, n_max=3)
+    path = tmp_path / "basis.f64"
+    rbm.save_basis_copy(rb, path, saved_small.csv_sha256, n_max=3)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert header.decode() == (f"emprint-basis v1 sha256={saved_small.csv_sha256} "
+                               f"code={rbm._code_digest()} tol=1e-12 n_max=3 n=3 l=301")
+    values = np.frombuffer(payload, dtype="<f8")
+    assert values.size == 3 * (2 + 2 * 301)
+    assert np.array_equal(values[:3], rb.greedy_errors)
+    assert values[3:6].tolist() == list(rb.greedy_params)
+    assert np.array_equal(values[6:].view(np.complex128).reshape(3, 301), rb.basis)
+
+
+def test_code_digest_names_the_sweep_sources_and_library_versions():
+    import scipy
+    from emprint import numerics
+
+    digest = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    for module in (rbm, numerics):
+        with open(module.__file__, "rb") as fh:
+            digest.update(fh.read())
+    assert rbm._code_digest() == digest.hexdigest()
+
+
+def test_basis_copy_needs_a_training_digest(tmp_path, small_training, saved_small):
+    rb = build_reduced_basis(saved_small, tol=1e-12)
+    rbm.save_basis_copy(rb, tmp_path / "basis.f64", saved_small.csv_sha256)
+    # A set built in memory has no digest to key the copy with.
+    assert small_training.csv_sha256 is None
+    assert rbm.load_basis_copy(tmp_path / "basis.f64", small_training, 1e-12) is None
+    assert rbm.load_basis_copy(tmp_path / "missing.f64", saved_small, 1e-12) is None
+
+
+@pytest.mark.parametrize("pick", [-1.0, 41.0, 0.5, math.nan, "repeat"])
+def test_basis_copy_with_a_pick_outside_the_training_rows_is_ignored(
+        tmp_path, saved_small, pick):
+    rb = build_reduced_basis(saved_small, tol=1e-12)
+    path = tmp_path / "basis.f64"
+    rbm.save_basis_copy(rb, path, saved_small.csv_sha256)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[rb.n + 1] = values[rb.n] if pick == "repeat" else pick
+    path.write_bytes(header + b"\n" + values.tobytes())
+    assert rbm.load_basis_copy(path, saved_small, 1e-12) is None

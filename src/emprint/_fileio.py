@@ -2,7 +2,9 @@
 numeric tables (``write_table``), JSON documents (``write_json``) and
 ``re:im`` cells of complex values (``_re_im``). Every float is written in
 its shortest round-trip form. The writers elsewhere only say what goes into
-each file."""
+each file. ``write_keyed_copy``/``read_keyed_copy`` are the one read and
+write of a binary copy: an exact ASCII header line, then little-endian
+doubles."""
 
 from __future__ import annotations
 
@@ -39,6 +41,29 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """``atomic_write_bytes`` of ``text`` in UTF-8, line endings untranslated."""
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_keyed_copy(path, header: str, values) -> None:
+    """Write ``header`` as one ASCII line, then ``values`` as little-endian
+    doubles."""
+    atomic_write_bytes(path, f"{header}\n".encode("ascii")
+                       + np.asarray(values, dtype="<f8").tobytes())
+
+
+def read_keyed_copy(path, header_for, row: int) -> np.ndarray | None:
+    """The doubles of the copy at ``path`` (read-only, flat) when its payload
+    holds n >= 1 whole rows of ``row`` doubles and its first line is exactly
+    ``header_for(n)``; None for any other file, a missing or unreadable one
+    included."""
+    try:
+        with open(path, "rb") as fh:
+            header, payload = fh.readline(1024), fh.read()
+    except OSError:
+        return None
+    n, rest = divmod(len(payload), 8 * row)
+    if n < 1 or rest or header != f"{header_for(n)}\n".encode("ascii"):
+        return None
+    return np.frombuffer(payload, dtype="<f8")
 
 
 def fmt_float(x) -> str:

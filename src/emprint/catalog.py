@@ -16,8 +16,8 @@ digest matches the CSV's current bytes and its d and L match the CSV's
 header; otherwise it parses the CSV. Either way the CSV header is parsed and
 every check runs, so the two routes differ only in time. Loads never write
 the copy, and deleting it is always safe. A loaded set carries the SHA-256
-of the CSV's bytes, which both routes compute anyway; ``rbm`` keys its
-binary basis copy with it.
+of the CSV's bytes, which both routes compute anyway; ``rbm`` and ``eim``
+key their binary copies with it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Command-line driver for the full pipeline.
 
-Subcommands
------------
+Commands (the one positional argument; every command takes the same options)
+--------
 generate        synthesize a training CSV from a named family
 basis           build the greedy reduced basis, write basis + error curves
 eim             build interpolants for the requested criteria, write JSON
@@ -20,7 +20,11 @@ and ``eim``, ``compare`` and ``verify-theorem`` on a training CSV read the
 basis from the copy in their --out-dir when it may be trusted, and sweep
 again when it may not. Only ``basis`` writes the copy, and only from a
 training CSV; the copy holds the sweep's exact bits, so every output is the
-same whether it was read or swept.
+same whether it was read or swept. Node selection runs once per basis the
+same way: ``eim`` on a training CSV at full order (no --n, or --n equal to
+the basis size) also writes ``interpolant_<rule>.f64`` per rule (see
+``eim``), and ``compare`` on a training CSV takes each rule's full-order
+interpolant from that copy when it may be trusted and selects it when not.
 
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
 error, 3 numerical degeneracy while building the basis, 4 interpolant
@@ -115,16 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Greedy reduced bases and empirical interpolants for "
                     "parametrized complex time series.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("generate", "write a synthetic training CSV"),
-        ("basis", "build the reduced basis and greedy error curve"),
-        ("eim", "build empirical interpolants"),
-        ("compare", "compare node-selection criteria"),
-        ("verify-theorem", "check the residual/determinant-ratio identity"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        _add_common_options(p)
+    parser.add_argument("command", choices=COMMANDS,
+                        help="the pipeline stage to run")
+    _add_common_options(parser)
     return parser
 
 
@@ -262,13 +259,15 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def cmd_eim(cfg: RunConfig) -> int:
-    _, rb = _build_basis(cfg)
+    ts, rb = _build_basis(cfg)
     n = rb.n if cfg.n is None else cfg.n
     out_dir = Path(cfg.out_dir)
     for criterion in _parse_criteria(cfg.criteria):
         itp = eim.build_interpolant(rb, criterion, n)
         path = out_dir / f"interpolant_{criterion.value}.json"
         eim.save_interpolant_json(itp, path, include_matrices=cfg.embed_matrices)
+        if ts.csv_sha256 is not None and n == rb.n:
+            eim.save_interpolant_copy(itp, path.with_suffix(".f64"), ts.csv_sha256, cfg.n_max)
         print(f"wrote {path} (n={n})")
     return EXIT_OK
 
@@ -277,8 +276,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     ts, rb = _build_basis(cfg)
     criteria = _parse_criteria(cfg.criteria)
     dataset_id = Path(cfg.input).name if cfg.input else f"family:{cfg.family}"
-    reports = diagnostics.run_comparison(rb, ts, criteria=criteria, dataset_id=dataset_id)
     out_dir = Path(cfg.out_dir)
+    # Each rule's full-order interpolant: read from eim's copy when it may be
+    # trusted, else selected.
+    full = [eim.load_interpolant_copy(out_dir / f"interpolant_{c.value}.f64", rb, c,
+                                      ts.csv_sha256, cfg.n_max)
+            or eim.build_interpolant(rb, c, rb.n) for c in criteria]
+    reports = diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
     for criterion in criteria:
         diagnostics.write_report_json(
             reports[criterion], out_dir / f"report_{criterion.value}.json")

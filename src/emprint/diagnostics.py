@@ -21,7 +21,9 @@ nothing cancels. The interpolation errors come from the elimination step of
 ``eim`` applied to each row's node values and coefficients, [h(T) | c],
 with the residual rows restricted the same way, [r_j(T) | r_j E^H]: after n
 steps the second block is c - a_n. Each order costs O(K N) per criterion and
-no system is solved. Reports serialize to JSON plus four plot-ready CSV
+no system is solved. The full-order interpolants come from the caller, which
+selects them or reads them from their copies (see ``eim``), so a comparison
+selects no node itself. Reports serialize to JSON plus four plot-ready CSV
 curves.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import numerics as nm
 from .catalog import LengthMismatch, TimeGrid, TrainingSet
-from .eim import SelectionCriterion, _eliminate, build_interpolant
+from .eim import SelectionCriterion, _eliminate
 from .rbm import ReducedBasis
 from ._fileio import write_json, write_table
 
@@ -86,18 +88,18 @@ class DiagnosticsReport:
                 )
 
 
-def run_comparison(rb: ReducedBasis, ts: TrainingSet,
-                   criteria=(SelectionCriterion.CLASSIC,),
+def run_comparison(rb: ReducedBasis, ts: TrainingSet, interpolants,
                    dataset_id: str = "training",
                    ) -> dict[SelectionCriterion, DiagnosticsReport]:
     """In-sample comparison of node-selection criteria.
 
-    Builds, per criterion, the full-order interpolant once (prefixes give
-    every smaller order for free) and measures the worst interpolation and
-    projection errors over the training rows at every order in coefficient
-    space (see the module docstring): two products with the basis read the
-    training rows, and each order then costs one elimination step on the
-    rows' node values and basis coefficients.
+    ``interpolants`` holds one full-order interpolant of ``rb`` per
+    criterion (prefixes give every smaller order for free); the caller
+    builds them or reads them from their copies. Measures the worst
+    interpolation and projection errors over the training rows at every
+    order in coefficient space (see the module docstring): two products with
+    the basis read the training rows, and each order then costs one
+    elimination step on the rows' node values and basis coefficients.
     """
     if rb.grid != ts.grid:
         raise LengthMismatch("basis and training set live on different grids")
@@ -123,8 +125,9 @@ def run_comparison(rb: ReducedBasis, ts: TrainingSet,
     max_train_norm_sq = float(worst_proj_sq[0])
 
     reports: dict[SelectionCriterion, DiagnosticsReport] = {}
-    for criterion in criteria:
-        full = build_interpolant(rb, criterion, n_total)
+    for full in interpolants:
+        if full.basis is not rb or full.n != n_total:
+            raise ValueError("run_comparison needs full-order interpolants of its basis")
         nodes = list(full.node_indices)
         # Row k: [h_k(T) | c_k], eliminated into [(h_k - I_n h_k)(T) | c_k - a_n].
         x = np.hstack([samples[:, nodes], coeffs])
@@ -142,8 +145,8 @@ def run_comparison(rb: ReducedBasis, ts: TrainingSet,
                 max_proj_err_sq=float(worst_proj_sq[n]),
                 nodes=full.node_indices[:n],
             ))
-        reports[criterion] = DiagnosticsReport(
-            criterion=criterion, per_n=tuple(records),
+        reports[full.criterion] = DiagnosticsReport(
+            criterion=full.criterion, per_n=tuple(records),
             dataset_id=dataset_id, grid=ts.grid,
             max_train_norm_sq=max_train_norm_sq,
         )

@@ -43,6 +43,17 @@ under the lowest-index tie rule: the picks and every output are those of a
 scan that scores every candidate. The identity verifier gets every
 det V_j(t) / det V_{j-1} from one null vector of the chosen nodes' block per
 step, taken from a Householder QR, independently of the elimination.
+
+A full-order interpolant selected on a basis swept from a training CSV can
+be kept in a binary copy, so that a later comparison on the same data reads
+its picks instead of selecting again. The copy is one ASCII line
+``emprint-interpolant v1 sha256=<hex> code=<hex> tol=<float>
+n_max=<int|none> rule=<rule> n=<n> l=<L>``, whose fields up to ``n_max``
+key the basis copy too (see ``rbm``), then per step the node index, det_v
+(re, im), kappa, lambda and |r_j(T_j)| as little-endian doubles.
+``load_interpolant_copy`` rebuilds the residuals and cardinal functions
+from the nodes with the elimination of ``_select_nodes`` itself, so the
+interpolant holds the same bits whether read or selected.
 """
 
 from __future__ import annotations
@@ -57,8 +68,8 @@ import scipy.linalg
 
 from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
-from .rbm import ReducedBasis
-from ._fileio import _re_im, write_json
+from .rbm import ReducedBasis, _copy_key
+from ._fileio import _re_im, read_keyed_copy, write_json, write_keyed_copy
 
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
@@ -68,6 +79,10 @@ CANDIDATE_STACK = 256
 # candidates, far above numerics.TIE_REL_TOL: a candidate is scored exactly
 # unless it provably scores worse than the incumbent by more than this.
 PRUNE_MARGIN = 1e-8
+
+# Start of a full-order interpolant's binary copy header; its version must
+# change whenever the layout does.
+INTERPOLANT_COPY_MAGIC = "emprint-interpolant v1"
 
 
 class SingularVMatrix(Exception):
@@ -221,18 +236,23 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
 
 
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
-                  n: int) -> tuple[list[int], np.ndarray]:
+                  n: int, picks=None) -> tuple[list[int], np.ndarray]:
     """The per-step kernel: nodes T_1..T_n and the residuals r_1..r_n as the
     rows of an (n, L) array. Step j eliminates its pick from the rows below
     j, which leaves row j + 1 as r_{j+1}. The argmax of |r_j| is the classic
-    pick, and the incumbent the kappa/lambda scan prunes against."""
+    pick, and the incumbent the kappa/lambda scan prunes against. Given
+    ``picks``, the nodes of an earlier selection, step j takes picks[j-1]
+    instead and runs the same checks and elimination."""
     residuals = np.array(basis_rows[:n], dtype=np.complex128)
     nodes: list[int] = []
     for j in range(1, n + 1):
         residual = residuals[j - 1]
-        pick = nm.argmax_tied(np.abs(residual))
-        if criterion is not SelectionCriterion.CLASSIC and j > 1:
-            pick = _scan(basis_rows, j, nodes, criterion, pick)
+        if picks is not None:
+            pick = picks[j - 1]
+        else:
+            pick = nm.argmax_tied(np.abs(residual))
+            if criterion is not SelectionCriterion.CLASSIC and j > 1:
+                pick = _scan(basis_rows, j, nodes, criterion, pick)
         if pick in nodes or residual[pick] == 0:
             raise SingularVMatrix(
                 f"residual of basis row {j} vanishes at grid index {pick}; "
@@ -286,6 +306,13 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion,
     nodes, residuals = _select_nodes(rb.basis[:n], criterion, n)
     per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])))
                      for j, t in enumerate(nodes, start=1))
+    return _with_cardinals(rb, criterion, nodes, residuals, per_step)
+
+
+def _with_cardinals(rb: ReducedBasis, criterion: SelectionCriterion, nodes: list[int],
+                    residuals: np.ndarray, per_step) -> EmpiricalInterpolant:
+    """The interpolant of these nodes, residuals and step records, its
+    cardinal functions built from the residuals."""
     b = np.empty_like(residuals)
     for j, (t, residual) in enumerate(zip(nodes, residuals)):
         _eliminate(b[:j], t, residual)
@@ -363,6 +390,57 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+def _copy_header(csv_sha256: str, tol: float, n_max: int | None,
+                 criterion: SelectionCriterion, n: int, l: int) -> str:
+    return (f"{INTERPOLANT_COPY_MAGIC} {_copy_key(csv_sha256, tol, n_max)} "
+            f"rule={criterion.value} n={n} l={l}")
+
+
+def save_interpolant_copy(itp: EmpiricalInterpolant, path, csv_sha256: str,
+                          n_max: int | None = None) -> None:
+    """Write the binary copy of ``itp``, selected on the basis swept from the
+    training CSV of digest ``csv_sha256`` with cap ``n_max``: per step the
+    node, det_v (re, im), kappa, lambda and |r_j(T_j)|."""
+    write_keyed_copy(
+        path, _copy_header(csv_sha256, itp.basis.tol, n_max, itp.criterion, itp.n,
+                           itp.basis.grid.n_samples),
+        [(t, r.det_v.real, r.det_v.imag, r.kappa, r.lebesgue, r.residual_at_node)
+         for t, r in zip(itp.node_indices, itp.per_step)])
+
+
+def load_interpolant_copy(path, rb: ReducedBasis, criterion: SelectionCriterion,
+                          csv_sha256: str | None,
+                          n_max: int | None = None) -> EmpiricalInterpolant | None:
+    """``build_interpolant(rb, criterion, rb.n)``, read from the copy at
+    ``path``, or None when there is no copy that may be trusted.
+
+    A copy is trusted only when its header is the one this run would write
+    (the digest ``csv_sha256``, this code, ``rb.tol``, ``n_max``, the rule,
+    ``rb.n`` and L), its payload holds exactly 6 rb.n doubles and its nodes
+    are distinct grid indices whose residuals do not vanish and whose
+    cardinal functions pass the cardinal check. The residuals and cardinal
+    functions are rebuilt from the nodes by ``_select_nodes``; the step
+    records are the copy's. With no digest the file is not opened.
+    """
+    if csv_sha256 is None:
+        return None
+    n, l = rb.n, rb.grid.n_samples
+    values = read_keyed_copy(
+        path, lambda m: _copy_header(csv_sha256, rb.tol, n_max, criterion, m, l), 6)
+    if values is None or values.size != 6 * n:
+        return None
+    steps = values.reshape(n, 6).tolist()
+    if not all(0 <= t < l and t % 1 == 0 for t, *_ in steps):
+        return None
+    try:
+        nodes, residuals = _select_nodes(rb.basis[:n], criterion, n,
+                                         picks=[int(t) for t, *_ in steps])
+        return _with_cardinals(rb, criterion, nodes, residuals, tuple(
+            StepRecord(complex(re, im), kappa, lam, r) for _, re, im, kappa, lam, r in steps))
+    except SingularVMatrix:
+        return None
+
 
 def save_interpolant_json(itp: EmpiricalInterpolant, path,
                           include_matrices: bool = False) -> None:

@@ -26,11 +26,12 @@ is one ASCII line ``emprint-basis v1 sha256=<hex> code=<hex> tol=<float>
 n_max=<int|none> n=<n> l=<L>``, then the n greedy errors, the n picks and
 the n x 2L basis values (re, im of each sample, row by row) as
 little-endian doubles. ``sha256`` is the digest of the training CSV's bytes
-and ``code`` that of this module's and ``numerics``' source and the numpy
-and scipy versions, so the header names everything that decides the sweep's
-bits. ``load_basis_copy`` trusts a copy only when its header is that of the
-current run, its payload has exactly that size and ``ReducedBasis`` accepts
-what it holds; deleting a copy is always safe.
+and ``code`` that of the package's numerical source, the numpy and scipy
+versions and the BLAS kernel's arithmetic (``_code_digest``), so the header
+names everything that decides the sweep's bits. ``load_basis_copy`` trusts
+a copy only when its header is that of the current run, its payload has
+exactly that size and ``ReducedBasis`` accepts what it holds; deleting a
+copy is always safe.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy.linalg
 from scipy.linalg.blas import zgeru
 
-from . import numerics
 from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
 from .numerics import argmax_tied, error_floor_sq
-from ._fileio import atomic_write_bytes, write_table
+from ._fileio import read_keyed_copy, write_keyed_copy, write_table
 
 DEFAULT_TOL = 1e-12
 
@@ -209,27 +209,36 @@ def save_greedy_errors_csv(rb: ReducedBasis, path) -> None:
 
 @functools.cache
 def _code_digest() -> str:
-    """SHA-256 of the code that decides a sweep's bits: the numpy and scipy
-    versions and the source of this module and of ``numerics``."""
+    """SHA-256 of the code that decides the bits of a sweep and of a node
+    selection: the numpy and scipy versions, the source of this module, of
+    ``numerics`` and of ``eim``, and the BLAS arithmetic. The last is the
+    bytes of fixed small results of the routines those call (zgemm, zgemv,
+    zgeru, gesdd, geqrf), which differ between OpenBLAS kernels."""
     digest = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
-    for source in (__file__, numerics.__file__):
-        digest.update(Path(source).read_bytes())
+    for name in ("rbm.py", "numerics.py", "eim.py"):
+        digest.update(Path(__file__).with_name(name).read_bytes())
+    a = np.random.default_rng(0).standard_normal((16, 32)).view(np.complex128)
+    for result in (a @ a.conj().T, a @ a[0], zgeru(-1.0, a[0], a[1], a=a.T.copy(order="F")),
+                   np.linalg.svd(a, compute_uv=False), scipy.linalg.qr(a.T)[1]):
+        digest.update(result.tobytes())
     return digest.hexdigest()
 
 
-def _copy_header(csv_sha256: str, tol: float, n_max: int | None, n: int, l: int) -> bytes:
-    return (f"{BASIS_COPY_MAGIC} sha256={csv_sha256} code={_code_digest()} tol={float(tol)!r} "
-            f"n_max={'none' if n_max is None else int(n_max)} n={n} l={l}\n").encode()
+def _copy_key(csv_sha256: str, tol: float, n_max: int | None) -> str:
+    """Header fields of a binary copy that name its training CSV, code and
+    sweep options."""
+    return (f"sha256={csv_sha256} code={_code_digest()} tol={float(tol)!r} "
+            f"n_max={'none' if n_max is None else int(n_max)}")
 
 
 def save_basis_copy(rb: ReducedBasis, path, csv_sha256: str,
                     n_max: int | None = None) -> None:
     """Write the binary copy of ``rb``, swept from the training CSV of digest
     ``csv_sha256`` with cap ``n_max`` (see the module docstring)."""
-    values = np.concatenate([rb.greedy_errors, rb.greedy_params,
-                             rb.basis.ravel().view(np.float64)])
-    atomic_write_bytes(path, _copy_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples)
-                       + values.astype("<f8", copy=False).tobytes())
+    write_keyed_copy(path, f"{BASIS_COPY_MAGIC} {_copy_key(csv_sha256, rb.tol, n_max)} "
+                     f"n={rb.n} l={rb.grid.n_samples}",
+                     np.concatenate([rb.greedy_errors, rb.greedy_params,
+                                     rb.basis.ravel().view(np.float64)]))
 
 
 def load_basis_copy(path, ts: TrainingSet, tol: float,
@@ -249,21 +258,17 @@ def load_basis_copy(path, ts: TrainingSet, tol: float,
     if ts.csv_sha256 is None:
         return None
     l = ts.grid.n_samples
-    try:
-        with open(path, "rb") as fh:
-            header, payload = fh.readline(1024), fh.read()
-    except OSError:
+    key = _copy_key(ts.csv_sha256, tol, n_max)
+    values = read_keyed_copy(path, lambda n: f"{BASIS_COPY_MAGIC} {key} n={n} l={l}", 2 + 2 * l)
+    if values is None:
         return None
-    n, rest = divmod(len(payload), 8 * (2 + 2 * l))
-    if n < 1 or rest or header != _copy_header(ts.csv_sha256, tol, n_max, n, l):
-        return None
-    # Copies, so the arrays are laid out in memory as the sweep's own.
-    errors, picks = np.frombuffer(payload, dtype="<f8", count=2 * n).reshape(2, n).tolist()
-    basis = np.frombuffer(payload, dtype="<c16", offset=16 * n).astype(np.complex128)
+    n = values.size // (2 + 2 * l)
+    errors, picks = values[:2 * n].reshape(2, n).tolist()
     if len(set(picks)) < n or not all(0 <= p < ts.k and p % 1 == 0 for p in picks):
         return None
+    # A copy, so the basis is laid out in memory as the sweep's own.
+    basis = values[2 * n:].view("<c16").astype(np.complex128).reshape(n, l)
     try:
-        return ReducedBasis(ts.grid, basis.reshape(n, l), np.array(errors),
-                            tuple(map(int, picks)), tol)
+        return ReducedBasis(ts.grid, basis, np.array(errors), tuple(map(int, picks)), tol)
     except ValueError:
         return None

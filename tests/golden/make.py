@@ -65,7 +65,7 @@ def build(name: str) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]:
 
 def outputs(ts: catalog.TrainingSet, rb: rbm.ReducedBasis) -> dict:
     """Everything the golden test compares, as JSON-ready values."""
-    reports = run_comparison(rb, ts, criteria=RULES)
+    reports = run_comparison(rb, ts, [build_interpolant(rb, c, rb.n) for c in RULES])
     # The scale and the projection errors are shared by every rule.
     shared = reports[SelectionCriterion.CLASSIC]
     doc = {"greedy_errors": [float(x) for x in rb.greedy_errors],

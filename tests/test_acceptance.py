@@ -44,8 +44,8 @@ def interpolants(chirp_basis):
 
 
 @pytest.fixture(scope="module")
-def reports(chirp_basis, chirp_training):
-    return diagnostics.run_comparison(chirp_basis, chirp_training, criteria=ALL,
+def reports(chirp_basis, chirp_training, interpolants):
+    return diagnostics.run_comparison(chirp_basis, chirp_training, interpolants.values(),
                                       dataset_id="acceptance-chirp")
 
 

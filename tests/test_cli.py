@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,10 +157,11 @@ def _artifacts(path):
             if p.suffix in (".csv", ".json")}
 
 
-def _without_copy(tmp_path, src):
-    """A directory holding the files of ``src`` except the basis copy."""
+def _without_copy(tmp_path, src, *copies):
+    """A directory holding the files of ``src`` except ``copies`` (patterns;
+    the basis copy when none is given)."""
     out = tmp_path / "without-copy"
-    shutil.copytree(src, out, ignore=shutil.ignore_patterns("basis.f64"))
+    shutil.copytree(src, out, ignore=shutil.ignore_patterns(*copies or ["basis.f64"]))
     return out
 
 
@@ -187,13 +189,16 @@ def _break_orthonormality(header, payload):
     return header, values.tobytes()
 
 
+def _zero_code(header, payload):
+    return re.sub(rb"code=[0-9a-f]{64}", b"code=" + b"0" * 64, header), payload
+
+
 COPY_DAMAGE = {
     "edited-csv": lambda d: (d / "training.csv").write_bytes(
         (d / "training.csv").read_bytes() + b"\n"),  # a blank line: same data
     "another-tol": None,
     "another-n-max": None,
-    "code-field": lambda d: _rewrite(d / "basis.f64", lambda h, p: (
-        re.sub(rb"code=[0-9a-f]{64}", b"code=" + b"0" * 64, h), p)),
+    "code-field": lambda d: _rewrite(d / "basis.f64", _zero_code),
     "truncated": lambda d: _rewrite(d / "basis.f64", lambda h, p: (h, p[:-8])),
     "foreign-header": lambda d: shutil.copyfile(d / "training.csv.f64", d / "basis.f64"),
     "not-orthonormal": lambda d: _rewrite(d / "basis.f64", _break_orthonormality),
@@ -244,6 +249,162 @@ def test_basis_copy_respects_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "basis.f64").stat().st_mode) == mode
+
+
+# ---------------------------------------------------------------------------
+# The node copies
+# ---------------------------------------------------------------------------
+
+ALL_RULES = ["--criteria", "classic,kappa,lambda"]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the calls of eim.build_interpolant."""
+    calls = []
+    build = eim.build_interpolant
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(eim, "build_interpolant", counted)
+    return calls
+
+
+def _node_dir(path, *eim_options):
+    """generate, basis and eim (every rule) in ``path``."""
+    csv = _pipeline_dir(path)
+    assert main(["eim", "--input", str(csv), *ALL_RULES, *eim_options,
+                 "--out-dir", str(path)]) == 0
+
+
+def _compare(path, *options):
+    return main(["compare", "--input", str(path / "training.csv"), *ALL_RULES, *options,
+                 "--out-dir", str(path)])
+
+
+def _copies(path):
+    return {p.name: p.read_bytes() for p in sorted(path.glob("*.f64"))}
+
+
+def test_compare_reads_the_node_copies_and_builds_never(tmp_path, builds):
+    a = tmp_path / "a"
+    _node_dir(a)
+    assert sorted(p.name for p in a.glob("interpolant_*.f64")) == [
+        "interpolant_classic.f64", "interpolant_kappa.f64", "interpolant_lambda.f64"]
+    b = _without_copy(tmp_path, a, "interpolant_*.f64")
+    del builds[:]
+    assert _compare(a) == 0
+    assert len(builds) == 0
+    assert _compare(b) == 0
+    assert len(builds) == 3
+    assert _artifacts(a) == _artifacts(b)
+
+
+def _on_node_copies(damage):
+    """Applies ``damage`` (as for ``_rewrite``) to every node copy."""
+    return lambda d: [_rewrite(p, damage) for p in d.glob("interpolant_*.f64")]
+
+
+def _second_node(value):
+    """Damage that sets the node of step 2 to ``value``, None for step 1's."""
+    def damage(header, payload):
+        steps = np.frombuffer(payload, dtype="<f8").reshape(-1, 6).copy()
+        steps[1, 0] = steps[0, 0] if value is None else value
+        return header, steps.tobytes()
+    return damage
+
+
+def _rotate_rules(d):
+    """Each rule's copy moves to the next rule's name."""
+    paths = [d / f"interpolant_{rule}.f64" for rule in ("classic", "kappa", "lambda")]
+    data = [p.read_bytes() for p in paths]
+    for path, other in zip(paths, data[-1:] + data[:-1]):
+        path.write_bytes(other)
+
+
+NODE_COPY_DAMAGE = {
+    "edited-csv": COPY_DAMAGE["edited-csv"],
+    "another-tol": None,
+    "another-n-max": None,
+    "eim-below-full-order": None,
+    "renamed-rule": _rotate_rules,
+    "truncated": _on_node_copies(lambda h, p: (h, p[:-8])),
+    "repeated-node": _on_node_copies(_second_node(None)),
+    "out-of-range-node": _on_node_copies(_second_node(201.0)),  # L, one past the grid
+    "code-field": _on_node_copies(_zero_code),
+}
+
+
+@pytest.mark.parametrize("case", NODE_COPY_DAMAGE)
+def test_an_untrusted_node_copy_falls_back_to_the_build(tmp_path, builds, capsys, case):
+    a = tmp_path / "a"
+    _node_dir(a, *(["--n", "4"] if case == "eim-below-full-order" else []))
+    if NODE_COPY_DAMAGE[case] is not None:
+        NODE_COPY_DAMAGE[case](a)
+    copies = _copies(a)
+    assert ("interpolant_kappa.f64" in copies) == (case != "eim-below-full-order")
+    b = _without_copy(tmp_path, a, "interpolant_*.f64")
+    options = LATER_OPTIONS.get(case, [])
+    del builds[:]
+    capsys.readouterr()
+    assert _compare(a, *options) == 0
+    assert len(builds) == 3
+    with_copy = capsys.readouterr()
+    assert _compare(b, *options) == 0
+    without_copy = capsys.readouterr()
+    assert without_copy.out == with_copy.out.replace(str(a), str(b))
+    assert without_copy.err == with_copy.err == ""
+    assert _artifacts(a) == _artifacts(b)
+    assert _copies(a) == copies  # never written nor repaired
+
+
+def test_family_runs_neither_write_nor_read_a_node_copy(tmp_path, builds):
+    assert main(["eim", *CHIRP, *ALL_RULES, "--out-dir", str(tmp_path)]) == 0
+    assert not list(tmp_path.glob("*.f64"))
+    # Trusted copies of the same data beside a --family run are not read.
+    _node_dir(tmp_path)
+    del builds[:]
+    assert main(["compare", *CHIRP, *ALL_RULES, "--out-dir", str(tmp_path)]) == 0
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_node_copy_respects_umask(tmp_path, umask, mode):
+    csv = _pipeline_dir(tmp_path)
+    old = os.umask(umask)
+    try:
+        assert main(["eim", "--input", str(csv), "--criteria", "lambda",
+                     "--out-dir", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "interpolant_lambda.f64").stat().st_mode) == mode
+
+
+def test_copies_written_under_another_blas_kernel_are_not_read(tmp_path, sweeps, builds):
+    # OPENBLAS_CORETYPE picks numpy's and scipy's OpenBLAS kernel for one
+    # process; another kernel gives other basis and kappa bits, so copies
+    # keyed under it must be refused.
+    a = tmp_path / "a"
+    assert main(["generate", *CHIRP, "--out-dir", str(a)]) == 0
+    csv = str(a / "training.csv")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(rbm.__file__).parents[1]),
+                                                      os.environ.get("PYTHONPATH")]))}
+    for cmd in (["basis"], ["eim", *ALL_RULES]):
+        subprocess.run([sys.executable, "-m", "emprint", *cmd, "--input", csv,
+                        "--out-dir", str(a)], env=env, check=True, capture_output=True)
+    fresh = rbm.build_reduced_basis(catalog.load_training_csv(a / "training.csv"))
+    if (a / "basis.f64").read_bytes().endswith(fresh.basis.tobytes()):
+        pytest.skip("the Prescott kernel sweeps to this process's bits")
+    b = _without_copy(tmp_path, a, "basis.f64", "interpolant_*.f64")
+    del sweeps[:], builds[:]
+    for d in (a, b):
+        assert _compare(d) == 0
+        for cmd in (["eim", *ALL_RULES], ["verify-theorem"]):
+            assert main([*cmd, "--input", str(d / "training.csv"), "--out-dir", str(d)]) == 0
+    assert (len(sweeps), len(builds)) == (6, 12)
+    assert _artifacts(a) == _artifacts(b)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +564,13 @@ def test_all_zero_training_exits_3(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
 
 
-@pytest.mark.parametrize("command, module", [("eim", eim), ("compare", diagnostics)])
-def test_singular_interpolant_exits_4(tmp_path, monkeypatch, capsys, command, module):
-    # Each command reaches build_interpolant through its own namespace;
-    # diagnostics imports it by name.
+@pytest.mark.parametrize("command", ["eim", "compare"])
+def test_singular_interpolant_exits_4(tmp_path, monkeypatch, capsys, command):
+    # cli builds every interpolant through eim.build_interpolant; a --family
+    # run has no copy to read in its place.
     def singular(*args, **kwargs):
         raise eim.SingularVMatrix("node-value matrix is singular at step 2")
-    monkeypatch.setattr(module, "build_interpolant", singular)
+    monkeypatch.setattr(eim, "build_interpolant", singular)
     code = main([command, *CHIRP, "--out-dir", str(tmp_path)])
     assert code == 4
     assert "error: node-value matrix is singular at step 2" in capsys.readouterr().err

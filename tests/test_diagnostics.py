@@ -20,10 +20,15 @@ from oracles import cardinals, orthonormal_rows, weighted_norm
 ALL = list(SelectionCriterion)
 
 
+def compare(rb, ts, criteria, **kwargs):
+    """run_comparison of the full-order interpolants of ``criteria``."""
+    return run_comparison(rb, ts, [build_interpolant(rb, c, rb.n) for c in criteria], **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_reports(small_basis, small_training):
-    return run_comparison(small_basis, small_training, criteria=ALL,
-                          dataset_id="chirp-small")
+    return compare(small_basis, small_training, ALL,
+                   dataset_id="chirp-small")
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +43,7 @@ def poly_fourier_data():
 @pytest.fixture(scope="module")
 def poly_fourier_reports(poly_fourier_data):
     rb, ts = poly_fourier_data
-    return run_comparison(rb, ts, criteria=ALL)
+    return compare(rb, ts, ALL)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +86,7 @@ def assert_errors_match_solve_oracle(rb, ts, reports, floors=1.0):
 @pytest.mark.parametrize("dataset", ["small_data", "packet_data", "poly_fourier_data"])
 def test_errors_match_numpy_recomputation(request, dataset):
     rb, ts = request.getfixturevalue(dataset)
-    reports = run_comparison(rb, ts, criteria=ALL)
+    reports = compare(rb, ts, ALL)
     # The full-order errors on the exact poly_fourier span are roundoff only;
     # there the reports and the recomputation differ by 0.004 to 0.007 floors
     # under four OpenBLAS kernels. As in test_golden.py, any value of a few
@@ -113,8 +118,17 @@ def bases_with_training(draw):
 @given(bases_with_training())
 def test_errors_match_solve_oracle_on_random_bases(data):
     rb, ts = data
-    reports = run_comparison(rb, ts, criteria=ALL)
+    reports = compare(rb, ts, ALL)
     assert_errors_match_solve_oracle(rb, ts, reports)
+
+
+def test_comparison_needs_full_order_interpolants_of_its_basis(small_basis, small_training):
+    classic = SelectionCriterion.CLASSIC
+    other_basis = rbm.build_reduced_basis(small_training, tol=1e-12)
+    for itp in (build_interpolant(small_basis, classic, small_basis.n - 1),
+                build_interpolant(other_basis, classic, other_basis.n)):
+        with pytest.raises(ValueError, match="full-order interpolants of its basis"):
+            run_comparison(small_basis, small_training, [itp])
 
 
 def test_chirp_floor_is_absolute(small_reports):
@@ -177,7 +191,7 @@ def test_poly_fourier_interpolant_is_exact_at_full_order():
     ts = catalog.generate_family(spec)
     rb = rbm.build_reduced_basis(ts, tol=1e-12)
     assert rb.n == 10
-    reports = run_comparison(rb, ts, criteria=[SelectionCriterion.CLASSIC])
+    reports = compare(rb, ts, [SelectionCriterion.CLASSIC])
     assert reports[SelectionCriterion.CLASSIC].per_n[-1].max_interp_err_sq <= 1e-18
 
 

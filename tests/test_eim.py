@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emprint import eim
+from emprint import eim, rbm
 from emprint import numerics as nm
 from emprint.catalog import InvalidRange, LengthMismatch, TimeGrid
 from emprint.eim import (EmpiricalInterpolant, SelectionCriterion, SingularVMatrix,
@@ -501,3 +501,81 @@ def test_interpolant_json_round_trip(tmp_path, small_basis):
     re, im = map(float, first_pair.split(":"))
     assert complex(re, im) == itp.v_matrix[0, 0]
     assert len(doc["b_matrix_csv"].splitlines()) == 5
+
+
+# ---------------------------------------------------------------------------
+# The binary node copy
+# ---------------------------------------------------------------------------
+
+DIGEST = "ab" * 32
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("criterion", ALL_CRITERIA)
+def test_node_copy_round_trip_is_bitwise(tmp_path, small_basis, criterion):
+    itp = build_interpolant(small_basis, criterion, small_basis.n)
+    eim.save_interpolant_copy(itp, tmp_path / "itp.f64", DIGEST)
+    copy = eim.load_interpolant_copy(tmp_path / "itp.f64", small_basis, criterion, DIGEST)
+    assert copy.basis is small_basis and copy.criterion is criterion
+    assert copy.node_indices == itp.node_indices
+    assert copy.per_step == itp.per_step
+    assert np.array_equal(_bits(copy.residuals), _bits(itp.residuals))
+    assert np.array_equal(_bits(copy.b_matrix), _bits(itp.b_matrix))
+
+
+def test_node_copy_layout(tmp_path, small_basis):
+    itp = build_interpolant(small_basis, SelectionCriterion.MIN_LAMBDA, small_basis.n)
+    path = tmp_path / "itp.f64"
+    eim.save_interpolant_copy(itp, path, DIGEST, n_max=9)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    n = small_basis.n
+    assert header.decode() == (f"emprint-interpolant v1 sha256={DIGEST} "
+                               f"code={rbm._code_digest()} tol=1e-12 n_max=9 "
+                               f"rule=lambda n={n} l=301")
+    steps = np.frombuffer(payload, dtype="<f8").reshape(n, 6)
+    assert steps[:, 0].tolist() == list(itp.node_indices)
+    for row, rec in zip(steps.tolist(), itp.per_step):
+        assert row[1:] == [rec.det_v.real, rec.det_v.imag, rec.kappa, rec.lebesgue,
+                           rec.residual_at_node]
+
+
+def test_node_copy_is_read_only_for_its_key(tmp_path, small_basis):
+    itp = build_interpolant(small_basis, SelectionCriterion.MIN_KAPPA, small_basis.n)
+    path = tmp_path / "itp.f64"
+    eim.save_interpolant_copy(itp, path, DIGEST)
+    load = eim.load_interpolant_copy
+    assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, DIGEST) is not None
+    assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, None) is None
+    assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, "cd" * 32) is None
+    assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, DIGEST, n_max=9) is None
+    assert load(path, small_basis, SelectionCriterion.MIN_LAMBDA, DIGEST) is None
+    assert load(tmp_path / "missing.f64", small_basis, SelectionCriterion.MIN_KAPPA,
+                DIGEST) is None
+
+
+@pytest.mark.parametrize("node", [-1.0, 301.0, 0.5, math.nan, "repeat"])
+def test_node_copy_with_a_bad_node_is_ignored(tmp_path, small_basis, node):
+    itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n)
+    path = tmp_path / "itp.f64"
+    eim.save_interpolant_copy(itp, path, DIGEST)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    steps = np.frombuffer(payload, dtype="<f8").reshape(-1, 6).copy()
+    steps[2, 0] = steps[0, 0] if node == "repeat" else node
+    path.write_bytes(header + b"\n" + steps.tobytes())
+    assert eim.load_interpolant_copy(path, small_basis, SelectionCriterion.CLASSIC,
+                                     DIGEST) is None
+
+
+def test_node_copy_with_a_zero_pivot_is_ignored(tmp_path):
+    rb = make_basis(np.eye(2, 3, dtype=np.complex128))
+    itp = build_interpolant(rb, SelectionCriterion.CLASSIC, 2)
+    path = tmp_path / "itp.f64"
+    eim.save_interpolant_copy(itp, path, DIGEST)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    steps = np.frombuffer(payload, dtype="<f8").reshape(-1, 6).copy()
+    steps[1, 0] = 2.0  # r_2 = e_2 vanishes at grid index 2
+    path.write_bytes(header + b"\n" + steps.tobytes())
+    assert eim.load_interpolant_copy(path, rb, SelectionCriterion.CLASSIC, DIGEST) is None

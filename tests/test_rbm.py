@@ -1,6 +1,6 @@
-import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,15 +292,29 @@ def test_basis_copy_layout(tmp_path, saved_small):
     assert np.array_equal(values[6:].view(np.complex128).reshape(3, 301), rb.basis)
 
 
-def test_code_digest_names_the_sweep_sources_and_library_versions():
-    import scipy
-    from emprint import numerics
+def test_code_digest_names_the_sweep_sources_and_library_versions(monkeypatch):
+    import scipy.linalg
 
-    digest = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
-    for module in (rbm, numerics):
-        with open(module.__file__, "rb") as fh:
-            digest.update(fh.read())
-    assert rbm._code_digest() == digest.hexdigest()
+    digest = rbm._code_digest.__wrapped__  # uncached
+    base = digest()
+    assert rbm._code_digest() == base
+    read_bytes = Path.read_bytes
+    for name in ("rbm.py", "numerics.py", "eim.py"):
+        with monkeypatch.context() as m:
+            m.setattr(Path, "read_bytes", lambda self, name=name: read_bytes(self)
+                      + (b"#" if self.name == name else b""))
+            assert digest() != base, name
+    # The BLAS arithmetic: a last-bit change in one routine's result moves it.
+    svd, qr, zgeru = np.linalg.svd, scipy.linalg.qr, rbm.zgeru
+    for owner, attr, nudged in (
+            (np.linalg, "svd", lambda *a, **k: svd(*a, **k) * (1 + 2 ** -52)),
+            (scipy.linalg, "qr", lambda *a, **k: [-x for x in qr(*a, **k)]),
+            (rbm, "zgeru", lambda *a, **k: zgeru(*a, **k) * (1 + 2 ** -52)),
+            (np, "__version__", "0.0"), (scipy, "__version__", "0.0")):
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, nudged)
+            assert digest() != base, attr
+    assert digest() == base
 
 
 def test_basis_copy_needs_a_training_digest(tmp_path, small_training, saved_small):

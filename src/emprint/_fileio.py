@@ -3,7 +3,8 @@ numeric tables (``write_table``), JSON documents (``write_json``) and
 ``re:im`` cells of complex values (``_re_im``). Every float is written in
 its shortest round-trip form. The writers elsewhere only say what goes into
 each file. ``write_keyed_copy``/``read_keyed_copy`` are the one read and
-write of a binary copy: an exact ASCII header line, then little-endian
+write of every binary copy (``training.csv.f64``, ``basis.f64`` and
+``interpolant_<rule>.f64``): an exact ASCII header line, then little-endian
 doubles."""
 
 from __future__ import annotations

@@ -7,30 +7,29 @@ sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
 and approximates the continuous L2 norm.
 
 A training CSV is parsed once. ``save_training_csv`` writes, beside
-``training.csv``, the parsed copy ``training.csv.f64``: one ASCII line
-``emprint-parsed v1 sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is
-that of the CSV's exact bytes, then the K x (d + 2L) values as little-endian
-doubles, row-major (the parameters, then re, im of each sample).
-``load_training_csv`` reads the copy instead of the text only when its
-digest matches the CSV's current bytes and its d and L match the CSV's
-header; otherwise it parses the CSV. Either way the CSV header is parsed and
-every check runs, so the two routes differ only in time. Loads never write
-the copy, and deleting it is always safe. A loaded set carries the SHA-256
-of the CSV's bytes, which both routes compute anyway; ``rbm`` and ``eim``
-key their binary copies with it.
+``training.csv``, the parsed copy ``training.csv.f64`` with
+``_fileio.write_keyed_copy``: one ASCII line ``emprint-parsed v1
+sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is that of the CSV's
+exact bytes, then the K x (d + 2L) values as little-endian doubles,
+row-major (the parameters, then re, im of each sample). ``load_training_csv``
+reads the copy instead of the text only when its header line is exactly the
+one the CSV's current bytes and its own header give; otherwise it parses the
+CSV. Either way the CSV header is parsed and every check runs, so the two
+routes differ only in time. Loads never write the copy, and deleting it is
+always safe. A loaded set carries the SHA-256 of the CSV's bytes, which both
+routes compute anyway; ``rbm`` and ``eim`` key their binary copies with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fileio import _re_im, atomic_write_bytes, fmt_float
+from ._fileio import _re_im, atomic_write_bytes, fmt_float, read_keyed_copy, write_keyed_copy
 
 
 class LengthMismatch(Exception):
@@ -58,11 +57,9 @@ class NonFiniteSample(Exception):
 CSV_MAGIC = "emprint-training v1"
 
 # Start of a parsed copy's header. Its version must change whenever the
-# rules by which ``_read_parsed_copy`` accepts a copy change, so that copies
-# written under the old rules are refused rather than misread.
+# layout of the copy changes, so that copies written under the old layout
+# are refused rather than misread.
 PARSED_MAGIC = "emprint-parsed v1"
-_PARSED_HEADER = re.compile(re.escape(PARSED_MAGIC).encode()
-                            + rb" sha256=([0-9a-f]{64}) k=([0-9]+) d=([0-9]+) l=([0-9]+)\n")
 
 # How FamilySpec draws parameter vectors.
 SAMPLING_MODES = ("equispaced", "random")
@@ -240,9 +237,6 @@ def make_family_spec(family: str, n_params: int, grid: TimeGrid | None = None,
 
 def _equispaced_params(ranges, k: int) -> np.ndarray:
     d = len(ranges)
-    if d == 1:
-        lo, hi = ranges[0]
-        return np.linspace(lo, hi, k).reshape(-1, 1)
     # Tensor grid with c points per dimension, c the smallest integer with
     # c**d >= k; rows are row-major (first dimension slowest) and the first
     # k rows are kept.
@@ -332,10 +326,8 @@ def save_training_csv(ts: TrainingSet, path) -> None:
     # Each row: the parameters, then the samples' real view (re, im, ...),
     # the layout ``_read_parsed_copy`` views back as complex.
     values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
-    header = (f"{PARSED_MAGIC} sha256={digest.hexdigest()} "
-              f"k={ts.k} d={ts.d} l={ts.grid.n_samples}\n")
-    atomic_write_bytes(_parsed_copy_path(path),
-                       header.encode("ascii") + values.astype("<f8", copy=False).tobytes())
+    write_keyed_copy(_parsed_copy_path(path),
+                     _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples), values)
 
 
 def _parse_header(line: str):
@@ -459,41 +451,38 @@ def _parsed_copy_path(path) -> Path:
     return path.with_name(path.name + ".f64")
 
 
+def _parsed_header(sha256: str, k: int, d: int, l: int) -> str:
+    return f"{PARSED_MAGIC} sha256={sha256} k={k} d={d} l={l}"
+
+
 def _read_parsed_copy(path):
     """(grid, params, samples, kind, sha256) of the CSV at ``path`` from its
     parsed copy, or None when there is no copy that may be trusted.
 
-    A copy is trusted only when its header names the SHA-256 of the CSV's
-    current bytes and the d and L of the CSV's own header, and its payload
-    holds exactly k*(d + 2L) little-endian doubles for some k >= 1. Anything
-    else, a missing or unreadable file included, returns None, and the
-    caller parses the CSV.
+    A copy is trusted only when its payload holds k*(d + 2L) little-endian
+    doubles for some k >= 1 and its header line is exactly the one
+    ``save_training_csv`` writes for k rows of the CSV's current bytes: their
+    SHA-256, and the d and L of the CSV's own header. Anything else, a
+    missing or unreadable file included, returns None, and the caller parses
+    the CSV.
     """
+    copy = _parsed_copy_path(path)
+    if not copy.is_file():  # no copy: the parse hashes the CSV, once
+        return None
     try:
-        with open(_parsed_copy_path(path), "rb") as fh:
-            match = _PARSED_HEADER.fullmatch(fh.readline(256))
-            if match is None:
-                return None
-            payload = fh.read()
         with open(path, "rb") as fh:
             first_line = fh.readline()
             hasher = hashlib.sha256(first_line)
             while block := fh.read(1 << 20):
                 hasher.update(block)
-    except OSError:
+        grid, d, kind = _parse_header(first_line.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError):
         return None
-    k, d, l = (int(g) for g in match.group(2, 3, 4))
-    digest = hasher.hexdigest()
-    if (k < 1 or len(payload) != k * (d + 2 * l) * 8
-            or digest != match.group(1).decode("ascii")):
+    digest, l = hasher.hexdigest(), grid.n_samples
+    values = read_keyed_copy(copy, lambda k: _parsed_header(digest, k, d, l), d + 2 * l)
+    if values is None:
         return None
-    try:
-        grid, csv_d, kind = _parse_header(first_line.decode("utf-8"))
-    except (UnicodeDecodeError, ParseError):
-        return None
-    if (csv_d, grid.n_samples) != (d, l):
-        return None
-    values = np.frombuffer(payload, dtype="<f8").reshape(k, d + 2 * l)
+    values = values.reshape(-1, d + 2 * l)
     params = np.array(values[:, :d], dtype=np.float64, order="C")
     samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
     return grid, params, samples, kind, digest

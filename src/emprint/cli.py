@@ -92,27 +92,6 @@ class RunConfig:
     embed_matrices: bool = False
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--input", help="training CSV path")
-    p.add_argument("--family", help="synthetic family name")
-    p.add_argument("--k", type=int, help="number of training waveforms")
-    p.add_argument("--l", type=int, help="number of time samples")
-    p.add_argument("--t-start", type=float, dest="t_start")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--param-range", dest="param_range",
-                   help="per-dimension ranges, e.g. '1:50' or '0.2:0.8,0.05:0.2'")
-    p.add_argument("--sampling", choices=catalog.SAMPLING_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--n", type=int, help="interpolant order (default: basis size)")
-    p.add_argument("--criteria", help="comma list from classic,kappa,lambda")
-    p.add_argument("--embed-matrices", action="store_true", default=None,
-                   dest="embed_matrices")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emprint",
@@ -121,7 +100,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS,
                         help="the pipeline stage to run")
-    _add_common_options(parser)
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("--input", help="training CSV path")
+    parser.add_argument("--family", help="synthetic family name")
+    parser.add_argument("--k", type=int, help="number of training waveforms")
+    parser.add_argument("--l", type=int, help="number of time samples")
+    parser.add_argument("--t-start", type=float, dest="t_start")
+    parser.add_argument("--t-end", type=float, dest="t_end")
+    parser.add_argument("--param-range", dest="param_range",
+                        help="per-dimension ranges, e.g. '1:50' or '0.2:0.8,0.05:0.2'")
+    parser.add_argument("--sampling", choices=catalog.SAMPLING_MODES)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out-dir", dest="out_dir")
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--n-max", type=int, dest="n_max")
+    parser.add_argument("--n", type=int, help="interpolant order (default: basis size)")
+    parser.add_argument("--criteria", help="comma list from classic,kappa,lambda")
+    parser.add_argument("--embed-matrices", action="store_true", default=None,
+                        dest="embed_matrices")
     return parser
 
 

@@ -200,7 +200,7 @@ def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
     its rounding bound.
     """
     rows = basis_rows[:j]
-    _, s, vh = nm.svd(rows[:, list(nodes[: j - 1])].T)
+    _, s, vh = nm._svd(rows[:, list(nodes[: j - 1])].T, compute_uv=True)
     d = np.append(s * s, 0.0)
     w2 = np.abs(rows.T @ vh.conj().T) ** 2
     x2 = np.sum(np.abs(rows) ** 2, axis=0)
@@ -222,13 +222,14 @@ def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
     ``incumbent`` is scored first and only the survivors of ``_survivors``
     against it are scored exactly, so the pick is the one a scan of every
     candidate makes."""
-    objective = (nm.condition_number_2 if criterion is SelectionCriterion.MIN_KAPPA
-                 else nm.inverse_two_norm)
-    best = objective(basis_rows[:j][:, nodes + [incumbent]].T)
+    # Element 0 of condition_and_inverse_norm is kappa, element 1 lambda.
+    element = 0 if criterion is SelectionCriterion.MIN_KAPPA else 1
+    best = nm.condition_and_inverse_norm(basis_rows[:j][:, nodes + [incumbent]].T)[element]
     columns = _survivors(basis_rows, j, nodes, criterion, best)
     values = np.full(basis_rows.shape[1], math.inf)
-    values[columns] = np.concatenate([objective(stack) for stack in
-                                      _candidates(basis_rows, j, nodes, columns)])
+    values[columns] = np.concatenate([
+        nm.condition_and_inverse_norm(stack)[element]
+        for stack in _candidates(basis_rows, j, nodes, columns)])
     values[nodes] = math.inf
     if math.isinf(values.min()):
         raise SingularVMatrix(f"every candidate matrix is singular at order {j}")

@@ -8,14 +8,15 @@ or explicit inverses. No linear system is solved here: the interpolation
 arithmetic is the elimination step in ``eim``, and the identity verifier
 there takes its determinant ratios from a QR null vector instead of these
 determinants. ``condition_and_inverse_norm`` returns the condition number
-and the inverse norm from one singular-value computation.
-``condition_number_2``, ``inverse_two_norm`` and
-``condition_and_inverse_norm`` also take an ``(..., n, n)`` stack of
-matrices and then return one value per matrix, from the same per-matrix
-LAPACK call; ``determinant`` takes one matrix. ``svd`` and ``secular``
-give the smallest singular value of a matrix with one row appended to a
-fixed block, as the root of a secular equation. The roundoff floor that
-error comparisons across the package share also lives here, and so does the
+and the inverse norm from one singular-value computation; it also takes an
+``(..., n, n)`` stack of matrices and then returns one value of each per
+matrix, from the same per-matrix LAPACK call. ``determinant`` takes one
+matrix. ``_svd`` is the one SVD entry point: it serves
+``condition_and_inverse_norm`` and the full SVD of the chosen nodes' block
+that ``eim`` prunes kappa/lambda candidates with, from which ``secular``
+gives the smallest singular value of the block with one row appended, as
+the root of a secular equation. The roundoff floor that error comparisons
+across the package share also lives here, and so does the
 one tie rule every greedy pick uses (``argmax_tied``, ``argmin_tied``):
 values within ``TIE_REL_TOL`` of the best tie, and the lowest index wins, so
 a pick between twins does not depend on summation order or the BLAS kernel.
@@ -66,14 +67,12 @@ def argmin_tied(values: np.ndarray) -> int:
     return int(np.flatnonzero(values <= best * (1.0 + TIE_REL_TOL))[0])
 
 
-def _complex_matrices(a, square: bool) -> np.ndarray:
-    """Coerce ``a`` to a complex128 matrix or ``(..., m, n)`` stack of them,
-    rejecting empty, non-finite or (when ``square``) non-square input."""
+def _complex_matrices(a) -> np.ndarray:
+    """Coerce ``a`` to a complex128 square matrix or ``(..., n, n)`` stack of
+    them, rejecting empty, non-finite or non-square input."""
     m = np.asarray(a, dtype=np.complex128)
-    if (m.ndim < 2 or min(m.shape[-2:]) < 1
-            or (square and m.shape[-2] != m.shape[-1])):
-        kind = "square matrices" if square else "a nonempty matrix"
-        raise ValueError(f"expected {kind}, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] < 1 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -82,7 +81,7 @@ def _complex_matrices(a, square: bool) -> np.ndarray:
 def determinant(m) -> complex:
     """Determinant of one square complex matrix, from one LAPACK LU
     (``scipy.linalg.det``). Exactly singular input yields 0."""
-    a = _complex_matrices(m, square=True)
+    a = _complex_matrices(m)
     if a.ndim != 2:
         raise ValueError(f"expected one square matrix, got shape {a.shape}")
     return complex(scipy.linalg.det(a, check_finite=False))
@@ -93,13 +92,6 @@ def _svd(a: np.ndarray, compute_uv: bool):
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full singular value decomposition ``m = u @ diag(s) @ vh`` of a
-    complex matrix (``diag(s)`` zero-padded to the shape of ``m``): unitary
-    ``u`` and ``vh``, singular values ``s`` in descending order."""
-    return _svd(_complex_matrices(m, square=False), compute_uv=True)
 
 
 def secular(d: np.ndarray, w2: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +127,7 @@ def condition_and_inverse_norm(m) -> tuple[float, float] | tuple[np.ndarray, np.
     runs on 1 / sigma_min, since sigma_max * 1e-300 underflows to 0 for
     matrices of tiny norm.
     """
-    a = _complex_matrices(m, square=True)
+    a = _complex_matrices(m)
     s = _svd(a, compute_uv=False)
     s_max, s_min = s[..., 0], s[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -146,16 +138,3 @@ def condition_and_inverse_norm(m) -> tuple[float, float] | tuple[np.ndarray, np.
     if a.ndim == 2:
         return float(kappa), float(inv)
     return kappa, inv
-
-
-def condition_number_2(m) -> float | np.ndarray:
-    """2-norm condition number of a square matrix, or an array of them for
-    an ``(..., n, n)`` stack (see ``condition_and_inverse_norm``)."""
-    return condition_and_inverse_norm(m)[0]
-
-
-def inverse_two_norm(m) -> float | np.ndarray:
-    """2-norm of the inverse of a square matrix, i.e. 1/sigma_min, or an
-    array of them for an ``(..., n, n)`` stack (see
-    ``condition_and_inverse_norm``)."""
-    return condition_and_inverse_norm(m)[1]

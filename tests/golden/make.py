@@ -96,9 +96,10 @@ def pick_gaps(rb: rbm.ReducedBasis, rule: SelectionCriterion) -> list:
     gaps = []
     for j, pick in enumerate(nodes, start=1):
         if rule is not SelectionCriterion.CLASSIC and j > 1:
-            objective = (nm.condition_number_2 if rule is SelectionCriterion.MIN_KAPPA
-                         else nm.inverse_two_norm)
-            values = np.asarray(objective(candidate_stack(rb.basis, j, nodes)), float)
+            element = 0 if rule is SelectionCriterion.MIN_KAPPA else 1
+            values = np.asarray(
+                nm.condition_and_inverse_norm(candidate_stack(rb.basis, j, nodes))[element],
+                float)
         else:
             values = np.abs(itp.residuals[j - 1])
         values[nodes[: j - 1]] = math.inf

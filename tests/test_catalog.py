@@ -345,6 +345,38 @@ def assert_same_set(a, b):
     assert np.array_equal(bits(a.samples), bits(b.samples))
 
 
+# SMALL's CSV and its parsed copy, byte for byte: the header line, then the
+# K x (d + 2L) values row by row (the parameter, then re, im of each sample).
+SMALL_CSV = (b"# emprint-training v1, L=4, t_start=0.0, t_end=1.0, d=1\n"
+             b"1.0,0.5:0.25,1.0:0.0,2.0:0.0,3.0:0.0\n"
+             b"2.0,4.0:0.0,5.0:0.0,6.0:0.0,0.0:7.0\n")
+SMALL_COPY = (b"emprint-parsed v1 sha256=2de5965b4ca6c162890ff4db61248735"
+              b"b22726a94bd6a3ac751131adb06148bf k=2 d=1 l=4\n"
+              + np.array([[1.0, 0.5, 0.25, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0],
+                          [2.0, 4.0, 0.0, 5.0, 0.0, 6.0, 0.0, 0.0, 7.0]], "<f8").tobytes())
+
+
+def test_parsed_copy_layout(tmp_path):
+    path = saved_small(tmp_path)
+    assert path.read_bytes() == SMALL_CSV
+    assert copy_of(path).read_bytes() == SMALL_COPY
+    # The literal's digest is the CSV's, and its payload K x (d + 2L) doubles.
+    header, payload = SMALL_COPY.split(b"\n", 1)
+    assert header + b"\n" == copy_header(SMALL_CSV, 2, 1, 4)
+    assert len(payload) == 2 * (1 + 2 * 4) * 8
+
+
+def test_frozen_v1_copy_is_read_without_a_parse(tmp_path):
+    # Copies already on disk stay valid: the v1 bytes, frozen as a literal,
+    # serve the load with the parse disabled.
+    path = tmp_path / "t.csv"
+    path.write_bytes(SMALL_CSV)
+    copy_of(path).write_bytes(SMALL_COPY)
+    ts = load_from_copy(path)
+    assert_same_set(ts, SMALL)
+    assert ts.csv_sha256 == hashlib.sha256(SMALL_CSV).hexdigest()
+
+
 def test_stale_copy_is_never_served(tmp_path):
     path = saved_small(tmp_path)
     text = path.read_text()
@@ -374,9 +406,12 @@ def _rekeyed(path, copy, k=2, d=1, l=4, csv_bytes=None):
     lambda path, copy: _rekeyed(path, copy, d=3, l=3),
     lambda path, copy: _rekeyed(path, copy, d=5, l=2),
     lambda path, copy: copy_of(path.with_name("other.csv")).read_bytes(),
+    # The same fields in another form: the header must be exactly the one
+    # save_training_csv writes, not merely parse to the same numbers.
+    lambda path, copy: copy.replace(b" k=2 ", b" k=02 ", 1),
 ], ids=["truncated", "trailing-byte", "empty", "wrong-magic", "wrong-version",
         "wrong-digest", "header-padding", "fewer-rows", "more-rows", "d-and-l",
-        "d-and-l-again", "another-csv"])
+        "d-and-l-again", "another-csv", "zero-padded-count"])
 def test_damaged_copy_is_ignored(tmp_path, damage):
     other = TrainingSet(SMALL.grid, SMALL.params + 10, SMALL.samples + 1)
     catalog.save_training_csv(other, tmp_path / "other.csv")

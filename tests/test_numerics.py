@@ -68,8 +68,13 @@ def test_determinant_takes_one_matrix():
         nm.determinant(np.ones((2, 3, 3)))
 
 
-@pytest.mark.parametrize("fn", [nm.condition_number_2, nm.inverse_two_norm])
-def test_stack_matches_per_matrix(rng, fn):
+# Element 0 of condition_and_inverse_norm is the condition number, 1 the
+# inverse norm.
+@pytest.mark.parametrize("element", [0, 1], ids=["condition_number_2", "inverse_two_norm"])
+def test_stack_matches_per_matrix(rng, element):
+    def fn(m):
+        return nm.condition_and_inverse_norm(m)[element]
+
     stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
     stack[1, 2] = 1.0  # exactly singular: norms inf
     got = fn(stack)
@@ -82,13 +87,11 @@ def test_stack_matches_per_matrix(rng, fn):
 def test_scalar_results_for_single_matrix(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert type(nm.determinant(a)) is complex
-    assert type(nm.condition_number_2(a)) is float
-    assert type(nm.inverse_two_norm(a)) is float
+    assert tuple(map(type, nm.condition_and_inverse_norm(a))) == (float, float)
 
 
 def test_stacked_functions_reject_bad_shapes():
-    for fn in (nm.determinant, nm.condition_number_2, nm.inverse_two_norm,
-               nm.condition_and_inverse_norm):
+    for fn in (nm.determinant, nm.condition_and_inverse_norm):
         for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3)), np.ones((2, 0, 0))):
             with pytest.raises(ValueError):
                 fn(bad)
@@ -101,55 +104,56 @@ def test_stacked_functions_reject_bad_shapes():
 # ---------------------------------------------------------------------------
 
 def test_condition_number_identity_is_exactly_one():
-    assert nm.condition_number_2(np.eye(5)) == 1.0
+    assert nm.condition_and_inverse_norm(np.eye(5))[0] == 1.0
 
 
 def test_condition_number_diagonal():
-    assert nm.condition_number_2(np.diag([10.0, 1.0])) == pytest.approx(10.0)
+    assert nm.condition_and_inverse_norm(np.diag([10.0, 1.0]))[0] == pytest.approx(10.0)
 
 
 def test_condition_number_cross_check_explicit_inverse(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     inv = np.linalg.inv(a)
     expected = power_iteration_two_norm(a) * power_iteration_two_norm(inv)
-    assert abs(nm.condition_number_2(a) - expected) <= 1e-8 * expected
+    assert abs(nm.condition_and_inverse_norm(a)[0] - expected) <= 1e-8 * expected
 
 
 def test_condition_number_singular_is_infinite():
-    assert math.isinf(nm.condition_number_2([[1.0, 1.0], [1.0, 1.0]]))
-    assert math.isinf(nm.condition_number_2(np.zeros((2, 2))))
+    assert math.isinf(nm.condition_and_inverse_norm([[1.0, 1.0], [1.0, 1.0]])[0])
+    assert math.isinf(nm.condition_and_inverse_norm(np.zeros((2, 2)))[0])
 
 
 def test_inverse_two_norm_identity():
-    assert nm.inverse_two_norm(np.eye(3)) == pytest.approx(1.0)
+    assert nm.condition_and_inverse_norm(np.eye(3))[1] == pytest.approx(1.0)
 
 
 def test_inverse_two_norm_diagonal():
-    assert nm.inverse_two_norm(np.diag([2.0, 0.5])) == pytest.approx(2.0)
+    assert nm.condition_and_inverse_norm(np.diag([2.0, 0.5]))[1] == pytest.approx(2.0)
 
 
 def test_inverse_two_norm_matches_explicit_inverse(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     inv = np.linalg.inv(a)
     expected = power_iteration_two_norm(inv)
-    assert abs(nm.inverse_two_norm(a) - expected) <= 1e-8 * expected
+    assert abs(nm.condition_and_inverse_norm(a)[1] - expected) <= 1e-8 * expected
 
 
 def test_inverse_two_norm_singular_is_infinite():
-    assert math.isinf(nm.inverse_two_norm(np.zeros((3, 3))))
+    assert math.isinf(nm.condition_and_inverse_norm(np.zeros((3, 3)))[1])
 
 
-def test_condition_and_inverse_norm_match_single_value_functions(rng):
-    # Both values equal those of the single-value functions, for a matrix
-    # and for a stack with a singular member.
+def test_condition_and_inverse_norm_match_singular_values(rng):
+    # Both values are sigma_max / sigma_min and 1 / sigma_min of the
+    # matrix's singular values, bit for bit, for a matrix and for each member
+    # of a stack with a singular member.
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     stack = np.stack([a, np.zeros((4, 4)), np.diag([3.0, 2.0, 1.0, 0.5])])
     kappa, inv = nm.condition_and_inverse_norm(a)
     kappas, invs = nm.condition_and_inverse_norm(stack)
     assert type(kappa) is float and type(inv) is float
-    assert (kappa, inv) == (nm.condition_number_2(a), nm.inverse_two_norm(a))
-    assert np.array_equal(kappas, nm.condition_number_2(stack))
-    assert np.array_equal(invs, nm.inverse_two_norm(stack))
+    s = np.linalg.svd(a, compute_uv=False)
+    assert (kappa, inv) == (s[0] / s[-1], 1.0 / s[-1])
+    assert (kappas[0], invs[0]) == (kappa, inv)
     assert math.isinf(kappas[1]) and math.isinf(invs[1])
     assert kappas[2] == pytest.approx(6.0) and invs[2] == pytest.approx(2.0)
 
@@ -157,7 +161,7 @@ def test_condition_and_inverse_norm_match_single_value_functions(rng):
 @settings(max_examples=50, deadline=None)
 @given(square_matrices(3))
 def test_condition_number_at_least_one(a):
-    assert nm.condition_number_2(a) >= 1.0 - 1e-12
+    assert nm.condition_and_inverse_norm(a)[0] >= 1.0 - 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,12 +170,12 @@ def test_condition_number_at_least_one(a):
 # underflows to 0 and 1/sigma_min overflows, so both must read as singular.
 @example(np.full((3, 3), 1.31894039e-272 + 1.31894039e-272j))
 def test_condition_number_factors_into_norms(a):
-    kappa = nm.condition_number_2(a)
-    if math.isinf(nm.inverse_two_norm(a)):
-        assert math.isinf(kappa)
-    assume(math.isfinite(kappa))
-    product = np.linalg.norm(a, 2) * nm.inverse_two_norm(a)
-    assert abs(kappa - product) <= 1e-8 * kappa
+    cond, inv = nm.condition_and_inverse_norm(a)
+    if math.isinf(inv):
+        assert math.isinf(cond)
+    assume(math.isfinite(cond))
+    product = np.linalg.norm(a, 2) * inv
+    assert abs(cond - product) <= 1e-8 * cond
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def test_condition_number_factors_into_norms(a):
 
 def test_svd_reconstructs_input(rng):
     a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    u, s, vh = nm.svd(a)
+    u, s, vh = nm._svd(a, compute_uv=True)
     assert u.shape == (3, 3) and s.shape == (3,) and vh.shape == (5, 5)
     assert np.all(np.diff(s) <= 0)
     assert np.max(np.abs((u * s) @ vh[:3] - a)) <= 1e-13
@@ -197,7 +201,7 @@ def test_secular_sign_brackets_smallest_singular_value(rng, m, grading):
     columns = np.logspace(0, -grading, m)
     a = random_complex(rng, m - 1, m) * columns
     x = random_complex(rng, 40, m) * columns
-    _, s, vh = nm.svd(a)
+    _, s, vh = nm._svd(a, compute_uv=True)
     d = np.append(s * s, 0.0)
     w2 = np.abs(x @ vh.conj().T) ** 2
     v = np.empty((40, m, m), dtype=complex)
@@ -221,3 +225,16 @@ def test_secular_sign_brackets_smallest_singular_value(rng, m, grading):
         assert info == 0
         assert abs(sigma ** 2 - root[k]) <= 1e-10 * root[k] + shift[k]
 
+
+
+def test_svd_failure_is_a_convergence_failure(monkeypatch):
+    # The one singular-value computation maps LAPACK's failure to converge
+    # to ConvergenceFailure, for the full SVD and for kappa and lambda alike.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(nm.ConvergenceFailure, match="did not converge"):
+        nm._svd(np.eye(2), compute_uv=True)
+    with pytest.raises(nm.ConvergenceFailure, match="did not converge"):
+        nm.condition_and_inverse_norm(np.eye(2))

@@ -27,7 +27,8 @@ the basis size) also writes ``interpolant_<rule>.f64`` per rule (see
 interpolant from that copy when it may be trusted and selects it when not.
 
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
-error, 3 numerical degeneracy while building the basis, 4 interpolant
+error (an input that cannot be read or an output that cannot be written
+included), 3 numerical degeneracy while building the basis, 4 interpolant
 construction failure. The CLI checks only what it parses itself (config
 types, --criteria, --param-range, paths); the grid, family spec, tolerance,
 cap and order are checked by the library where it uses them, so an option
@@ -40,7 +41,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,32 +65,51 @@ EXIT_DEGENERATE = 3
 EXIT_INTERPOLANT = 4
 
 
-# Python types a config-file value may have, by RunConfig annotation.
-_CONFIG_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+# The Python type of each RunConfig annotation's first name; a config-file
+# value of a float option may also be an int.
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
 class ConfigError(Exception):
     """Bad or inconsistent command-line/config-file options."""
 
 
+# The comma list of every node rule, the default of --criteria.
+_ALL_CRITERIA = ",".join(c.value for c in SelectionCriterion)
+
+
 @dataclass
 class RunConfig:
+    """The options of one run, --config aside. Each field but ``command`` is
+    set by the flag ``--<name>`` (with ``-`` for ``_``) and by the config
+    key ``<name>``; its annotation gives the value's type and its metadata
+    the flag's help and choices."""
+
     command: str
-    input: str | None = None
-    family: str | None = None
-    k: int = 101
-    l: int = 1001
-    t_start: float = 0.0
-    t_end: float = 1.0
-    param_range: str | None = None
-    sampling: str = "equispaced"
+    input: str | None = field(default=None, metadata={"help": "training CSV path"})
+    family: str | None = field(default=None, metadata={"help": "synthetic family name"})
+    k: int = field(default=101, metadata={"help": "number of training waveforms"})
+    l: int = field(default=catalog.DEFAULT_GRID.n_samples,
+                   metadata={"help": "number of time samples"})
+    t_start: float = catalog.DEFAULT_GRID.t_start
+    t_end: float = catalog.DEFAULT_GRID.t_end
+    param_range: str | None = field(default=None, metadata={
+        "help": "per-dimension ranges, e.g. '1:50' or '0.2:0.8,0.05:0.2'"})
+    sampling: str = field(default="equispaced",
+                          metadata={"choices": catalog.SAMPLING_MODES})
     seed: int = 0
     out_dir: str = "."
     tol: float = rbm.DEFAULT_TOL
     n_max: int | None = None
-    n: int | None = None
-    criteria: str = "classic,kappa,lambda"
+    n: int | None = field(default=None,
+                          metadata={"help": "interpolant order (default: basis size)"})
+    criteria: str = field(default=_ALL_CRITERIA,
+                          metadata={"help": f"comma list from {_ALL_CRITERIA}"})
     embed_matrices: bool = False
+
+
+# The fields set by a flag or a config key: all but command.
+_OPTIONS = fields(RunConfig)[1:]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,23 +121,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS,
                         help="the pipeline stage to run")
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--input", help="training CSV path")
-    parser.add_argument("--family", help="synthetic family name")
-    parser.add_argument("--k", type=int, help="number of training waveforms")
-    parser.add_argument("--l", type=int, help="number of time samples")
-    parser.add_argument("--t-start", type=float, dest="t_start")
-    parser.add_argument("--t-end", type=float, dest="t_end")
-    parser.add_argument("--param-range", dest="param_range",
-                        help="per-dimension ranges, e.g. '1:50' or '0.2:0.8,0.05:0.2'")
-    parser.add_argument("--sampling", choices=catalog.SAMPLING_MODES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--n-max", type=int, dest="n_max")
-    parser.add_argument("--n", type=int, help="interpolant order (default: basis size)")
-    parser.add_argument("--criteria", help="comma list from classic,kappa,lambda")
-    parser.add_argument("--embed-matrices", action="store_true", default=None,
-                        dest="embed_matrices")
+    # Every flag defaults to None, so that an unset flag leaves the config
+    # file's value or the field's default.
+    for option in _OPTIONS:
+        flag = "--" + option.name.replace("_", "-")
+        kind = option.type.split(" | ")[0]
+        if kind == "bool":
+            parser.add_argument(flag, action="store_true", default=None, **option.metadata)
+        else:
+            parser.add_argument(flag, type=_TYPES[kind], **option.metadata)
     return parser
 
 
@@ -138,17 +150,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
 
     cfg = RunConfig(command=args.command)
-    annotations = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+    names = {option.name for option in _OPTIONS}
     for key in file_values:
-        if key not in annotations:
+        if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
-    for name, annotation in annotations.items():
-        cli_value = getattr(args, name, None)
+    for option in _OPTIONS:
+        cli_value = getattr(args, option.name)
         if cli_value is not None:
-            setattr(cfg, name, cli_value)
-        elif name in file_values:
-            _check_config_value(name, file_values[name], annotation)
-            setattr(cfg, name, file_values[name])
+            setattr(cfg, option.name, cli_value)
+        elif option.name in file_values:
+            _check_config_value(option.name, file_values[option.name], option.type)
+            setattr(cfg, option.name, file_values[option.name])
 
     # Outputs go under out-dir, created if missing; its nearest existing
     # ancestor must be a directory, or nothing could be written there.
@@ -166,8 +178,8 @@ def _check_config_value(key: str, value, annotation: str) -> None:
     if value is None and "None" in names:
         return
     kind = names[0]
-    if (not isinstance(value, _CONFIG_TYPES[kind])
-            or isinstance(value, bool) != (kind == "bool")):
+    accepted = (int, float) if kind == "float" else _TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind == "bool"):
         raise ConfigError(f"config key {key!r} must be {annotation}, got {value!r}")
 
 
@@ -180,8 +192,7 @@ def _parse_criteria(spec: str) -> tuple[SelectionCriterion, ...]:
         try:
             out.append(SelectionCriterion(token))
         except ValueError:
-            valid = ",".join(c.value for c in SelectionCriterion)
-            raise ConfigError(f"unknown criterion {token!r}; valid: {valid}")
+            raise ConfigError(f"unknown criterion {token!r}; valid: {_ALL_CRITERIA}")
     if not out:
         raise ConfigError("no criteria requested")
     return tuple(dict.fromkeys(out))
@@ -331,29 +342,27 @@ COMMANDS = {
     "verify-theorem": cmd_verify_theorem,
 }
 
-# Input errors only: the library checks each argument where it uses it and
-# raises InvalidRange when it is out of range. Any other ValueError from
-# inside the library is a fault, not bad input, and surfaces as a traceback.
-_CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidRange, ParseError,
-                  NonFiniteSample, FileNotFoundError)
-_DEGENERACY_ERRORS = (DegenerateResidual,)
-_INTERPOLANT_ERRORS = (SingularVMatrix, ConvergenceFailure)
+# The exit code of each error a command may raise; the first matching row
+# wins. Exit 2 is for input errors only: the library checks each argument
+# where it uses it and raises InvalidRange when it is out of range, and an
+# OSError is an input that cannot be read or an output that cannot be
+# written. Any other ValueError from inside the library is a fault, not bad
+# input, and surfaces as a traceback.
+_EXIT_CODES = (
+    ((DegenerateResidual,), EXIT_DEGENERATE),
+    ((SingularVMatrix, ConvergenceFailure), EXIT_INTERPOLANT),
+    ((ConfigError, UnknownFamily, InvalidRange, ParseError, NonFiniteSample, OSError),
+     EXIT_CONFIG),
+)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg)
-    except _DEGENERACY_ERRORS as exc:
+        return COMMANDS[args.command](_resolve_config(args))
+    except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except _INTERPOLANT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERPOLANT
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -231,12 +231,15 @@ def _copy_key(csv_sha256: str, tol: float, n_max: int | None) -> str:
             f"n_max={'none' if n_max is None else int(n_max)}")
 
 
+def _basis_header(csv_sha256: str, tol: float, n_max: int | None, n: int, l: int) -> str:
+    return f"{BASIS_COPY_MAGIC} {_copy_key(csv_sha256, tol, n_max)} n={n} l={l}"
+
+
 def save_basis_copy(rb: ReducedBasis, path, csv_sha256: str,
                     n_max: int | None = None) -> None:
     """Write the binary copy of ``rb``, swept from the training CSV of digest
     ``csv_sha256`` with cap ``n_max`` (see the module docstring)."""
-    write_keyed_copy(path, f"{BASIS_COPY_MAGIC} {_copy_key(csv_sha256, rb.tol, n_max)} "
-                     f"n={rb.n} l={rb.grid.n_samples}",
+    write_keyed_copy(path, _basis_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples),
                      np.concatenate([rb.greedy_errors, rb.greedy_params,
                                      rb.basis.ravel().view(np.float64)]))
 
@@ -258,8 +261,8 @@ def load_basis_copy(path, ts: TrainingSet, tol: float,
     if ts.csv_sha256 is None:
         return None
     l = ts.grid.n_samples
-    key = _copy_key(ts.csv_sha256, tol, n_max)
-    values = read_keyed_copy(path, lambda n: f"{BASIS_COPY_MAGIC} {key} n={n} l={l}", 2 + 2 * l)
+    values = read_keyed_copy(
+        path, lambda n: _basis_header(ts.csv_sha256, tol, n_max, n, l), 2 + 2 * l)
     if values is None:
         return None
     n = values.size // (2 + 2 * l)

@@ -7,13 +7,14 @@ import stat
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emprint import catalog, diagnostics, eim, rbm
-from emprint.cli import main
+from emprint import catalog, cli, diagnostics, eim, rbm
+from emprint.cli import RunConfig, main
 from emprint.numerics import error_floor_sq
 
 from oracles import load_basis_csv, weighted_norm
@@ -103,6 +104,24 @@ def test_out_dir_blocked_by_file_exits_2(tmp_path, capsys, below):
     assert code == 2
     assert f"{blocker} is not one" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
+
+
+@pytest.mark.parametrize("args, artifact", [
+    (["generate", *CHIRP], "training.csv"),
+    (["basis", "--input", "{tmp}/training.csv"], "basis.csv"),
+], ids=["generate", "basis-input"])
+def test_output_blocked_by_directory_exits_2(tmp_path, capsys, args, artifact):
+    # An output that cannot be written is bad input, not a failed verification.
+    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    code = main([*[arg.format(tmp=tmp_path) for arg in args], "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{out / artifact}'" in err
+    assert [p.name for p in out.iterdir()] == [artifact]  # no *.tmp left behind
 
 
 def test_basis_from_ingested_csv(tmp_path):
@@ -607,6 +626,34 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "familly" in capsys.readouterr().err
 
 
+# A value of another type than each RunConfig annotation.
+WRONG_TYPE = {"str": 5, "str | None": 5, "int": 1.5, "int | None": "3", "float": "2",
+              "bool": "yes"}
+
+# A value other than the default of each RunConfig field but command.
+OPTION_VALUES = {"input": "data.csv", "family": "gaussian_packet", "k": 7, "l": 9,
+                 "t_start": -1.5, "t_end": 2.5, "param_range": "1:2", "sampling": "random",
+                 "seed": 3, "out_dir": "out", "tol": 1e-3, "n_max": 4, "n": 2,
+                 "criteria": "kappa", "embed_matrices": True}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("option", fields(RunConfig)[1:], ids=lambda option: option.name)
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, option, source):
+    value = OPTION_VALUES[option.name]
+    assert value != option.default
+    if source == "flag":
+        flag = "--" + option.name.replace("_", "-")
+        args = [flag] if value is True else [f"{flag}={value}"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({option.name: value}))
+        args = ["--config", str(tmp_path / "run.json")]
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "generate", lambda cfg: seen.append(cfg) or 0)
+    assert main(["generate", *args]) == 0
+    assert seen == [replace(RunConfig("generate"), **{option.name: value})]
+
+
 @pytest.mark.parametrize("command, values", [
     ("eim", {"criteria": 5}),
     ("verify-theorem", {"n": "3"}),
@@ -615,12 +662,16 @@ def test_config_unknown_key(tmp_path, capsys):
     ("generate", {"k": None}),
     ("generate", {"t_end": "2"}),
     ("basis", {"tol": False}),
+    *[("generate", {option.name: WRONG_TYPE[option.type]}) for option in fields(RunConfig)[1:]],
 ], ids=["criteria-int", "n-str", "embed_matrices-str", "k-bool", "k-null",
-        "t_end-str", "tol-bool"])
-def test_config_value_of_wrong_type(tmp_path, capsys, command, values):
+        "t_end-str", "tol-bool",
+        *[f"field-{option.name}" for option in fields(RunConfig)[1:]]])
+def test_config_value_of_wrong_type(tmp_path, monkeypatch, capsys, command, values):
+    # No --out-dir flag, which would override a wrong out_dir unchecked.
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"family": "damped_chirp", "k": 10, "l": 101, **values}))
-    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     [key] = values
     assert repr(key) in capsys.readouterr().err
 
@@ -793,6 +844,53 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg.write_bytes(b'{"family": "damped_chirp\xff"}')
     assert main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "error: config file is not valid JSON" in capsys.readouterr().err
+
+
+HELP = """\
+usage: emprint [-h] [--config CONFIG] [--input INPUT] [--family FAMILY]
+               [--k K] [--l L] [--t-start T_START] [--t-end T_END]
+               [--param-range PARAM_RANGE] [--sampling {equispaced,random}]
+               [--seed SEED] [--out-dir OUT_DIR] [--tol TOL] [--n-max N_MAX]
+               [--n N] [--criteria CRITERIA] [--embed-matrices]
+               {generate,basis,eim,compare,verify-theorem}
+
+Greedy reduced bases and empirical interpolants for parametrized complex time
+series.
+
+positional arguments:
+  {generate,basis,eim,compare,verify-theorem}
+                        the pipeline stage to run
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --input INPUT         training CSV path
+  --family FAMILY       synthetic family name
+  --k K                 number of training waveforms
+  --l L                 number of time samples
+  --t-start T_START
+  --t-end T_END
+  --param-range PARAM_RANGE
+                        per-dimension ranges, e.g. '1:50' or
+                        '0.2:0.8,0.05:0.2'
+  --sampling {equispaced,random}
+  --seed SEED
+  --out-dir OUT_DIR
+  --tol TOL
+  --n-max N_MAX
+  --n N                 interpolant order (default: basis size)
+  --criteria CRITERIA   comma list from classic,kappa,lambda
+  --embed-matrices
+"""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["eim", "--help"]], ids=["top", "eim"])
+def test_help_is_unchanged(monkeypatch, capsys, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP
 
 
 def test_module_entry_point(tmp_path):

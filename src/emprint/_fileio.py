@@ -30,7 +30,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         mask = os.umask(0o077)  # the umask is read by setting it; restore it
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the artifact, not the temp file removed below
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         try:
             os.unlink(tmp)
@@ -58,13 +61,19 @@ def read_keyed_copy(path, header_for, row: int) -> np.ndarray | None:
     included."""
     try:
         with open(path, "rb") as fh:
-            header, payload = fh.readline(1024), fh.read()
+            header = fh.readline(1024)
+            size = os.fstat(fh.fileno()).st_size - len(header)
+            n, rest = divmod(size, 8 * row)
+            if n < 1 or rest or header != f"{header_for(n)}\n".encode("ascii"):
+                return None
+            # Read straight into an aligned array, with no bytes object between.
+            values = np.empty(size // 8, dtype="<f8")
+            if fh.readinto(values.view(np.uint8)) != size:
+                return None
     except OSError:
         return None
-    n, rest = divmod(len(payload), 8 * row)
-    if n < 1 or rest or header != f"{header_for(n)}\n".encode("ascii"):
-        return None
-    return np.frombuffer(payload, dtype="<f8")
+    values.flags.writeable = False
+    return values
 
 
 def fmt_float(x) -> str:

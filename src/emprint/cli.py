@@ -150,16 +150,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
 
     cfg = RunConfig(command=args.command)
-    names = {option.name for option in _OPTIONS}
-    for key in file_values:
-        if key not in names:
+    options = {option.name: option for option in _OPTIONS}
+    # Every file value is checked, also one that a flag overrides.
+    for key, value in file_values.items():
+        if key not in options:
             raise ConfigError(f"unknown config key {key!r}")
+        _check_config_value(key, value, options[key].type)
     for option in _OPTIONS:
         cli_value = getattr(args, option.name)
         if cli_value is not None:
             setattr(cfg, option.name, cli_value)
         elif option.name in file_values:
-            _check_config_value(option.name, file_values[option.name], option.type)
             setattr(cfg, option.name, file_values[option.name])
 
     # Outputs go under out-dir, created if missing; its nearest existing

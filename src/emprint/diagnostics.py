@@ -20,11 +20,11 @@ projection errors are a reverse cumulative sum of nonnegative terms, so
 nothing cancels. The interpolation errors come from the elimination step of
 ``eim`` applied to each row's node values and coefficients, [h(T) | c],
 with the residual rows restricted the same way, [r_j(T) | r_j E^H]: after n
-steps the second block is c - a_n. Each order costs O(K N) per criterion and
-no system is solved. The full-order interpolants come from the caller, which
-selects them or reads them from their copies (see ``eim``), so a comparison
-selects no node itself. Reports serialize to JSON plus four plot-ready CSV
-curves.
+steps the second block is c - a_n. Each order costs O(K N) per criterion,
+updates that K x 2N block in place and solves no system. The full-order
+interpolants come from the caller, which selects them or reads them from
+their copies (see ``eim``), so a comparison selects no node itself. Reports
+serialize to JSON plus four plot-ready CSV curves.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ One elimination step is the only interpolation arithmetic. With r the
 residual of the step that picked node t, it updates a stack of grid
 functions X as X <- X - (X[:, t] / r(t)) r: Gaussian elimination with the
 picks as pivots (Maday et al. 2009, "magic points"; Chaturantabut and
-Sorensen 2010, DEIM). Applied to the basis rows below each pick, it leaves
+Sorensen 2010, DEIM). The update is done in place, by one BLAS rank-1
+update (``zgeru``) of X's transpose, so no temporary of X's size is made
+at any step. Applied to the basis rows below each pick, it leaves
 row j as r_j = e_j - I_{j-1}[e_j] (r_1 = e_1), so node selection needs no
 linear solve. The classic rule picks the argmax of |r_j|, and every step
 record reports |r_j(T_j)| = |det V_j / det V_{j-1}| from it. Applied to the
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgeru
 
 from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
@@ -177,8 +180,15 @@ def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
 def _eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> None:
     """The elimination step, in place: x <- x - (x[:, t] / r(t)) r for the
     rows of ``x``, with r = ``residual`` the residual of the step that
-    picked grid index t."""
-    x -= np.outer(x[:, t] / residual[t], residual)
+    picked grid index t. The update is one BLAS rank-1 update (``zgeru``)
+    of x's transpose, Fortran-ordered when x is C-contiguous, so no
+    temporary of x's size is made; f2py hands back a copy for any other
+    layout, which is written back."""
+    if not x.shape[0]:
+        return  # f2py refuses an empty matrix
+    updated = zgeru(-1.0, residual, x[:, t] / residual[t], a=x.T, overwrite_a=True)
+    if not np.may_share_memory(updated, x):
+        x[...] = updated.T
 
 
 def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],

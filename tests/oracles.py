@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths of the package: the determinant
 oracle is a recursive cofactor expansion, the norm oracle is plain power
-iteration, parity is counted by inversions, and interpolation residuals and
+iteration, parity is counted by inversions, the elimination step is a numpy
+outer product subtracted from a copy, and interpolation residuals and
 cardinal functions come from numpy linear solves. Determinant ratios over
 the grid take one numpy LU determinant per candidate matrix. Projections
 and weighted norms are the textbook formulas. There are two exceptions.
@@ -109,6 +110,12 @@ def full_scan(basis_rows: np.ndarray, j: int, nodes, objective, tie_rel_tol: flo
     best = values.min()
     assert np.isfinite(best)
     return int(np.flatnonzero(values <= best * (1.0 + tie_rel_tol))[0])
+
+
+def eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> np.ndarray:
+    """x - (x[:, t] / r(t)) r with r = ``residual``, as a new array: the
+    elimination step through one numpy outer product."""
+    return x - np.outer(x[:, t] / residual[t], residual)
 
 
 def solve_residual(basis_rows: np.ndarray, j: int, nodes) -> np.ndarray:

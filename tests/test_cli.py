@@ -121,6 +121,7 @@ def test_output_blocked_by_directory_exits_2(tmp_path, capsys, args, artifact):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{out / artifact}'" in err
+    assert ".tmp" not in err  # the temp file is gone; only the artifact is named
     assert [p.name for p in out.iterdir()] == [artifact]  # no *.tmp left behind
 
 
@@ -654,24 +655,29 @@ def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, option, 
     assert seen == [replace(RunConfig("generate"), **{option.name: value})]
 
 
-@pytest.mark.parametrize("command, values", [
-    ("eim", {"criteria": 5}),
-    ("verify-theorem", {"n": "3"}),
-    ("eim", {"embed_matrices": "yes"}),
-    ("generate", {"k": True}),
-    ("generate", {"k": None}),
-    ("generate", {"t_end": "2"}),
-    ("basis", {"tol": False}),
-    *[("generate", {option.name: WRONG_TYPE[option.type]}) for option in fields(RunConfig)[1:]],
+@pytest.mark.parametrize("command, values, flags", [
+    ("eim", {"criteria": 5}, []),
+    ("verify-theorem", {"n": "3"}, []),
+    ("eim", {"embed_matrices": "yes"}, []),
+    ("generate", {"k": True}, []),
+    ("generate", {"k": None}, []),
+    ("generate", {"t_end": "2"}, []),
+    ("basis", {"tol": False}, []),
+    *[("generate", {option.name: WRONG_TYPE[option.type]}, [])
+      for option in fields(RunConfig)[1:]],
+    # A flag overriding the value does not excuse it.
+    ("generate", {"out_dir": 5}, ["--out-dir", "x"]),
+    ("generate", {"k": "ten"}, ["--k", "10"]),
+    ("eim", {"embed_matrices": "yes"}, ["--embed-matrices"]),
 ], ids=["criteria-int", "n-str", "embed_matrices-str", "k-bool", "k-null",
         "t_end-str", "tol-bool",
-        *[f"field-{option.name}" for option in fields(RunConfig)[1:]]])
-def test_config_value_of_wrong_type(tmp_path, monkeypatch, capsys, command, values):
-    # No --out-dir flag, which would override a wrong out_dir unchecked.
+        *[f"field-{option.name}" for option in fields(RunConfig)[1:]],
+        "out_dir-int-under-flag", "k-str-under-flag", "embed_matrices-str-under-flag"])
+def test_config_value_of_wrong_type(tmp_path, monkeypatch, capsys, command, values, flags):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"family": "damped_chirp", "k": 10, "l": 101, **values}))
-    assert main([command, "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg), *flags]) == 2
     [key] = values
     assert repr(key) in capsys.readouterr().err
 

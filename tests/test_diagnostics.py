@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,35 @@ def test_errors_match_solve_oracle_on_random_bases(data):
     rb, ts = data
     reports = compare(rb, ts, ALL)
     assert_errors_match_solve_oracle(rb, ts, reports)
+
+
+def test_comparison_allocates_no_block_per_order(monkeypatch, packet_data):
+    # Each order updates the K x 2N block of node values and coefficients in
+    # place: from one order's elimination step to the next, the traced
+    # memory peaks far below the block's size.
+    rb, ts = packet_data
+    interpolants = [build_interpolant(rb, c, rb.n) for c in ALL]
+    block_bytes = ts.samples.shape[0] * 2 * rb.n * 16
+    eliminate = diagnostics._eliminate
+    since_previous = []
+    start = []
+
+    def traced(x, t, residual):
+        current, peak = tracemalloc.get_traced_memory()
+        if t > 0:  # t = 0 starts a criterion, after its block is built
+            since_previous.append(peak - start[-1])
+        tracemalloc.reset_peak()
+        start.append(current)
+        eliminate(x, t, residual)
+
+    monkeypatch.setattr(diagnostics, "_eliminate", traced)
+    tracemalloc.start()
+    try:
+        run_comparison(rb, ts, interpolants)
+    finally:
+        tracemalloc.stop()
+    assert len(since_previous) == len(ALL) * (rb.n - 1)
+    assert max(since_previous) < block_bytes / 8
 
 
 def test_comparison_needs_full_order_interpolants_of_its_basis(small_basis, small_training):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from scipy.linalg.blas import zgeru
 from hypothesis import strategies as st
 
 from emprint import eim, rbm
@@ -16,7 +17,7 @@ from emprint.eim import (EmpiricalInterpolant, SelectionCriterion, SingularVMatr
 from emprint.numerics import TIE_REL_TOL, argmax_tied
 from emprint.rbm import ReducedBasis
 
-from oracles import (candidate_stack, full_scan, laplace_det, lu_ratio_scan,
+from oracles import (candidate_stack, eliminate, full_scan, laplace_det, lu_ratio_scan,
                      orthonormal_rows, project, solve_residual, weighted_norm)
 
 ALL_CRITERIA = list(SelectionCriterion)
@@ -196,6 +197,63 @@ def test_elimination_matches_solve_oracle_on_hard_bases(rows):
         bound = 32 * j * eps * kappa * np.abs(rows[:j]).max()
         assert np.abs(residuals[j - 1] - reference).max() <= bound
         assert nodes[j - 1] == argmax_tied(np.abs(reference))
+
+
+# Block layouts for the elimination step: the shape of the array that owns
+# the block's memory, for k rows of length L, and the block as a view of it.
+# "transposed" with k = 1 is a (1, L) block with strides (16, 32).
+LAYOUTS = {
+    "c": (lambda k, length: (k, length), lambda a: a),
+    "strided": (lambda k, length: (k, 2 * length), lambda a: a[:, ::2]),
+    "transposed": (lambda k, length: (length, k + 1), lambda a: a.T[:-1]),
+}
+
+
+def rounding_bound(x: np.ndarray, t: int, residual: np.ndarray) -> np.ndarray:
+    """Per entry, how far two roundings of x - (x[:, t] / r(t)) r may lie
+    apart: a few eps of the operands' magnitudes, whether or not a product
+    and its difference are fused."""
+    eps = np.finfo(np.float64).eps
+    return 8 * eps * (np.abs(x) + np.abs(x[:, t] / residual[t])[:, None] * np.abs(residual))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_elimination_step_matches_outer_product(layout, k, data):
+    # Entries spread over six decades; the rest of the owning array is kept.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    length = data.draw(st.integers(1, 12))
+    t = data.draw(st.integers(0, length - 1))
+    values, residual = (
+        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        * 10.0 ** rng.uniform(-3, 3, shape) for shape in ((k, length), length))
+    owner_shape, view = LAYOUTS[layout]
+    owner = np.full(owner_shape(k, length), 7 + 7j)
+    x = view(owner)
+    x[...] = values
+    outside = np.ones(owner.shape, bool)
+    view(outside)[...] = False
+    eim._eliminate(x, t, residual)
+    assert np.all(np.abs(x - eliminate(values, t, residual))
+                  <= rounding_bound(values, t, residual))
+    assert np.all(owner[outside] == 7 + 7j)
+
+
+def test_elimination_step_works_in_the_blocks_memory(monkeypatch, rng):
+    # zgeru updates a C-contiguous block through its transpose and hands
+    # back that same memory: no copy is made and written back.
+    x = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    residual = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    expected, bound = eliminate(x, 4, residual), rounding_bound(x, 4, residual)
+    returned = []
+    monkeypatch.setattr(eim, "zgeru", lambda *args, **kwargs: (
+        returned.append(zgeru(*args, **kwargs)) or returned[-1]))
+    eim._eliminate(x, 4, residual)
+    [matrix] = returned
+    assert matrix.ctypes.data == x.ctypes.data
+    assert np.all(np.abs(x - expected) <= bound)
 
 
 @pytest.mark.parametrize("criterion", list(OBJECTIVES), ids=["kappa", "lambda"])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from emprint import catalog, cli, diagnostics, eim, rbm
-from emprint._fileio import atomic_write_bytes, atomic_write_text
+from emprint._fileio import (atomic_write_bytes, atomic_write_text, read_keyed_copy,
+                             write_keyed_copy)
 from emprint.catalog import TimeGrid
 from emprint.diagnostics import DiagnosticsReport, OrderRecord
 from emprint.eim import EmpiricalInterpolant, SelectionCriterion, StepRecord
@@ -25,6 +26,37 @@ def test_written_file_respects_umask(tmp_path, umask, mode, write, data):
     assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
     assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def _header(n):
+    return f"test-copy v1 n={n}"
+
+
+def test_keyed_copy_reads_back_bitwise_into_an_aligned_read_only_array(tmp_path):
+    values = np.arange(12) / 7
+    write_keyed_copy(tmp_path / "c.f64", _header(4), values)
+    read = read_keyed_copy(tmp_path / "c.f64", _header, 3)
+    assert read.dtype == np.dtype("<f8") and read.tobytes() == values.tobytes()
+    assert read.flags.aligned and not read.flags.writeable
+
+
+@pytest.mark.parametrize("header, payload", [
+    (_header(5), np.arange(12.0).tobytes()),
+    (_header(4), np.arange(11.0).tobytes()),
+    (_header(0), b""),
+    (_header(4), np.arange(12.0).tobytes() + b"\0"),
+    (_header(4)[:-1], np.arange(12.0).tobytes()),
+], ids=["other-header", "partial-row", "no-rows", "trailing-byte", "short-header"])
+def test_keyed_copy_refuses_any_other_file(tmp_path, header, payload):
+    (tmp_path / "c.f64").write_bytes(f"{header}\n".encode("ascii") + payload)
+    assert read_keyed_copy(tmp_path / "c.f64", _header, 3) is None
+
+
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                         ids=["missing", "directory"])
+def test_keyed_copy_refuses_what_is_no_file(tmp_path, make):
+    make(tmp_path / "c.f64")
+    assert read_keyed_copy(tmp_path / "c.f64", _header, 3) is None
 
 
 # ---------------------------------------------------------------------------

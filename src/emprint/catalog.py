@@ -11,21 +11,32 @@ A training CSV is parsed once. ``save_training_csv`` writes, beside
 ``_fileio.write_keyed_copy``: one ASCII line ``emprint-parsed v1
 sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is that of the CSV's
 exact bytes, then the K x (d + 2L) values as little-endian doubles,
-row-major (the parameters, then re, im of each sample). ``load_training_csv``
-reads the copy instead of the text only when its header line is exactly the
-one the CSV's current bytes and its own header give; otherwise it parses the
-CSV. Either way the CSV header is parsed and every check runs, so the two
-routes differ only in time. Loads never write the copy, and deleting it is
-always safe. A loaded set carries the SHA-256 of the CSV's bytes, which both
-routes compute anyway; ``rbm`` and ``eim`` key their binary copies with it.
+row-major (the parameters, then re, im of each sample).
+
+``open_training_csv`` reads the copy instead of the text when its header
+line is exactly the one the CSV's own header and the digest it claims
+give. It does not wait for the CSV's SHA-256 to do so: the hash runs on one
+worker thread while the caller works on the claimed digest, and the
+``confirm`` function it returns joins the thread and says whether the claim
+holds. A caller confirms before anything it computed is used, and on a
+false claim (a stale copy) discards its results and starts again from
+``parse_training_csv``, the text parse. ``load_training_csv`` confirms at
+once, so its set always carries a confirmed digest. Every
+check runs on either route, so the two differ only in time; a check that
+fails on the claim is confirmed at once, and raises only if the claim
+holds. Loads never write the copy, and deleting it is always safe. A loaded
+set carries the SHA-256 of the CSV's bytes; ``rbm`` and ``eim`` key their
+binary copies with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +63,15 @@ class ParseError(Exception):
 
 class NonFiniteSample(Exception):
     """A parsed sample or parameter is NaN or infinite."""
+
+
+class _RepeatedParameters(ValueError):
+    """Row ``row`` of a training set repeats the parameters of row ``first``,
+    the lowest such pair."""
+
+    def __init__(self, row: int, first: int):
+        super().__init__("parameter vectors must be pairwise distinct")
+        self.row, self.first = row, first
 
 
 CSV_MAGIC = "emprint-training v1"
@@ -134,8 +154,13 @@ class TrainingSet:
             raise NonFiniteSample("parameter values must be finite")
         if not np.all(np.isfinite(samples)):
             raise NonFiniteSample("waveform samples must be finite")
-        if np.unique(params, axis=0).shape[0] != k:
-            raise ValueError("parameter vectors must be pairwise distinct")
+        # np.unique's indices are those of first occurrences, so a row whose
+        # group starts elsewhere repeats that group's first row.
+        _, first, group = np.unique(params, axis=0, return_index=True, return_inverse=True)
+        owner = first[group.reshape(-1)]
+        repeats = np.flatnonzero(owner != np.arange(k))
+        if repeats.size:
+            raise _RepeatedParameters(int(repeats[0]), int(owner[repeats[0]]))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "samples", samples)
 
@@ -455,58 +480,128 @@ def _parsed_header(sha256: str, k: int, d: int, l: int) -> str:
     return f"{PARSED_MAGIC} sha256={sha256} k={k} d={d} l={l}"
 
 
-def _read_parsed_copy(path):
-    """(grid, params, samples, kind, sha256) of the CSV at ``path`` from its
-    parsed copy, or None when there is no copy that may be trusted.
+# The hash reads the CSV through one buffer of this many bytes, reused. The
+# worker takes the GIL back once per buffer, so a larger one waits on the
+# command less often; but the buffer is held while the command runs, so it
+# adds to the peak RSS (1 MiB: 8 reads of the 7.6 MB packet-2d CSV).
+_HASH_BUFFER = 1 << 20
 
-    A copy is trusted only when its payload holds k*(d + 2L) little-endian
+
+def _sha256_of(path) -> str | None:
+    """Hex SHA-256 of the file at ``path``, or None when it cannot be read.
+    ``readinto`` and ``update`` on a large buffer both release the GIL."""
+    hasher = hashlib.sha256()
+    buffer = bytearray(_HASH_BUFFER)
+    view = memoryview(buffer)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                hasher.update(view[:size])
+    except OSError:
+        return None
+    return hasher.hexdigest()
+
+
+def _hash_in_background(path) -> Callable[[], str | None]:
+    """Start ``_sha256_of(path)`` on one worker thread; the function returned
+    joins it and returns its result."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(_sha256_of(path)), daemon=True)
+    worker.start()
+
+    def join():
+        worker.join()
+        return result[0] if result else None
+    return join
+
+
+def _read_parsed_copy(path):
+    """((grid, params, samples, kind, sha256), hashed) of the CSV at ``path``
+    from its parsed copy, on the digest the copy claims, or None when there is
+    no copy that may be read. ``hashed()`` joins the hash of the CSV started
+    here and returns its digest, or None if the CSV could not be read.
+
+    A copy is read only when its payload holds k*(d + 2L) little-endian
     doubles for some k >= 1 and its header line is exactly the one
-    ``save_training_csv`` writes for k rows of the CSV's current bytes: their
-    SHA-256, and the d and L of the CSV's own header. Anything else, a
-    missing or unreadable file included, returns None, and the caller parses
-    the CSV.
+    ``save_training_csv`` writes for k rows, the digest it claims, and the d
+    and L of the CSV's own header. Anything else, a missing or unreadable
+    file included, returns None, and the caller parses the CSV.
     """
     copy = _parsed_copy_path(path)
-    if not copy.is_file():  # no copy: the parse hashes the CSV, once
-        return None
+    prefix = f"{PARSED_MAGIC} sha256="
     try:
+        with open(copy, "rb") as fh:
+            claim = fh.readline(1024)
         with open(path, "rb") as fh:
-            first_line = fh.readline()
-            hasher = hashlib.sha256(first_line)
-            while block := fh.read(1 << 20):
-                hasher.update(block)
-        grid, d, kind = _parse_header(first_line.decode("utf-8"))
+            grid, d, kind = _parse_header(fh.readline().decode("utf-8"))
     except (OSError, UnicodeDecodeError, ParseError):
         return None
-    digest, l = hasher.hexdigest(), grid.n_samples
-    values = read_keyed_copy(copy, lambda k: _parsed_header(digest, k, d, l), d + 2 * l)
-    if values is None:
+    if not claim.startswith(prefix.encode("ascii")):
         return None
-    values = values.reshape(-1, d + 2 * l)
-    params = np.array(values[:, :d], dtype=np.float64, order="C")
-    samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
-    return grid, params, samples, kind, digest
+    claimed = claim[len(prefix):len(prefix) + 64].decode("ascii", "replace")
+    l = grid.n_samples
+    hashed = _hash_in_background(path)
+    try:
+        values = read_keyed_copy(copy, lambda k: _parsed_header(claimed, k, d, l), d + 2 * l)
+        if values is None:
+            hashed()
+            return None
+        values = values.reshape(-1, d + 2 * l)
+        params = np.array(values[:, :d], dtype=np.float64, order="C")
+        samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
+    except BaseException:  # no hash thread outlives the call that started it
+        hashed()
+        raise
+    return (grid, params, samples, kind, claimed), hashed
 
 
-def load_training_csv(path) -> TrainingSet:
-    """Load a training CSV written by ``save_training_csv``.
-
-    The values come from the parsed copy beside the CSV when it may be
-    trusted (see ``_read_parsed_copy``), else from parsing the CSV; every
-    check below runs either way, and either way the set's ``csv_sha256`` is
-    the digest of the CSV's bytes. Raises ParseError when two rows share a
-    parameter vector.
-    """
-    parsed = _read_parsed_copy(path)
-    grid, params, samples, kind, digest = (
-        parsed if parsed is not None else read_waveform_csv(path))
+def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
+    """The checked training set of a CSV's header and values."""
     if kind is not None:
         raise ParseError(f"line 1: expected a training file, found kind={kind}")
     if params.shape[1] < 1:
         raise ParseError("line 1: training files need d >= 1")
-    first_row = {}
-    for row, p in enumerate(map(tuple, params)):
-        if first_row.setdefault(p, row) != row:
-            raise ParseError(f"waveform row {row} repeats the parameters of row "
-                             f"{first_row[p]}")
-    return TrainingSet(grid, params, samples, csv_sha256=digest)
+    try:
+        return TrainingSet(grid, params, samples, csv_sha256=digest)
+    except _RepeatedParameters as exc:
+        raise ParseError(f"waveform row {exc.row} repeats the parameters of row "
+                         f"{exc.first}") from None
+
+
+def parse_training_csv(path) -> TrainingSet:
+    """A training CSV written by ``save_training_csv``, parsed from its text
+    with every check run; its ``csv_sha256`` is the digest of the CSV's bytes.
+    Raises ParseError when two rows share a parameter vector."""
+    return _training_set(*read_waveform_csv(path))
+
+
+def open_training_csv(path) -> tuple[TrainingSet, Callable[[], bool]]:
+    """A training CSV written by ``save_training_csv``, and ``confirm``.
+
+    The values come from the parsed copy beside the CSV when its header fits
+    (see ``_read_parsed_copy``), on the digest it claims, while the CSV's
+    SHA-256 runs on one worker thread; ``confirm()`` joins it and returns
+    whether the set's ``csv_sha256`` is the CSV's digest. With no such copy
+    the set is ``parse_training_csv``'s and ``confirm()`` returns True. A
+    caller confirms before it uses anything computed from the set, and on
+    False takes ``parse_training_csv``'s set instead. Every check runs either
+    way; one that fails on the claim confirms it at once and raises only if
+    it holds, the text's set or error standing in otherwise.
+    """
+    read = _read_parsed_copy(path)
+    if read is not None:
+        values, hashed = read
+        claimed = values[-1]
+        try:
+            return _training_set(*values), lambda: hashed() == claimed
+        except (ParseError, NonFiniteSample):
+            if hashed() == claimed:
+                raise
+    return parse_training_csv(path), lambda: True
+
+
+def load_training_csv(path) -> TrainingSet:
+    """Load a training CSV written by ``save_training_csv``: the set
+    ``open_training_csv`` gives, its digest confirmed at once."""
+    ts, confirm = open_training_csv(path)
+    return ts if confirm() else parse_training_csv(path)

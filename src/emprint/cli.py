@@ -26,6 +26,13 @@ the basis size) also writes ``interpolant_<rule>.f64`` per rule (see
 ``eim``), and ``compare`` on a training CSV takes each rule's full-order
 interpolant from that copy when it may be trusted and selects it when not.
 
+A command on a training CSV does not wait for the CSV's SHA-256: it runs
+on the digest the parsed copy claims while the hash runs on one worker
+thread (see ``catalog.open_training_csv``), computes its results in memory,
+and confirms the digest before it writes or prints anything. On a false
+claim it drops its results, or the error it raised, and runs again from the
+CSV text, so every output and exit code is that of a run without the copy.
+
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
 error (an input that cannot be read or an output that cannot be written
 included), 3 numerical degeneracy while building the basis, 4 interpolant
@@ -220,27 +227,45 @@ def _family_spec(cfg: RunConfig) -> catalog.FamilySpec:
     )
 
 
-def _load_training(cfg: RunConfig) -> catalog.TrainingSet:
+def _open_training(cfg: RunConfig):
+    """The training set and its ``confirm`` (see ``catalog.open_training_csv``)."""
     if cfg.input is not None:
         path = Path(cfg.input)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
         if not path.is_file():
             raise ConfigError(f"input path is not a file: {path}")
-        return catalog.load_training_csv(path)
+        return catalog.open_training_csv(path)
     if cfg.family is not None:
-        return catalog.generate_family(_family_spec(cfg))
+        return catalog.generate_family(_family_spec(cfg)), lambda: True
     raise ConfigError("no data source: pass --input or --family")
 
 
-def _build_basis(cfg: RunConfig) -> tuple[catalog.TrainingSet, rbm.ReducedBasis]:
-    """The training set and its basis: read from the copy in --out-dir when
-    it may be trusted, else swept."""
-    ts = _load_training(cfg)
+def _confirmed(cfg: RunConfig, compute):
+    """``compute(ts)`` on the command's training set, returned only once the
+    set's digest is confirmed, so that nothing is written or printed on a
+    stale copy's claim. On a false claim the result, or the exception
+    ``compute`` raised, is discarded and ``compute`` runs again on the set
+    parsed from the CSV text. The hash thread is joined on every path."""
+    ts, confirm = _open_training(cfg)
+    try:
+        result = compute(ts)
+    except Exception:
+        if confirm():
+            raise
+    else:
+        if confirm():
+            return result
+    finally:
+        confirm()  # joins the hash on any other way out too
+    return compute(catalog.parse_training_csv(Path(cfg.input)))
+
+
+def _basis_of(cfg: RunConfig, ts: catalog.TrainingSet) -> rbm.ReducedBasis:
+    """The basis of ``ts``: read from the copy in --out-dir when it may be
+    trusted, else swept."""
     rb = rbm.load_basis_copy(Path(cfg.out_dir) / BASIS_COPY, ts, cfg.tol, cfg.n_max)
-    if rb is None:
-        rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
-    return ts, rb
+    return rb or rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
 
 
 def cmd_generate(cfg: RunConfig) -> int:
@@ -254,8 +279,8 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_basis(cfg: RunConfig) -> int:
-    ts = _load_training(cfg)
-    rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
+    ts, rb = _confirmed(cfg, lambda ts: (
+        ts, rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)))
     out_dir = Path(cfg.out_dir)
     rbm.save_basis_csv(rb, out_dir / "basis.csv")
     rbm.save_greedy_errors_csv(rb, out_dir / "greedy_errors.csv")
@@ -266,13 +291,18 @@ def cmd_basis(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eim(cfg: RunConfig) -> int:
-    ts, rb = _build_basis(cfg)
+def _interpolants(cfg: RunConfig, ts: catalog.TrainingSet):
+    rb = _basis_of(cfg, ts)
     n = rb.n if cfg.n is None else cfg.n
+    return ts, rb, n, [eim.build_interpolant(rb, c, n) for c in _parse_criteria(cfg.criteria)]
+
+
+def cmd_eim(cfg: RunConfig) -> int:
+    # Every rule is built before any is written.
+    ts, rb, n, interpolants = _confirmed(cfg, lambda ts: _interpolants(cfg, ts))
     out_dir = Path(cfg.out_dir)
-    for criterion in _parse_criteria(cfg.criteria):
-        itp = eim.build_interpolant(rb, criterion, n)
-        path = out_dir / f"interpolant_{criterion.value}.json"
+    for itp in interpolants:
+        path = out_dir / f"interpolant_{itp.criterion.value}.json"
         eim.save_interpolant_json(itp, path, include_matrices=cfg.embed_matrices)
         if ts.csv_sha256 is not None and n == rb.n:
             eim.save_interpolant_copy(itp, path.with_suffix(".f64"), ts.csv_sha256, cfg.n_max)
@@ -280,8 +310,8 @@ def cmd_eim(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    ts, rb = _build_basis(cfg)
+def _comparison(cfg: RunConfig, ts: catalog.TrainingSet):
+    rb = _basis_of(cfg, ts)
     criteria = _parse_criteria(cfg.criteria)
     dataset_id = Path(cfg.input).name if cfg.input else f"family:{cfg.family}"
     out_dir = Path(cfg.out_dir)
@@ -290,7 +320,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     full = [eim.load_interpolant_copy(out_dir / f"interpolant_{c.value}.f64", rb, c,
                                       ts.csv_sha256, cfg.n_max)
             or eim.build_interpolant(rb, c, rb.n) for c in criteria]
-    reports = diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
+    return criteria, diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
+
+
+def cmd_compare(cfg: RunConfig) -> int:
+    criteria, reports = _confirmed(cfg, lambda ts: _comparison(cfg, ts))
+    out_dir = Path(cfg.out_dir)
     for criterion in criteria:
         diagnostics.write_report_json(
             reports[criterion], out_dir / f"report_{criterion.value}.json")
@@ -320,10 +355,13 @@ def _print_comparison(reports, criteria) -> None:
         print(f"error ratio classic/{other.value}: {summary}")
 
 
+def _discrepancies(cfg: RunConfig, ts: catalog.TrainingSet) -> list[float]:
+    rb = _basis_of(cfg, ts)
+    return eim.verify_determinant_identity(rb, rb.n if cfg.n is None else cfg.n)
+
+
 def cmd_verify_theorem(cfg: RunConfig) -> int:
-    _, rb = _build_basis(cfg)
-    n = rb.n if cfg.n is None else cfg.n
-    discrepancies = eim.verify_determinant_identity(rb, n)
+    discrepancies = _confirmed(cfg, lambda ts: _discrepancies(cfg, ts))
     out = Path(cfg.out_dir) / "theorem_check.csv"
     write_table(out, ["step", "max_rel_discrepancy"], enumerate(discrepancies, start=2))
     # max() would drop a NaN that is not first; a NaN step must fail.

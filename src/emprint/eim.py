@@ -42,7 +42,9 @@ root of a secular equation (the row-append SVD update), and one evaluation
 of it prunes every candidate that provably scores worse than the incumbent.
 The survivors are scored exactly, in stacks of at most CANDIDATE_STACK,
 under the lowest-index tie rule: the picks and every output are those of a
-scan that scores every candidate. The identity verifier gets every
+scan that scores every candidate. The winner's kappa and lambda from that
+scoring are its step record's, so a scanned step computes no SVD of its
+V_j again. The identity verifier gets every
 det V_j(t) / det V_{j-1} from one null vector of the chosen nodes' block per
 step, taken from a Householder QR, independently of the elimination.
 
@@ -226,34 +228,38 @@ def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
 
 
 def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
-          criterion: SelectionCriterion, incumbent: int) -> int:
+          criterion: SelectionCriterion, incumbent: int) -> tuple[int, tuple[float, float]]:
     """Kappa/lambda pick: the lowest grid index whose V_j(t) ties the best
-    objective, chosen nodes excluded, at step j >= 2. The candidate
-    ``incumbent`` is scored first and only the survivors of ``_survivors``
-    against it are scored exactly, so the pick is the one a scan of every
-    candidate makes."""
+    objective, chosen nodes excluded, at step j >= 2, and the (kappa,
+    lambda) of its V_j. The candidate ``incumbent`` is scored first and only
+    the survivors of ``_survivors`` against it are scored exactly, so the
+    pick is the one a scan of every candidate makes."""
     # Element 0 of condition_and_inverse_norm is kappa, element 1 lambda.
     element = 0 if criterion is SelectionCriterion.MIN_KAPPA else 1
     best = nm.condition_and_inverse_norm(basis_rows[:j][:, nodes + [incumbent]].T)[element]
     columns = _survivors(basis_rows, j, nodes, criterion, best)
-    values = np.full(basis_rows.shape[1], math.inf)
-    values[columns] = np.concatenate([
-        nm.condition_and_inverse_norm(stack)[element]
-        for stack in _candidates(basis_rows, j, nodes, columns)])
+    scores = np.full((2, basis_rows.shape[1]), math.inf)
+    scores[:, columns] = np.concatenate([
+        nm.condition_and_inverse_norm(stack)
+        for stack in _candidates(basis_rows, j, nodes, columns)], axis=1)
+    values = scores[element]
     values[nodes] = math.inf
     if math.isinf(values.min()):
         raise SingularVMatrix(f"every candidate matrix is singular at order {j}")
-    return nm.argmin_tied(values)
+    pick = nm.argmin_tied(values)
+    return pick, (float(scores[0, pick]), float(scores[1, pick]))
 
 
 def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
-                  n: int, picks=None) -> tuple[list[int], np.ndarray]:
+                  n: int, picks=None, scores=None) -> tuple[list[int], np.ndarray]:
     """The per-step kernel: nodes T_1..T_n and the residuals r_1..r_n as the
     rows of an (n, L) array. Step j eliminates its pick from the rows below
     j, which leaves row j + 1 as r_{j+1}. The argmax of |r_j| is the classic
     pick, and the incumbent the kappa/lambda scan prunes against. Given
     ``picks``, the nodes of an earlier selection, step j takes picks[j-1]
-    instead and runs the same checks and elimination."""
+    instead and runs the same checks and elimination. Given a dict
+    ``scores``, each step j picked by a scan stores there the (kappa, lambda)
+    of V_j that the scan computed."""
     residuals = np.array(basis_rows[:n], dtype=np.complex128)
     nodes: list[int] = []
     for j in range(1, n + 1):
@@ -263,7 +269,9 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
         else:
             pick = nm.argmax_tied(np.abs(residual))
             if criterion is not SelectionCriterion.CLASSIC and j > 1:
-                pick = _scan(basis_rows, j, nodes, criterion, pick)
+                pick, scored = _scan(basis_rows, j, nodes, criterion, pick)
+                if scores is not None:
+                    scores[j] = scored
         if pick in nodes or residual[pick] == 0:
             raise SingularVMatrix(
                 f"residual of basis row {j} vanishes at grid index {pick}; "
@@ -275,9 +283,11 @@ def _select_nodes(basis_rows: np.ndarray, criterion: SelectionCriterion,
 
 
 def _step_record(basis_rows: np.ndarray, nodes: list[int], j: int,
-                 residual_at_node: float) -> StepRecord:
+                 residual_at_node: float, scores=None) -> StepRecord:
+    """The record of V_j; ``scores``, its (kappa, lambda) when a scan
+    computed them, spares their SVD."""
     vj = basis_rows[:j][:, nodes[:j]].T
-    kappa, lebesgue = nm.condition_and_inverse_norm(vj)
+    kappa, lebesgue = scores or nm.condition_and_inverse_norm(vj)
     return StepRecord(det_v=nm.determinant(vj), kappa=kappa, lebesgue=lebesgue,
                       residual_at_node=residual_at_node)
 
@@ -314,8 +324,10 @@ def build_interpolant(rb: ReducedBasis, criterion: SelectionCriterion,
         If a node-value matrix becomes singular to working precision.
     """
     _check_order(rb, n)
-    nodes, residuals = _select_nodes(rb.basis[:n], criterion, n)
-    per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])))
+    scores = {}
+    nodes, residuals = _select_nodes(rb.basis[:n], criterion, n, scores=scores)
+    per_step = tuple(_step_record(rb.basis, nodes, j, float(abs(residuals[j - 1, t])),
+                                  scores.get(j))
                      for j, t in enumerate(nodes, start=1))
     return _with_cardinals(rb, criterion, nodes, residuals, per_step)
 

@@ -5,7 +5,8 @@ oracle is a recursive cofactor expansion, the norm oracle is plain power
 iteration, parity is counted by inversions, the elimination step is a numpy
 outer product subtracted from a copy, and interpolation residuals and
 cardinal functions come from numpy linear solves. Determinant ratios over
-the grid take one numpy LU determinant per candidate matrix. Projections
+the grid take one numpy LU determinant per candidate matrix. The first
+repeated parameter row is found by a walk over a dict of the rows. Projections
 and weighted norms are the textbook formulas. There are two exceptions.
 ``full_scan`` scores every kappa/lambda candidate with the package's own
 objective, so it is the reference for which candidates the node selection
@@ -168,3 +169,14 @@ def load_basis_csv(path):
     if kind != "basis":
         raise ParseError(f"line 1: expected kind=basis, found kind={kind}")
     return grid, samples
+
+
+def first_repeat(params: np.ndarray) -> tuple[int, int] | None:
+    """(row, first): the lowest row whose parameters an earlier row holds,
+    and the first such row, from a walk over a dict of the rows; None when
+    the rows are pairwise distinct."""
+    first_row = {}
+    for row, p in enumerate(map(tuple, params.tolist())):
+        if first_row.setdefault(p, row) != row:
+            return row, first_row[p]
+    return None

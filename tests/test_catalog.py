@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -14,7 +15,7 @@ from emprint import catalog
 from emprint.catalog import (InvalidRange, LengthMismatch, NonFiniteSample,
                              ParseError, TimeGrid, TrainingSet, UnknownFamily)
 
-from oracles import load_basis_csv
+from oracles import first_repeat, load_basis_csv
 
 GRID11 = TimeGrid(0.0, 1.0, 11)
 
@@ -453,6 +454,67 @@ def test_checks_run_on_a_copy_with_the_right_digest(tmp_path, values, error):
                               + values.astype("<f8").tobytes())
     with pytest.raises(error):
         load_from_copy(path)
+
+
+def test_open_runs_on_the_claim_and_confirms_it(tmp_path):
+    path = saved_small(tmp_path)
+    before = threading.active_count()
+    ts, confirm = catalog.open_training_csv(path)
+    assert confirm() is True
+    assert threading.active_count() == before  # the hash thread is joined
+    assert ts.csv_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert_same_set(ts, SMALL)
+    # An edited CSV: the set is the copy's, on its claim, which is false.
+    old_digest = ts.csv_sha256
+    path.write_text(path.read_text().replace("1.0,0.5:0.25,", "1.0,0.6:0.25,"))
+    ts, confirm = catalog.open_training_csv(path)
+    assert (ts.csv_sha256, ts.samples[0, 0]) == (old_digest, 0.5 + 0.25j)
+    assert confirm() is False
+    # The text parse, and load_training_csv, serve the edited CSV.
+    text = catalog.parse_training_csv(path)
+    assert text.samples[0, 0] == 0.6 + 0.25j
+    assert_same_set(catalog.load_training_csv(path), text)
+    assert catalog.load_training_csv(path).csv_sha256 == text.csv_sha256 != old_digest
+
+
+@pytest.mark.parametrize("buffer", [1, 7, 1 << 20])
+def test_hash_reads_through_one_buffer(tmp_path, monkeypatch, buffer):
+    path = saved_small(tmp_path)
+    monkeypatch.setattr(catalog, "_HASH_BUFFER", buffer)
+    assert catalog._sha256_of(path) == hashlib.sha256(SMALL_CSV).hexdigest()
+    assert catalog._sha256_of(tmp_path / "missing.csv") is None
+
+
+def test_repeated_rows_are_named_by_one_vectorized_check(tmp_path):
+    # The first repeat is named, with the first row it repeats; -0.0 and
+    # 0.0 are one parameter, as a dict of the rows once took them.
+    params = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [2.0, 3.0], [-0.0, 1.0]])
+    ts = TrainingSet(TimeGrid(0.0, 1.0, 2), params[[0, 1, 2]], np.ones((3, 2)))
+    path = tmp_path / "t.csv"
+    catalog.save_training_csv(ts, path)
+    copy_of(path).unlink()
+    lines = path.read_text().splitlines()
+    for rows, message in [([0, 1, 2, 3, 4], "row 3 repeats the parameters of row 1"),
+                          ([0, 1, 4, 2], "row 2 repeats the parameters of row 0")]:
+        cells = [",".join(map(repr, params[r].tolist())) + ",1.0:0.0,1.0:0.0" for r in rows]
+        path.write_text("\n".join([lines[0], *cells]) + "\n")
+        with pytest.raises(ParseError, match=f"^waveform {message}$"):
+            catalog.load_training_csv(path)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        TrainingSet(ts.grid, params, np.ones((5, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                         elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, -7.0])))
+def test_repeated_row_check_matches_a_dict_walk(params):
+    repeat = first_repeat(params)
+    try:
+        TrainingSet(TimeGrid(0.0, 1.0, 2), params, np.ones((params.shape[0], 2)))
+    except catalog._RepeatedParameters as exc:
+        assert (exc.row, exc.first) == repeat
+    else:
+        assert repeat is None
 
 
 def test_load_never_writes_the_copy(tmp_path):

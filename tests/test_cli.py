@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -425,6 +426,153 @@ def test_copies_written_under_another_blas_kernel_are_not_read(tmp_path, sweeps,
             assert main([*cmd, "--input", str(d / "training.csv"), "--out-dir", str(d)]) == 0
     assert (len(sweeps), len(builds)) == (6, 12)
     assert _artifacts(a) == _artifacts(b)
+
+
+# ---------------------------------------------------------------------------
+# A stale parsed copy: a command runs on the digest the copy claims and
+# confirms it before it writes or prints anything
+# ---------------------------------------------------------------------------
+
+STALE_PIPELINE = (
+    ["basis", "--tol", "1e-12"],
+    ["eim", *ALL_RULES, "--embed-matrices"],
+    ["compare", *ALL_RULES],
+    ["verify-theorem"],
+)
+
+
+def _edit_one_digit(csv):
+    """Change the last digit of the first sample's real part; the parsed copy
+    beside the CSV keeps the old digest."""
+    header, first, rest = csv.read_text().split("\n", 2)
+    param, sample, cells = first.split(",", 2)
+    re_part, im_part = sample.split(":")
+    re_part = re_part[:-1] + str((int(re_part[-1]) + 1) % 10)
+    csv.write_text("\n".join([header, ",".join([param, f"{re_part}:{im_part}", cells]), rest]))
+
+
+def _stale_claim_dirs(tmp_path):
+    """Two generated directories with one sample digit edited, the parsed
+    copy kept in the first and deleted in the second."""
+    dirs = tmp_path / "stale", tmp_path / "fresh"
+    for d in dirs:
+        assert main(["generate", *CHIRP, "--out-dir", str(d)]) == 0
+        _edit_one_digit(d / "training.csv")
+    (dirs[1] / "training.csv.f64").unlink()
+    return dirs
+
+
+def _same_run(dirs, cmd, capsys):
+    """Run ``cmd`` on both directories; assert equal exit codes, output and
+    artifacts, and return the exit code."""
+    runs = []
+    for d in dirs:
+        capsys.readouterr()
+        code = main([*cmd, "--input", str(d / "training.csv"), "--out-dir", str(d)])
+        out, err = capsys.readouterr()
+        runs.append((code, out.replace(str(d), "<dir>"), err.replace(str(d), "<dir>"),
+                     _artifacts(d)))
+    assert runs[0] == runs[1]
+    return runs[0][0]
+
+
+def test_a_stale_copy_gives_the_outputs_of_a_run_without_it(tmp_path, sweeps, capsys):
+    stale, fresh = _stale_claim_dirs(tmp_path)
+    copy = (stale / "training.csv.f64").read_bytes()
+    # The copy is read on its claim: it still holds the unedited sample.
+    ts, confirm = catalog.open_training_csv(stale / "training.csv")
+    assert not confirm()
+    text = catalog.load_training_csv(stale / "training.csv")
+    assert ts.samples[0, 0] != text.samples[0, 0]
+    for cmd in STALE_PIPELINE:
+        del sweeps[:]
+        assert _same_run((stale, fresh), cmd, capsys) == 0
+        if cmd[0] == "basis":
+            # Two in the stale directory, on the claim and from the text.
+            assert len(sweeps) == 3
+    assert (stale / "training.csv.f64").read_bytes() == copy
+
+
+def _stale_copy_of(csv, damage):
+    """Overwrite the parsed copy beside ``csv`` with its values damaged in
+    place, under a header that claims another CSV's digest."""
+    copy = csv.with_name(csv.name + ".f64")
+    header, payload = copy.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<f8").reshape(25, -1).copy()  # CHIRP: --k 25
+    damage(values)
+    copy.write_bytes(re.sub(rb"sha256=[0-9a-f]{64}", b"sha256=" + b"0" * 64, header)
+                     + b"\n" + values.tobytes())
+
+
+@pytest.mark.parametrize("damage", [
+    lambda v: v.__setitem__((3, 7), np.nan),
+    lambda v: v.__setitem__((1, 0), v[0, 0]),
+    # Checks pass, then the sweep on the claim raises DegenerateResidual.
+    lambda v: v.__setitem__((slice(None), slice(1, None)), 0.0),
+], ids=["nan", "repeated-row", "all-zero"])
+def test_a_stale_copy_that_fails_gives_the_texts_results(tmp_path, capsys, damage):
+    a = tmp_path / "a"
+    assert main(["generate", *CHIRP, "--out-dir", str(a)]) == 0
+    _stale_copy_of(a / "training.csv", damage)
+    b = _without_copy(tmp_path, a, "training.csv.f64")
+    for cmd in (["basis"], ["verify-theorem"]):
+        assert _same_run((a, b), cmd, capsys) == 0
+
+
+def _repeat_first_parameter(csv):
+    """Give the CSV's second row the parameters of its first."""
+    lines = read(csv)
+    lines[2] = lines[1].split(",", 1)[0] + "," + lines[2].split(",", 1)[1]
+    csv.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["basis", "eim", "compare", "verify-theorem"])
+def test_a_valid_stale_copy_beside_a_repeated_row_exits_2(tmp_path, capsys, command):
+    a = tmp_path / "a"
+    assert main(["generate", *CHIRP, "--out-dir", str(a)]) == 0
+    _repeat_first_parameter(a / "training.csv")
+    b = _without_copy(tmp_path, a, "training.csv.f64")
+    assert _same_run((a, b), [command], capsys) == 2
+    assert sorted(p.name for p in a.iterdir()) == ["training.csv", "training.csv.f64"]
+    assert main([command, "--input", str(b / "training.csv"), "--out-dir", str(b)]) == 2
+    assert ("error: waveform row 1 repeats the parameters of row 0"
+            in capsys.readouterr().err)
+
+
+def _all_zero_training(d):
+    d.mkdir()
+    catalog.save_training_csv(catalog.TrainingSet(
+        catalog.TimeGrid(0.0, 1.0, 5), np.array([[1.0], [2.0], [3.0]]),
+        np.zeros((3, 5), dtype=complex)), d / "training.csv")
+
+
+NO_THREAD_LEFT = {
+    "ok": (0, lambda d, mp: None, "verify-theorem"),
+    "verification": (1, lambda d, mp: mp.setattr(eim, "verify_determinant_identity",
+                                                  lambda rb, n: [math.nan]), "verify-theorem"),
+    "input-error": (2, lambda d, mp: _repeat_first_parameter(d / "training.csv"), "eim"),
+    "output-error": (2, lambda d, mp: (d / "theorem_check.csv").mkdir(), "verify-theorem"),
+    "degenerate": (3, None, "basis"),
+}
+
+
+@pytest.mark.parametrize("case", NO_THREAD_LEFT)
+def test_no_thread_outlives_main(tmp_path, monkeypatch, case):
+    code, prepare, command = NO_THREAD_LEFT[case]
+    d = tmp_path / "d"
+    if prepare is None:
+        _all_zero_training(d)
+    else:
+        assert main(["generate", *CHIRP, "--out-dir", str(d)]) == 0
+        prepare(d, monkeypatch)
+    started = []
+    hash_in_background = catalog._hash_in_background
+    monkeypatch.setattr(catalog, "_hash_in_background",
+                        lambda path: started.append(path) or hash_in_background(path))
+    before = threading.active_count()
+    assert main([command, "--input", str(d / "training.csv"), "--out-dir", str(d)]) == code
+    assert threading.active_count() == before
+    assert len(started) >= 1
 
 
 # ---------------------------------------------------------------------------

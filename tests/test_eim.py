@@ -316,6 +316,28 @@ def test_one_svd_per_step_record(monkeypatch, small_basis):
         assert (step.kappa, step.lebesgue) == nm.condition_and_inverse_norm(vj)
 
 
+@pytest.mark.parametrize("criterion", [SelectionCriterion.MIN_KAPPA,
+                                       SelectionCriterion.MIN_LAMBDA])
+def test_scanned_step_records_come_from_the_scan(monkeypatch, small_basis, criterion):
+    # The scan scores its incumbent alone (one single-matrix call per step
+    # j >= 2) and the survivors in stacks; its winner's (kappa, lambda) serve
+    # the step record, so only step 1's record computes its own.
+    real = nm.condition_and_inverse_norm
+    single = []
+
+    def counting(m):
+        single.append(np.ndim(m) == 2)
+        return real(m)
+
+    monkeypatch.setattr(nm, "condition_and_inverse_norm", counting)
+    itp = build_interpolant(small_basis, criterion, small_basis.n)
+    assert sum(single) == small_basis.n
+    monkeypatch.undo()
+    for j, step in enumerate(itp.per_step, start=1):
+        vj = itp.v_matrix[:j, :j]
+        assert (step.kappa, step.lebesgue) == nm.condition_and_inverse_norm(vj)
+
+
 def test_build_rejects_bad_order(small_basis):
     with pytest.raises(ValueError):
         build_interpolant(small_basis, SelectionCriterion.CLASSIC, 0)

@@ -1,7 +1,8 @@
 """Atomic file writes, and the one owner of every artifact's text format:
 numeric tables (``write_table``), JSON documents (``write_json``) and
-``re:im`` cells of complex values (``_re_im``). Every float is written in
-its shortest round-trip form. The writers elsewhere only say what goes into
+``re:im`` cells of complex values (``_re_im``, by ``_rowtext.re_im``, the
+formatter of the waveform-CSV rows too). Every float is written in its
+shortest round-trip form. The writers elsewhere only say what goes into
 each file. ``write_keyed_copy``/``read_keyed_copy`` are the one read and
 write of every binary copy (``training.csv.f64``, ``basis.f64`` and
 ``interpolant_<rule>.f64``): an exact ASCII header line, then little-endian
@@ -15,6 +16,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from ._rowtext import re_im
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -109,5 +112,4 @@ def _re_im(z) -> str:
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim == 2:
         return "\n".join(map(_re_im, z))
-    # repr of a Python float is its shortest round-trip form, as fmt_float.
-    return ",".join([f"{a!r}:{b!r}" for a, b in zip(z.real.tolist(), z.imag.tolist())])
+    return re_im(np.ascontiguousarray(z).view(np.float64).tolist())

@@ -6,6 +6,18 @@ elsewhere in the package are measured in the weighted discrete norm
 sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
 and approximates the continuous L2 norm.
 
+``save_training_csv`` writes the CSV text on two CPUs when this process may
+run on more than one and K >= 2. A helper interpreter, ``_rowtext`` run as a
+script under ``-I -S`` (the standard library only: no numpy, none of this
+process's pages), writes the text of rows [0, K // 2) from their doubles,
+which one thread feeds it through a pipe, while this process writes the
+rest; its reply is read into one buffer only after that. Both write each row
+with ``_rowtext.row``, so the bytes are those of a serial write. A helper
+that cannot start, exits non-zero, or replies with the wrong length or line
+count is replaced by a serial write of its rows. The helper is always
+reaped, and the thread joined, before the save returns or raises. A basis
+CSV (``write_waveform_csv``) has few rows and is written serially.
+
 A training CSV is parsed once. ``save_training_csv`` writes, beside
 ``training.csv``, the parsed copy ``training.csv.f64`` with
 ``_fileio.write_keyed_copy``: one ASCII line ``emprint-parsed v1
@@ -33,6 +45,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._fileio import _re_im, atomic_write_bytes, fmt_float, read_keyed_copy, write_keyed_copy
+from . import _rowtext
+from ._fileio import atomic_write_bytes, fmt_float, read_keyed_copy, write_keyed_copy
 
 
 class LengthMismatch(Exception):
@@ -309,11 +325,24 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 # UTF-8, LF line endings, floats in decimal with optional exponent.
 # ---------------------------------------------------------------------------
 
-def _format_row(params_row: np.ndarray, samples_row: np.ndarray) -> str:
-    # repr of a Python float is the shortest round-trip form, as fmt_float.
-    cells = [repr(p) for p in params_row.tolist()]
-    cells.append(_re_im(samples_row))
-    return ",".join(cells)
+def _encoded_rows(params: np.ndarray, samples: np.ndarray) -> list[bytes]:
+    """The CSV line of each row, by ``_rowtext.row``."""
+    parts = np.ascontiguousarray(samples).view(np.float64)
+    return [_rowtext.row(p, s.tolist()) for p, s in zip(params.tolist(), parts)]
+
+
+def _write_csv(path, grid: TimeGrid, d: int, kind: str | None, rows) -> bytes:
+    """Write the header line and the encoded ``rows``; returns the bytes
+    written. The rows and their join are the only copies of the text."""
+    header = (
+        f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
+        f"t_end={fmt_float(grid.t_end)}, d={d}"
+    )
+    if kind is not None:
+        header += f", kind={kind}"
+    data = b"\n".join([header.encode("utf-8"), *rows, b""])  # b"": the final line ending
+    atomic_write_bytes(path, data)
+    return data
 
 
 def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
@@ -323,21 +352,84 @@ def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
     Each line is encoded as it is built, so the text is held at most twice:
     as the encoded lines and as the bytes they are joined into.
     """
-    d = params.shape[1]
-    header = (
-        f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
-        f"t_end={fmt_float(grid.t_end)}, d={d}"
-    )
-    if kind is not None:
-        header += f", kind={kind}"
-    lines = [header.encode("utf-8")]
-    for k in range(samples.shape[0]):
-        lines.append(_format_row(params[k], samples[k]).encode("utf-8"))
-    lines.append(b"")  # the final line ending
-    data = b"\n".join(lines)
-    del lines
-    atomic_write_bytes(path, data)
-    return data
+    return _write_csv(path, grid, params.shape[1], kind, _encoded_rows(params, samples))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _feed(pipe, *arrays) -> None:
+    """Write each array's buffer to ``pipe``, then close it. A blocking pipe
+    write releases the GIL; a helper that exits early ends it."""
+    try:
+        with pipe:
+            for a in arrays:
+                pipe.write(a)
+    except OSError:
+        pass
+
+
+def _reply(pipe, n: int, values: int):
+    """The helper's text of ``n`` rows of ``values`` doubles each, read into
+    one buffer, or None when the reply is not the length it names or not n
+    lines. A double's repr takes at most 24 bytes, plus its separator."""
+    prefix = pipe.read(8)
+    size = int.from_bytes(prefix, "little")
+    if len(prefix) != 8 or size > 25 * n * values:
+        return None
+    text = bytearray(size)
+    if pipe.readinto(text) != size or pipe.read(1) or text.count(b"\n") != n - 1:
+        return None
+    return text
+
+
+def _beside_helper(work: Callable, params: np.ndarray, samples: np.ndarray):
+    """(``work()``, the text of the rows ``params``, ``samples``): their lines
+    joined by LF, written by a helper interpreter (``_rowtext`` run as a
+    script) while ``work`` runs here, or None when the helper does not give
+    them. One thread feeds the helper the rows' doubles; the helper is reaped
+    and the thread joined before this returns or raises."""
+    n, d = params.shape
+    l = samples.shape[1]
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-I", "-S", _rowtext.__file__, str(d), str(l), str(n)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    except OSError:
+        return work(), None
+    writer = threading.Thread(target=_feed, daemon=True, args=(
+        proc.stdin, np.ascontiguousarray(params), np.ascontiguousarray(samples)))
+    text = None
+    try:
+        writer.start()
+        result = work()
+        text = _reply(proc.stdout, n, d + 2 * l)
+    finally:
+        if text is None:
+            proc.kill()
+        proc.wait()
+        if writer.ident is not None:
+            writer.join()
+        proc.stdin.close()
+        proc.stdout.close()
+    return result, text if proc.returncode == 0 else None
+
+
+def _training_rows(params: np.ndarray, samples: np.ndarray) -> list:
+    """The encoded CSV lines of a training set's rows; with a second CPU the
+    first half of them come as one block from the helper (see the module
+    docstring)."""
+    half = len(params) // 2 if sys.executable and _usable_cpus() > 1 else 0
+    if not half:
+        return _encoded_rows(params, samples)
+    rows, head = _beside_helper(lambda: _encoded_rows(params[half:], samples[half:]),
+                                params[:half], samples[:half])
+    rows[:0] = [head] if head is not None else _encoded_rows(params[:half], samples[:half])
+    return rows
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:
@@ -346,8 +438,10 @@ def save_training_csv(ts: TrainingSet, path) -> None:
     Also writes the parsed copy ``<path>.f64`` that later loads read in place
     of the text (see the module docstring).
     """
+    rows = _training_rows(ts.params, ts.samples)
     # The CSV's bytes are dropped once hashed, before the copy is built.
-    digest = hashlib.sha256(write_waveform_csv(path, ts.grid, ts.params, ts.samples))
+    digest = hashlib.sha256(_write_csv(path, ts.grid, ts.d, None, rows))
+    del rows
     # Each row: the parameters, then the samples' real view (re, im, ...),
     # the layout ``_read_parsed_copy`` views back as complex.
     values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -232,6 +233,58 @@ def test_save_holds_the_csv_text_at_most_twice(tmp_path, chirp_training):
         tracemalloc.stop()
     assert chirp_training.csv_sha256 is None
     assert peak <= 2.1 * path.stat().st_size
+
+
+# Doubles whose shortest form is an edge of repr: both zeros' signs, the
+# smallest subnormal and others, the extremes, where repr switches to an
+# exponent (1e16) or prints an exact power of ten (1e22), and the double after 1.
+EDGE = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+        1.7976931348623157e308, 1e16, 1e22, 9007199254740993.0, float(np.nextafter(1, 2))]
+edge_or_finite = st.one_of(st.sampled_from(EDGE), finite)
+
+
+def save_split_or_serial(ts, path, cpus):
+    """save_training_csv as on a machine with ``cpus`` CPUs; returns the rows
+    formatted in this process."""
+    formatted = []
+    encoded_rows = catalog._encoded_rows
+    with mock.patch.object(catalog, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(catalog, "_encoded_rows", side_effect=lambda p, s: (
+                formatted.append(len(p)) or encoded_rows(p, s))):
+        catalog.save_training_csv(ts, path)
+    return sum(formatted)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2, 3, 7]),
+       l=st.integers(2, 5))
+def test_split_and_serial_writes_give_the_same_bytes(tmp_path, data, d, k, l):
+    first = data.draw(hnp.arrays(np.float64, k, elements=edge_or_finite, unique=True))
+    rest = data.draw(hnp.arrays(np.float64, (k, d - 1), elements=edge_or_finite))
+    samples = data.draw(hnp.arrays(np.float64, (k, 2 * l), elements=edge_or_finite))
+    ts = TrainingSet(TimeGrid(0.0, 1.0, l), np.column_stack([first, rest]),
+                     samples.view(np.complex128))
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    assert save_split_or_serial(ts, serial, cpus=1) == k
+    # With K >= 2 the helper writes the first K // 2 rows, this process the rest.
+    assert save_split_or_serial(ts, split, cpus=2) == k - k // 2
+    assert split.read_bytes() == serial.read_bytes()
+    assert copy_of(split).read_bytes() == copy_of(serial).read_bytes()
+
+
+def test_an_interrupted_split_write_leaves_no_helper_or_thread(tmp_path, chirp_training):
+    def interrupt(params, samples):
+        raise KeyboardInterrupt
+    before = threading.active_count()
+    with mock.patch.object(catalog, "_usable_cpus", return_value=2), \
+            mock.patch.object(catalog, "_encoded_rows", side_effect=interrupt), \
+            pytest.raises(KeyboardInterrupt):
+        catalog.save_training_csv(chirp_training, tmp_path / "training.csv")
+    assert threading.active_count() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_single_row(tmp_path):

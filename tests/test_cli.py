@@ -57,6 +57,63 @@ def test_generate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# Helpers that fail, each in place of the script the helper interpreter runs.
+# Both run the real helper: one exits 1 after its full reply, the other drops
+# the end of the reply.
+REAL_HELPER = ("import subprocess, sys\n"
+               "reply = subprocess.run([sys.executable, '-I', '-S', {real!r}, *sys.argv[1:]],\n"
+               "                       stdin=sys.stdin, capture_output=True).stdout\n")
+BAD_HELPERS = {
+    "exits-1": "sys.stdout.buffer.write(reply)\nsys.exit(1)\n",
+    "truncated": "sys.stdout.buffer.write(reply[:-5])\n",
+}
+
+
+def _generate(out, monkeypatch, cpus):
+    """``generate`` of K = 25 rows as on a machine with ``cpus`` CPUs; returns
+    its exit code and the number of rows formatted in this process."""
+    formatted = []
+    encoded_rows = catalog._encoded_rows
+    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(catalog, "_encoded_rows", lambda p, s: (
+        formatted.append(len(p)) or encoded_rows(p, s)))
+    return main(["generate", *CHIRP, "--out-dir", str(out)]), sum(formatted)
+
+
+@pytest.mark.parametrize("failure", ["cannot-start", *BAD_HELPERS])
+def test_a_failed_helper_gives_the_same_bytes(tmp_path, monkeypatch, failure):
+    serial, split = tmp_path / "serial", tmp_path / "split"
+    assert _generate(serial, monkeypatch, cpus=1) == (0, 25)
+    if failure == "cannot-start":
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
+    else:
+        script = tmp_path / "helper.py"
+        script.write_text(REAL_HELPER.format(real=catalog._rowtext.__file__)
+                          + BAD_HELPERS[failure])
+        monkeypatch.setattr(catalog._rowtext, "__file__", str(script))
+    # The helper's 12 rows are formatted here as well.
+    assert _generate(split, monkeypatch, cpus=2) == (0, 25)
+    for name in ("training.csv", "training.csv.f64"):
+        assert (split / name).read_bytes() == (serial / name).read_bytes()
+
+
+@pytest.mark.parametrize("case, code, formatted", [
+    ("written", 0, 13), ("out-dir-is-a-file", 2, 0), ("csv-blocked", 2, 13),
+])
+def test_no_helper_or_thread_outlives_generate(tmp_path, monkeypatch, case, code, formatted):
+    out = tmp_path / "out"
+    if case == "out-dir-is-a-file":
+        out.write_text("not a directory\n")
+    elif case == "csv-blocked":
+        (out / "training.csv").mkdir(parents=True)
+    before = threading.active_count()
+    # The helper writes 12 of the 25 rows, unless the out-dir is refused first.
+    assert _generate(out, monkeypatch, cpus=2) == (code, formatted)
+    assert threading.active_count() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ---------------------------------------------------------------------------
 # basis
 # ---------------------------------------------------------------------------

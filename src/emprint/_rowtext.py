@@ -5,11 +5,12 @@ cells; ``_fileio._re_im`` and ``catalog`` call them, so every sample is
 written by one path. repr of a Python float is its shortest round-trip form.
 
 Run as a script, ``python -I -S _rowtext.py D L N``, this module is the
-helper interpreter that ``catalog.save_training_csv`` starts to write the
-text of the first training rows on a second CPU. It reads N rows from stdin
-as native doubles, the N x D parameters and then the N x L samples' re, im
-parts, and writes the length of their text as 8 little-endian bytes, then the
-text: each row by ``row``, the rows joined by LF. Any other input exits 1.
+helper interpreter that ``catalog`` starts to write the lines of a waveform
+CSV from the top while the caller writes them from the bottom. It reads N
+rows from stdin as native doubles, the N x D parameters first and then each
+row's L samples' re, im parts in turn, and writes each row's line by
+``row`` to stdout as soon as that row has arrived and been formatted. Input
+that ends early exits 1; the lines already written stand.
 """
 
 import sys
@@ -22,22 +23,24 @@ def re_im(parts) -> str:
 
 
 def row(params, parts) -> bytes:
-    """One CSV line, UTF-8: the floats ``params``, then ``re_im(parts)``."""
-    return ",".join([*map(repr, params), re_im(parts)]).encode("utf-8")
+    """One CSV line, UTF-8 with its LF: the floats ``params``, then
+    ``re_im(parts)``."""
+    return (",".join([*map(repr, params), re_im(parts)]) + "\n").encode("utf-8")
+
+
+def _read(size: int) -> memoryview:
+    """The next ``size`` bytes of stdin as doubles; exits 1 if it ends first."""
+    data = sys.stdin.buffer.read(size)
+    if len(data) != size:
+        sys.exit(1)
+    return memoryview(data).cast("d")
 
 
 def _serve(d: int, l: int, n: int) -> None:
-    data = sys.stdin.buffer.read()
-    if len(data) != 8 * n * (d + 2 * l):
-        sys.exit(1)
-    values = memoryview(data).cast("d")
-    params, parts = values[:n * d], values[n * d:]
-    text = b"\n".join([row(params[i * d:(i + 1) * d].tolist(),
-                           parts[2 * i * l:2 * (i + 1) * l].tolist()) for i in range(n)])
-    out = sys.stdout.buffer
-    out.write(len(text).to_bytes(8, "little"))
-    out.write(text)
-    out.flush()
+    params = _read(8 * n * d)
+    for i in range(n):
+        sys.stdout.buffer.write(row(params[i * d:(i + 1) * d].tolist(), _read(16 * l).tolist()))
+        sys.stdout.buffer.flush()
 
 
 if __name__ == "__main__":

@@ -6,17 +6,22 @@ elsewhere in the package are measured in the weighted discrete norm
 sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
 and approximates the continuous L2 norm.
 
-``save_training_csv`` writes the CSV text on two CPUs when this process may
-run on more than one and K >= 2. A helper interpreter, ``_rowtext`` run as a
-script under ``-I -S`` (the standard library only: no numpy, none of this
-process's pages), writes the text of rows [0, K // 2) from their doubles,
-which one thread feeds it through a pipe, while this process writes the
-rest; its reply is read into one buffer only after that. Both write each row
-with ``_rowtext.row``, so the bytes are those of a serial write. A helper
-that cannot start, exits non-zero, or replies with the wrong length or line
-count is replaced by a serial write of its rows. The helper is always
-reaped, and the thread joined, before the save returns or raises. A basis
-CSV (``write_waveform_csv``) has few rows and is written serially.
+Both waveform CSVs, ``save_training_csv``'s and ``write_waveform_csv``'s
+(the basis), are written by one row writer that uses two CPUs when this
+process may run on more than one, K >= 2 and the text has at least
+``_HELPER_CELLS`` cells (K x (d + L)). A helper interpreter, ``_rowtext``
+run as a script under ``-I -S`` (the standard library only: no numpy, none
+of this process's pages), writes rows 0, 1, 2, ... and passes on each line
+as soon as it is done, while this process writes rows K-1, K-2, ....
+Between its rows this process sends the helper the rows' doubles and reads
+its lines, both on non-blocking pipes, and it stops as soon as its next row
+is one the helper has already written; the two meet wherever the faster one
+gets to. The helper's lines up to there are kept as read, and used only if
+they hold d + L - 1 commas a line; any row the helper did not give (it
+could not start, died, was slow, or failed that check) is written here.
+Both sides write each row with ``_rowtext.row``, so the bytes are those of
+a serial write. The helper is killed and reaped before the write returns or
+raises.
 
 A training CSV is parsed once. ``save_training_csv`` writes, beside
 ``training.csv``, the parsed copy ``training.csv.f64`` with
@@ -43,6 +48,8 @@ binary copies with it.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import math
 import os
@@ -325,14 +332,119 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 # UTF-8, LF line endings, floats in decimal with optional exponent.
 # ---------------------------------------------------------------------------
 
-def _encoded_rows(params: np.ndarray, samples: np.ndarray) -> list[bytes]:
-    """The CSV line of each row, by ``_rowtext.row``."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# A text of fewer cells than this, rows x (d + L), is written here alone. A
+# helper takes about 13 ms to start, the time of 5,000-8,000 cells here, so
+# it takes over too little of a shorter text. On 2 shared vCPUs the packet-2d
+# basis (5,829 cells) took 19.0 ms with a helper and 17.3 ms without; the
+# chirp-3rules basis (19,019 cells) took 36-40 ms with one and 41-52 without.
+_HELPER_CELLS = 12_000
+
+# Each read of the helper's output takes at most this many bytes.
+_READ_BYTES = 1 << 16
+
+# The helper's two pipes are widened to this many bytes where the platform
+# allows it (F_SETPIPE_SZ, Linux), so that its input can run rows ahead of
+# it and it can run rows ahead of the reads here.
+_PIPE_BYTES = 1 << 20
+
+
+class _Helper:
+    """A helper interpreter, ``_rowtext`` run as a script, that writes the
+    lines of rows from the top, and the text read from it so far.
+
+    This process sends the rows' doubles and reads the lines on non-blocking
+    pipes between its own rows (``pump``). A feeding thread would starve: it
+    waits for the GIL, and each read here resets its wait."""
+
+    proc = None
+    lines = 0  # the LFs in ``chunks``
+
+    def start(self, params: np.ndarray, samples: np.ndarray) -> None:
+        """Start it on the rows ``params``, ``samples``. A helper that
+        cannot start writes no lines."""
+        self.chunks = []  # its text, as read
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", _rowtext.__file__,
+                 *map(str, (params.shape[1], samples.shape[1], len(params)))],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        except OSError:
+            return
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            os.set_blocking(pipe.fileno(), False)
+            with contextlib.suppress(AttributeError, OSError):
+                fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        # The rows' doubles not yet sent, the parameters then the samples, as
+        # byte views of their arrays: a copy would add to the peak RSS.
+        self.unsent = [memoryview(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+                       for a in (params, samples)]
+
+    def pump(self) -> int:
+        """Send it what its input pipe takes and read what it has written,
+        without waiting; returns the lines read so far."""
+        if self.proc is not None:
+            with contextlib.suppress(BlockingIOError, BrokenPipeError):  # full, or it exited
+                while self.unsent:
+                    sent = os.write(self.proc.stdin.fileno(), self.unsent[0])
+                    self.unsent = [v for v in (self.unsent[0][sent:], *self.unsent[1:]) if v]
+            with contextlib.suppress(BlockingIOError):  # nothing more to read yet
+                while chunk := os.read(self.proc.stdout.fileno(), _READ_BYTES):
+                    self.chunks.append(chunk)
+                    self.lines += chunk.count(b"\n")
+        return self.lines
+
+    def text(self, rows: int, commas: int) -> list | None:
+        """The chunks of its first ``rows`` lines, the last chunk cut after
+        their final LF, or None unless they hold ``commas`` commas a line."""
+        chunks, excess = self.chunks, self.lines - rows
+        while chunks and chunks[-1].count(b"\n") <= excess:
+            excess -= chunks.pop().count(b"\n")
+        if chunks:
+            chunks[-1] = chunks[-1].rsplit(b"\n", excess + 1)[0] + b"\n"
+        return chunks if sum(c.count(b",") for c in chunks) == rows * commas else None
+
+    def stop(self) -> None:
+        """Kill and reap it, and close its pipes."""
+        if self.proc is not None:
+            with self.proc:  # closes its pipes and waits for it
+                self.proc.kill()
+
+
+def _encoded_rows(params: np.ndarray, samples: np.ndarray) -> list:
+    """The lines of the rows ``params``, ``samples``, each by
+    ``_rowtext.row``, in order, as a list of byte strings. With a second CPU
+    and at least ``_HELPER_CELLS`` cells, a helper writes them from the top
+    while this process writes them from the bottom (see the module
+    docstring); the helper's lines then come first, as the chunks read."""
+    k, cells = len(params), params.shape[1] + samples.shape[1]  # cells: d + L a row
     parts = np.ascontiguousarray(samples).view(np.float64)
-    return [_rowtext.row(p, s.tolist()) for p, s in zip(params.tolist(), parts)]
+    values = params.tolist()
+
+    def line(i):
+        return _rowtext.row(values[i], parts[i].tolist())
+    tail, head = [], None  # tail: rows k - 1, k - 2, ... written here
+    if k > 1 and k * cells >= _HELPER_CELLS and sys.executable and _usable_cpus() > 1:
+        helper = _Helper()
+        try:
+            helper.start(params, samples)
+            while len(tail) < k - helper.pump():
+                tail.append(line(k - 1 - len(tail)))
+            head = helper.text(k - len(tail), cells - 1)
+        finally:
+            helper.stop()
+    # Rows the helper did not give, or gave with the wrong number of cells,
+    # are written here.
+    return (head or [line(i) for i in range(k - len(tail))]) + tail[::-1]
 
 
 def _write_csv(path, grid: TimeGrid, d: int, kind: str | None, rows) -> bytes:
-    """Write the header line and the encoded ``rows``; returns the bytes
+    """Write the header line and the ``rows`` of text; returns the bytes
     written. The rows and their join are the only copies of the text."""
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
@@ -340,7 +452,7 @@ def _write_csv(path, grid: TimeGrid, d: int, kind: str | None, rows) -> bytes:
     )
     if kind is not None:
         header += f", kind={kind}"
-    data = b"\n".join([header.encode("utf-8"), *rows, b""])  # b"": the final line ending
+    data = b"".join([f"{header}\n".encode("utf-8"), *rows])
     atomic_write_bytes(path, data)
     return data
 
@@ -349,87 +461,10 @@ def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
                        samples: np.ndarray, kind: str | None = None) -> bytes:
     """Write a waveform CSV; returns the bytes written.
 
-    Each line is encoded as it is built, so the text is held at most twice:
-    as the encoded lines and as the bytes they are joined into.
+    The text is held at most twice: as the rows' lines and as the bytes
+    they are joined into.
     """
     return _write_csv(path, grid, params.shape[1], kind, _encoded_rows(params, samples))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _feed(pipe, *arrays) -> None:
-    """Write each array's buffer to ``pipe``, then close it. A blocking pipe
-    write releases the GIL; a helper that exits early ends it."""
-    try:
-        with pipe:
-            for a in arrays:
-                pipe.write(a)
-    except OSError:
-        pass
-
-
-def _reply(pipe, n: int, values: int):
-    """The helper's text of ``n`` rows of ``values`` doubles each, read into
-    one buffer, or None when the reply is not the length it names or not n
-    lines. A double's repr takes at most 24 bytes, plus its separator."""
-    prefix = pipe.read(8)
-    size = int.from_bytes(prefix, "little")
-    if len(prefix) != 8 or size > 25 * n * values:
-        return None
-    text = bytearray(size)
-    if pipe.readinto(text) != size or pipe.read(1) or text.count(b"\n") != n - 1:
-        return None
-    return text
-
-
-def _beside_helper(work: Callable, params: np.ndarray, samples: np.ndarray):
-    """(``work()``, the text of the rows ``params``, ``samples``): their lines
-    joined by LF, written by a helper interpreter (``_rowtext`` run as a
-    script) while ``work`` runs here, or None when the helper does not give
-    them. One thread feeds the helper the rows' doubles; the helper is reaped
-    and the thread joined before this returns or raises."""
-    n, d = params.shape
-    l = samples.shape[1]
-    try:
-        proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", _rowtext.__file__, str(d), str(l), str(n)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    except OSError:
-        return work(), None
-    writer = threading.Thread(target=_feed, daemon=True, args=(
-        proc.stdin, np.ascontiguousarray(params), np.ascontiguousarray(samples)))
-    text = None
-    try:
-        writer.start()
-        result = work()
-        text = _reply(proc.stdout, n, d + 2 * l)
-    finally:
-        if text is None:
-            proc.kill()
-        proc.wait()
-        if writer.ident is not None:
-            writer.join()
-        proc.stdin.close()
-        proc.stdout.close()
-    return result, text if proc.returncode == 0 else None
-
-
-def _training_rows(params: np.ndarray, samples: np.ndarray) -> list:
-    """The encoded CSV lines of a training set's rows; with a second CPU the
-    first half of them come as one block from the helper (see the module
-    docstring)."""
-    half = len(params) // 2 if sys.executable and _usable_cpus() > 1 else 0
-    if not half:
-        return _encoded_rows(params, samples)
-    rows, head = _beside_helper(lambda: _encoded_rows(params[half:], samples[half:]),
-                                params[:half], samples[:half])
-    rows[:0] = [head] if head is not None else _encoded_rows(params[:half], samples[:half])
-    return rows
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:
@@ -438,7 +473,7 @@ def save_training_csv(ts: TrainingSet, path) -> None:
     Also writes the parsed copy ``<path>.f64`` that later loads read in place
     of the text (see the module docstring).
     """
-    rows = _training_rows(ts.params, ts.samples)
+    rows = _encoded_rows(ts.params, ts.samples)
     # The CSV's bytes are dropped once hashed, before the copy is built.
     digest = hashlib.sha256(_write_csv(path, ts.grid, ts.d, None, rows))
     del rows

@@ -12,7 +12,10 @@ Every command reads either a training CSV (--input) or a family spec
 (--family/--k/--l ...). Options may come from a single JSON config file
 (--config); explicit command-line flags override it, and the environment is
 never consulted. All outputs are plain CSV/JSON written atomically, and a
-rerun with the same configuration reproduces them byte for byte.
+rerun with the same configuration and the same number of BLAS threads
+reproduces them byte for byte. ``errors.csv`` and ``report_<rule>.json``
+move in their last digits with that number, which OpenBLAS takes from the
+CPUs the process may use unless told otherwise.
 
 The greedy sweep runs once per input: ``basis`` on a training CSV also
 writes ``basis.f64``, the basis's binary copy (see ``rbm``), into --out-dir,

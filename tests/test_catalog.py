@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -243,44 +244,97 @@ EDGE = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e3
 edge_or_finite = st.one_of(st.sampled_from(EDGE), finite)
 
 
-def save_split_or_serial(ts, path, cpus):
-    """save_training_csv as on a machine with ``cpus`` CPUs; returns the rows
-    formatted in this process."""
-    formatted = []
-    encoded_rows = catalog._encoded_rows
-    with mock.patch.object(catalog, "_usable_cpus", return_value=cpus), \
-            mock.patch.object(catalog, "_encoded_rows", side_effect=lambda p, s: (
-                formatted.append(len(p)) or encoded_rows(p, s))):
-        catalog.save_training_csv(ts, path)
-    return sum(formatted)
+def reset(writers):
+    writers.here = writers.helper = writers.refused = writers.started = 0
+
+
+def pump_after(lines):
+    """``_Helper.pump`` that first waits, up to 30 s, until the helper has
+    written ``lines`` lines."""
+    pump = catalog._Helper.pump
+
+    def wait(self):
+        deadline = time.monotonic() + 30
+        while pump(self) < lines and self.proc is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return self.lines
+    return wait
 
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), d=st.sampled_from([1, 2]), k=st.sampled_from([1, 2, 3, 7]),
+@given(data=st.data(), d=st.sampled_from([0, 1, 2]), k=st.sampled_from([1, 2, 3, 7]),
        l=st.integers(2, 5))
-def test_split_and_serial_writes_give_the_same_bytes(tmp_path, data, d, k, l):
+def test_split_and_serial_writes_give_the_same_bytes(tmp_path, writers, data, d, k, l):
+    # d = 0 are basis rows (write_waveform_csv), d >= 1 a training set. This
+    # process first waits until the helper has written ``wait`` lines, so
+    # the two sides meet anywhere from the top row to the bottom one.
     first = data.draw(hnp.arrays(np.float64, k, elements=edge_or_finite, unique=True))
-    rest = data.draw(hnp.arrays(np.float64, (k, d - 1), elements=edge_or_finite))
+    rest = data.draw(hnp.arrays(np.float64, (k, max(d - 1, 0)), elements=edge_or_finite))
+    params = np.column_stack([first, rest])[:, :d]
     samples = data.draw(hnp.arrays(np.float64, (k, 2 * l), elements=edge_or_finite))
-    ts = TrainingSet(TimeGrid(0.0, 1.0, l), np.column_stack([first, rest]),
-                     samples.view(np.complex128))
+    samples = samples.view(np.complex128)
+    wait = data.draw(st.integers(0, k)) if k > 1 else 0
+    grid = TimeGrid(0.0, 1.0, l)
+
+    def write(path):
+        reset(writers)
+        if d:
+            catalog.save_training_csv(TrainingSet(grid, params, samples), path)
+        else:
+            catalog.write_waveform_csv(path, grid, params, samples, kind="basis")
+        return writers.here, writers.helper
     serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    assert save_split_or_serial(ts, serial, cpus=1) == k
-    # With K >= 2 the helper writes the first K // 2 rows, this process the rest.
-    assert save_split_or_serial(ts, split, cpus=2) == k - k // 2
+    writers.cpus = 1
+    assert write(serial) == (k, 0)
+    writers.cpus = 2
+    with mock.patch.object(catalog._Helper, "pump", pump_after(wait)):
+        here, helper = write(split)
+    assert here + helper == k and helper >= wait
+    assert writers.started == (k > 1) and writers.refused == 0
     assert split.read_bytes() == serial.read_bytes()
-    assert copy_of(split).read_bytes() == copy_of(serial).read_bytes()
+    if d:
+        assert copy_of(split).read_bytes() == copy_of(serial).read_bytes()
 
 
-def test_an_interrupted_split_write_leaves_no_helper_or_thread(tmp_path, chirp_training):
-    def interrupt(params, samples):
+def test_a_late_helper_leaves_every_row_to_this_process(tmp_path, writers, chirp_training,
+                                                        monkeypatch):
+    writers.cpus = 1
+    catalog.save_training_csv(chirp_training, tmp_path / "serial.csv")
+    reset(writers)
+    writers.cpus = 2
+    late = tmp_path / "late.py"
+    late.write_text("import runpy, time\ntime.sleep(60)\n"
+                    f"runpy.run_path({catalog._rowtext.__file__!r}, run_name='__main__')\n")
+    monkeypatch.setattr(catalog._rowtext, "__file__", str(late))
+    start = time.monotonic()
+    catalog.save_training_csv(chirp_training, tmp_path / "late.csv")
+    assert time.monotonic() - start < 30  # the helper is killed, not waited for
+    assert (writers.started, writers.here, writers.helper) == (1, chirp_training.k, 0)
+    assert (tmp_path / "late.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_a_slow_process_leaves_most_rows_to_the_helper(tmp_path, writers, chirp_training):
+    writers.cpus = 1
+    catalog.save_training_csv(chirp_training, tmp_path / "serial.csv")
+    reset(writers)
+    writers.cpus = 2
+    writers.delay = 0.02
+    catalog.save_training_csv(chirp_training, tmp_path / "slow.csv")
+    assert writers.here + writers.helper == chirp_training.k
+    assert writers.helper > chirp_training.k // 2
+    assert (tmp_path / "slow.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_an_interrupted_split_write_leaves_no_helper_or_thread(tmp_path, writers,
+                                                               chirp_training, monkeypatch):
+    def interrupt(params, parts):
         raise KeyboardInterrupt
+    monkeypatch.setattr(catalog._rowtext, "row", interrupt)
     before = threading.active_count()
-    with mock.patch.object(catalog, "_usable_cpus", return_value=2), \
-            mock.patch.object(catalog, "_encoded_rows", side_effect=interrupt), \
-            pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt):
         catalog.save_training_csv(chirp_training, tmp_path / "training.csv")
+    assert writers.started == 1
     assert threading.active_count() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

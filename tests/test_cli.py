@@ -58,32 +58,31 @@ def test_generate_is_deterministic(tmp_path):
 
 
 # Helpers that fail, each in place of the script the helper interpreter runs.
-# Both run the real helper: one exits 1 after its full reply, the other drops
-# the end of the reply.
+# Both run the real helper and pass on its lines: one exits 1 after five
+# lines, the other drops the last cell of the first line.
 REAL_HELPER = ("import subprocess, sys\n"
-               "reply = subprocess.run([sys.executable, '-I', '-S', {real!r}, *sys.argv[1:]],\n"
-               "                       stdin=sys.stdin, capture_output=True).stdout\n")
+               "real = subprocess.Popen([sys.executable, '-I', '-S', {real!r}, *sys.argv[1:]],\n"
+               "                        stdin=sys.stdin, stdout=subprocess.PIPE)\n"
+               "out = sys.stdout.buffer\n")
 BAD_HELPERS = {
-    "exits-1": "sys.stdout.buffer.write(reply)\nsys.exit(1)\n",
-    "truncated": "sys.stdout.buffer.write(reply[:-5])\n",
+    "exits-1": ("for _ in range(5):\n"
+                "    out.write(real.stdout.readline())\n"
+                "    out.flush()\n"
+                "real.kill()\nreal.wait()\nsys.exit(1)\n"),
+    "truncated": ("line = real.stdout.readline()\n"
+                  "out.write(line[:line.rindex(b',')] + b'\\n')\n"
+                  "for line in real.stdout:\n"
+                  "    out.write(line)\n"
+                  "    out.flush()\n"),
 }
 
 
-def _generate(out, monkeypatch, cpus):
-    """``generate`` of K = 25 rows as on a machine with ``cpus`` CPUs; returns
-    its exit code and the number of rows formatted in this process."""
-    formatted = []
-    encoded_rows = catalog._encoded_rows
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(catalog, "_encoded_rows", lambda p, s: (
-        formatted.append(len(p)) or encoded_rows(p, s)))
-    return main(["generate", *CHIRP, "--out-dir", str(out)]), sum(formatted)
-
-
 @pytest.mark.parametrize("failure", ["cannot-start", *BAD_HELPERS])
-def test_a_failed_helper_gives_the_same_bytes(tmp_path, monkeypatch, failure):
+def test_a_failed_helper_gives_the_same_bytes(tmp_path, monkeypatch, writers, failure):
     serial, split = tmp_path / "serial", tmp_path / "split"
-    assert _generate(serial, monkeypatch, cpus=1) == (0, 25)
+    writers.cpus = 1
+    assert main(["generate", *CHIRP, "--out-dir", str(serial)]) == 0
+    writers.cpus, writers.here = 2, 0
     if failure == "cannot-start":
         monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
     else:
@@ -91,24 +90,38 @@ def test_a_failed_helper_gives_the_same_bytes(tmp_path, monkeypatch, failure):
         script.write_text(REAL_HELPER.format(real=catalog._rowtext.__file__)
                           + BAD_HELPERS[failure])
         monkeypatch.setattr(catalog._rowtext, "__file__", str(script))
-    # The helper's 12 rows are formatted here as well.
-    assert _generate(split, monkeypatch, cpus=2) == (0, 25)
+    writers.delay = 0.02  # so that the helper writes rows too
+    assert main(["generate", *CHIRP, "--out-dir", str(split)]) == 0
+    # Rows formatted here include those of a block that failed its check.
+    assert writers.here + writers.helper == 25
+    assert writers.helper == (5 if failure == "exits-1" else 0)
+    assert (writers.refused > 0) == (failure == "truncated")
     for name in ("training.csv", "training.csv.f64"):
         assert (split / name).read_bytes() == (serial / name).read_bytes()
 
 
-@pytest.mark.parametrize("case, code, formatted", [
-    ("written", 0, 13), ("out-dir-is-a-file", 2, 0), ("csv-blocked", 2, 13),
+@pytest.mark.parametrize("command, case, code, started", [
+    ("generate", "written", 0, 1), ("generate", "out-dir-is-a-file", 2, 0),
+    ("generate", "csv-blocked", 2, 1), ("basis", "written", 0, 1),
+    ("basis", "csv-blocked", 2, 1), ("basis", "all-zero", 3, 0),
 ])
-def test_no_helper_or_thread_outlives_generate(tmp_path, monkeypatch, case, code, formatted):
-    out = tmp_path / "out"
+def test_no_helper_or_thread_outlives_a_command(tmp_path, writers, command, case, code,
+                                                 started):
+    out, args = tmp_path / "out", CHIRP
+    if case == "all-zero":
+        _all_zero_training(out)
+    elif command == "basis":
+        assert main(["generate", *CHIRP, "--out-dir", str(out)]) == 0
+    if command == "basis":
+        args = ["--input", str(out / "training.csv")]
     if case == "out-dir-is-a-file":
         out.write_text("not a directory\n")
     elif case == "csv-blocked":
-        (out / "training.csv").mkdir(parents=True)
+        (out / f"{command.replace('generate', 'training')}.csv").mkdir(parents=True)
     before = threading.active_count()
-    # The helper writes 12 of the 25 rows, unless the out-dir is refused first.
-    assert _generate(out, monkeypatch, cpus=2) == (code, formatted)
+    writers.started = 0
+    assert main([command, *args, "--out-dir", str(out)]) == code
+    assert writers.started == started
     assert threading.active_count() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -12,6 +12,9 @@ from emprint.rbm import DegenerateResidual, ReducedBasis, build_reduced_basis
 
 from oracles import load_basis_csv, project, projection_error_sq, weighted_norm
 
+# The helper's size gate, read before the ``writers`` fixture lowers it.
+HELPER_CELLS = catalog._HELPER_CELLS
+
 
 def _waveform(rng, grid):
     return rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples)
@@ -240,6 +243,35 @@ def test_basis_csv_round_trip(tmp_path, small_basis):
     grid, rows = load_basis_csv(path)
     assert grid == small_basis.grid
     assert np.array_equal(rows, small_basis.basis)
+
+
+def test_basis_csv_with_a_helper_holds_its_text_at_most_twice(tmp_path, chirp_basis, writers):
+    # The rows formatted here, the helper's chunks and their join. Each row
+    # here is 10 ms late, so that the helper writes some of them.
+    writers.delay = 0.01
+    path = tmp_path / "basis.csv"
+    tracemalloc.start()
+    try:
+        rbm.save_basis_csv(chirp_basis, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert writers.helper > 0 and writers.here + writers.helper == chirp_basis.n
+    assert peak <= 2.1 * path.stat().st_size
+
+
+def test_a_small_basis_starts_no_helper_and_a_training_set_does(tmp_path, writers,
+                                                               monkeypatch):
+    # packet-2d's basis: 29 rows of 201 samples, 5,829 cells, under the gate.
+    spec = catalog.make_family_spec("gaussian_packet", 900, grid=TimeGrid(0.0, 1.0, 201),
+                                    param_range=((0.25, 0.75), (0.05, 0.2)))
+    ts = catalog.generate_family(spec)
+    rb = build_reduced_basis(ts, tol=1e-10)
+    monkeypatch.setattr(catalog, "_HELPER_CELLS", HELPER_CELLS)
+    rbm.save_basis_csv(rb, tmp_path / "basis.csv")
+    assert rb.n == 29 and writers.started == 0
+    catalog.save_training_csv(ts, tmp_path / "training.csv")
+    assert writers.started == 1
 
 
 def test_greedy_errors_csv(tmp_path, small_basis):

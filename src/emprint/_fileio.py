@@ -1,15 +1,24 @@
-"""Atomic file writes, and the one owner of every artifact's text format:
-numeric tables (``write_table``), JSON documents (``write_json``) and
-``re:im`` cells of complex values (``_re_im``, by ``_rowtext.re_im``, the
-formatter of the waveform-CSV rows too). Every float is written in its
-shortest round-trip form. The writers elsewhere only say what goes into
-each file. ``write_keyed_copy``/``read_keyed_copy`` are the one read and
-write of every binary copy (``training.csv.f64``, ``basis.f64`` and
-``interpolant_<rule>.f64``): an exact ASCII header line, then little-endian
-doubles."""
+"""The one sink of every artifact, and the one owner of every artifact's
+text format: numeric tables (``table``), JSON documents (``json_document``)
+and ``re:im`` cells of complex values (``_re_im``, by ``_rowtext.re_im``,
+the formatter of the waveform-CSV rows too). Every float is written in its
+shortest round-trip form. ``keyed_copy``/``read_keyed_copy`` are the one
+write and read of every binary copy (``training.csv.f64``, ``basis.f64``
+and ``interpolant_<rule>.f64``): an exact ASCII header line, then
+little-endian doubles.
+
+The serializers here and elsewhere take no path and return a file's
+contents, as bytes or as a list of buffers written one after the other.
+``commit`` alone creates, writes and renames files: it writes all the files
+of one command or none of them (see its docstring). Two cases are not all
+or none: ``verify-theorem`` exiting 1 still writes ``theorem_check.csv``,
+its result (see ``cli``), and a rename that fails after others succeeded
+is not undone."""
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 import tempfile
@@ -19,42 +28,59 @@ import numpy as np
 
 from ._rowtext import re_im
 
+# Each temp file is written through a buffer of this many bytes: a waveform
+# CSV arrives as one buffer per row, each too small to be a write of its own.
+# The buffer is held beside the file's contents, so it is kept small: at
+# 1 MiB it would add a quarter of a 4 MB training CSV to the peak memory of
+# writing it.
+_WRITE_BUFFER = 1 << 16
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a temp file and rename, so readers never
-    observe a partially written file. The file gets mode 0o666 less the
-    umask, as an ordinary ``open`` would give it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+
+def commit(files) -> None:
+    """Write ``files``, a map of each path to its bytes or to a list of
+    buffers written in turn, all or none.
+
+    First every target is checked: one that is a directory is refused, by
+    name, before anything is created (the directories above the targets
+    included). Then each file is written to a temp file beside its target,
+    with mode 0o666 less the umask, as an ordinary ``open`` would give it.
+    Last, the temp files are renamed over their targets, in order. A failure
+    before the first rename removes every temp file, and leaves every target
+    as it was. A rename that fails after others succeeded is not undone:
+    the files renamed before it are the new ones, the rest the old ones, and
+    the error names the file whose rename failed. Every temp file left is
+    removed on any way out."""
+    targets = [Path(path) for path in files]
+    for path in targets:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    mask = os.umask(0o077)  # the umask is read by setting it; restore it
+    os.umask(mask)
+    temps = []  # those not yet renamed
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        mask = os.umask(0o077)  # the umask is read by setting it; restore it
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:  # name the artifact, not the temp file removed below
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        for path, data in zip(targets, files.values()):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            temps.append(tmp)
+            with open(fd, "wb", buffering=_WRITE_BUFFER) as fh:
+                fh.writelines(data if isinstance(data, list) else [data])
+            os.chmod(tmp, 0o666 & ~mask)
+        for path in targets:
+            try:
+                os.replace(temps[0], path)
+            except OSError as exc:  # name the artifact, not the temp file removed below
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            del temps[0]
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """``atomic_write_bytes`` of ``text`` in UTF-8, line endings untranslated."""
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def write_keyed_copy(path, header: str, values) -> None:
-    """Write ``header`` as one ASCII line, then ``values`` as little-endian
-    doubles."""
-    atomic_write_bytes(path, f"{header}\n".encode("ascii")
-                       + np.asarray(values, dtype="<f8").tobytes())
+def keyed_copy(header: str, values) -> list:
+    """The binary copy of ``values`` under ``header``: the header as one
+    ASCII line, then the values as little-endian doubles, in two buffers."""
+    return [f"{header}\n".encode("ascii"), np.ascontiguousarray(values, dtype="<f8")]
 
 
 def read_keyed_copy(path, header_for, row: int) -> np.ndarray | None:
@@ -92,18 +118,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_table(path, header, rows) -> None:
-    """Write a numeric table: a line of the column names ``header``, then one
-    line per row, cells separated by ',' (a sequence is one cell of
+def table(header, rows) -> bytes:
+    """A numeric table: a line of the column names ``header``, then one line
+    per row, cells separated by ',' (a sequence is one cell of
     space-separated values), LF line endings and a final newline."""
     lines = [",".join(header)]
     lines += [",".join(map(_cell, row)) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_json(path, doc) -> None:
-    """Write the JSON document ``doc``, indented by 2, with a final newline."""
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+def json_document(doc) -> bytes:
+    """The JSON document ``doc``, indented by 2, with a final newline."""
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def _re_im(z) -> str:

@@ -6,8 +6,8 @@ elsewhere in the package are measured in the weighted discrete norm
 sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
 and approximates the continuous L2 norm.
 
-Both waveform CSVs, ``save_training_csv``'s and ``write_waveform_csv``'s
-(the basis), are written by one row writer that uses two CPUs when this
+Both waveform CSVs, the training set's and the basis's (``waveform_csv``),
+are written by one row writer that uses two CPUs when this
 process may run on more than one, K >= 2 and the text has at least
 ``_HELPER_CELLS`` cells (K x (d + L)). A helper interpreter, ``_rowtext``
 run as a script under ``-I -S`` (the standard library only: no numpy, none
@@ -20,15 +20,22 @@ gets to. The helper's lines up to there are kept as read, and used only if
 they hold d + L - 1 commas a line; any row the helper did not give (it
 could not start, died, was slow, or failed that check) is written here.
 Both sides write each row with ``_rowtext.row``, so the bytes are those of
-a serial write. The helper is killed and reaped before the write returns or
-raises.
+a serial write. The helper is killed and reaped before ``waveform_csv``
+returns or raises.
 
-A training CSV is parsed once. ``save_training_csv`` writes, beside
-``training.csv``, the parsed copy ``training.csv.f64`` with
-``_fileio.write_keyed_copy``: one ASCII line ``emprint-parsed v1
+``waveform_csv`` and ``training_files`` return the files' contents and
+write nothing; a command's caller commits all its files at once, all or
+none, with ``_fileio.commit``, as ``save_training_csv`` does for a training
+set's two files. Only a rename that fails after others succeeded is not
+undone (see ``_fileio.commit``).
+
+A training CSV is parsed once. ``training_files`` gives, beside
+``training.csv``, the parsed copy ``training.csv.f64``, by
+``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v1
 sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is that of the CSV's
-exact bytes, then the K x (d + 2L) values as little-endian doubles,
-row-major (the parameters, then re, im of each sample).
+exact bytes (hashed over its lines, which are never joined), then the
+K x (d + 2L) values as little-endian doubles, row-major (the parameters,
+then re, im of each sample).
 
 ``open_training_csv`` reads the copy instead of the text when its header
 line is exactly the one the CSV's own header and the digest it claims
@@ -63,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from . import _rowtext
-from ._fileio import atomic_write_bytes, fmt_float, read_keyed_copy, write_keyed_copy
+from ._fileio import commit, fmt_float, keyed_copy, read_keyed_copy
 
 
 class LengthMismatch(Exception):
@@ -443,45 +450,43 @@ def _encoded_rows(params: np.ndarray, samples: np.ndarray) -> list:
     return (head or [line(i) for i in range(k - len(tail))]) + tail[::-1]
 
 
-def _write_csv(path, grid: TimeGrid, d: int, kind: str | None, rows) -> bytes:
-    """Write the header line and the ``rows`` of text; returns the bytes
-    written. The rows and their join are the only copies of the text."""
+def waveform_csv(grid: TimeGrid, params: np.ndarray, samples: np.ndarray,
+                 kind: str | None = None) -> list:
+    """A waveform CSV, as its header line and then its rows' lines (the
+    helper's, if any, as the chunks read; see ``_encoded_rows``), each
+    UTF-8 bytes with its LF. The list is the one copy of the text; it is
+    never joined."""
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
-        f"t_end={fmt_float(grid.t_end)}, d={d}"
+        f"t_end={fmt_float(grid.t_end)}, d={params.shape[1]}"
     )
     if kind is not None:
         header += f", kind={kind}"
-    data = b"".join([f"{header}\n".encode("utf-8"), *rows])
-    atomic_write_bytes(path, data)
-    return data
+    return [f"{header}\n".encode("utf-8"), *_encoded_rows(params, samples)]
 
 
-def write_waveform_csv(path, grid: TimeGrid, params: np.ndarray,
-                       samples: np.ndarray, kind: str | None = None) -> bytes:
-    """Write a waveform CSV; returns the bytes written.
-
-    The text is held at most twice: as the rows' lines and as the bytes
-    they are joined into.
-    """
-    return _write_csv(path, grid, params.shape[1], kind, _encoded_rows(params, samples))
+def training_files(ts: TrainingSet, path) -> dict:
+    """The files ``save_training_csv(ts, path)`` writes, for ``_fileio.commit``:
+    the CSV at ``path`` and its parsed copy (see the module docstring)."""
+    lines = waveform_csv(ts.grid, ts.params, ts.samples)
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    # Each row: the parameters, then the samples' real view (re, im, ...),
+    # the layout ``_read_parsed_copy`` views back as complex.
+    values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
+    return {Path(path): lines, _parsed_copy_path(path): keyed_copy(
+        _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples), values)}
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:
     """Serialize a training set; ``load_training_csv`` restores it bit-for-bit.
 
     Also writes the parsed copy ``<path>.f64`` that later loads read in place
-    of the text (see the module docstring).
+    of the text (see the module docstring). Both files are written, or
+    neither (see ``_fileio.commit``).
     """
-    rows = _encoded_rows(ts.params, ts.samples)
-    # The CSV's bytes are dropped once hashed, before the copy is built.
-    digest = hashlib.sha256(_write_csv(path, ts.grid, ts.d, None, rows))
-    del rows
-    # Each row: the parameters, then the samples' real view (re, im, ...),
-    # the layout ``_read_parsed_copy`` views back as complex.
-    values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
-    write_keyed_copy(_parsed_copy_path(path),
-                     _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples), values)
+    commit(training_files(ts, path))
 
 
 def _parse_header(line: str):

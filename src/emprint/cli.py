@@ -11,8 +11,8 @@ verify-theorem  check the residual/determinant-ratio identity step by step
 Every command reads either a training CSV (--input) or a family spec
 (--family/--k/--l ...). Options may come from a single JSON config file
 (--config); explicit command-line flags override it, and the environment is
-never consulted. All outputs are plain CSV/JSON written atomically, and a
-rerun with the same configuration and the same number of BLAS threads
+never consulted. Outputs are plain CSV/JSON, plus the binary copies below,
+and a rerun with the same configuration and the same number of BLAS threads
 reproduces them byte for byte. ``errors.csv`` and ``report_<rule>.json``
 move in their last digits with that number, which OpenBLAS takes from the
 CPUs the process may use unless told otherwise.
@@ -35,6 +35,17 @@ thread (see ``catalog.open_training_csv``), computes its results in memory,
 and confirms the digest before it writes or prints anything. On a false
 claim it drops its results, or the error it raised, and runs again from the
 CSV text, so every output and exit code is that of a run without the copy.
+
+Each command writes all of its files or none. A command computes every
+file's contents in memory and returns them with its stdout and exit code;
+``main`` then commits the files with ``_fileio.commit`` (each to a temp file
+beside it, then each renamed over its target) and prints the stdout only
+after they are written. An error before the first rename, an output blocked
+by a directory included, exits with no file of the command written and
+nothing on stdout. There are two exceptions. ``verify-theorem`` exiting 1
+still writes ``theorem_check.csv``: the failed check is its result. And a
+rename that fails after others succeeded leaves those files renamed; the
+error names the one that failed.
 
 Exit codes: 0 success, 1 verification failure, 2 input or configuration
 error (an input that cannot be read or an output that cannot be written
@@ -61,7 +72,7 @@ from .catalog import InvalidRange, NonFiniteSample, ParseError, TimeGrid, Unknow
 from .eim import SelectionCriterion, SingularVMatrix
 from .numerics import ConvergenceFailure
 from .rbm import DegenerateResidual
-from ._fileio import write_table
+from ._fileio import commit, table
 
 THEOREM_TOLERANCE = 1e-7
 
@@ -271,27 +282,29 @@ def _basis_of(cfg: RunConfig, ts: catalog.TrainingSet) -> rbm.ReducedBasis:
     return rb or rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+# Each command returns its plan, (files, stdout, exit code): the map of each
+# path to the bytes or buffers ``_fileio.commit`` writes there, and the text
+# ``main`` prints once they are written. No command writes or prints.
+
+def cmd_generate(cfg: RunConfig) -> tuple[dict, str, int]:
     if cfg.family is None:
         raise ConfigError("generate needs --family")
     ts = catalog.generate_family(_family_spec(cfg))
     out = Path(cfg.out_dir) / "training.csv"
-    catalog.save_training_csv(ts, out)
-    print(f"wrote {out} ({ts.k} waveforms, {ts.grid.n_samples} samples)")
-    return EXIT_OK
+    return (catalog.training_files(ts, out),
+            f"wrote {out} ({ts.k} waveforms, {ts.grid.n_samples} samples)\n", EXIT_OK)
 
 
-def cmd_basis(cfg: RunConfig) -> int:
+def cmd_basis(cfg: RunConfig) -> tuple[dict, str, int]:
     ts, rb = _confirmed(cfg, lambda ts: (
         ts, rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)))
     out_dir = Path(cfg.out_dir)
-    rbm.save_basis_csv(rb, out_dir / "basis.csv")
-    rbm.save_greedy_errors_csv(rb, out_dir / "greedy_errors.csv")
+    files = {out_dir / "basis.csv": rbm.basis_csv(rb),
+             out_dir / "greedy_errors.csv": rbm.greedy_errors_csv(rb)}
     if ts.csv_sha256 is not None:
-        rbm.save_basis_copy(rb, out_dir / BASIS_COPY, ts.csv_sha256, cfg.n_max)
-    print(f"wrote {out_dir / 'basis.csv'} and {out_dir / 'greedy_errors.csv'} "
-          f"(n={rb.n}, final error {rb.greedy_errors[-1]:.3e})")
-    return EXIT_OK
+        files[out_dir / BASIS_COPY] = rbm.basis_copy(rb, ts.csv_sha256, cfg.n_max)
+    return files, (f"wrote {out_dir / 'basis.csv'} and {out_dir / 'greedy_errors.csv'} "
+                   f"(n={rb.n}, final error {rb.greedy_errors[-1]:.3e})\n"), EXIT_OK
 
 
 def _interpolants(cfg: RunConfig, ts: catalog.TrainingSet):
@@ -300,17 +313,18 @@ def _interpolants(cfg: RunConfig, ts: catalog.TrainingSet):
     return ts, rb, n, [eim.build_interpolant(rb, c, n) for c in _parse_criteria(cfg.criteria)]
 
 
-def cmd_eim(cfg: RunConfig) -> int:
-    # Every rule is built before any is written.
+def cmd_eim(cfg: RunConfig) -> tuple[dict, str, int]:
     ts, rb, n, interpolants = _confirmed(cfg, lambda ts: _interpolants(cfg, ts))
     out_dir = Path(cfg.out_dir)
+    files, stdout = {}, ""
     for itp in interpolants:
         path = out_dir / f"interpolant_{itp.criterion.value}.json"
-        eim.save_interpolant_json(itp, path, include_matrices=cfg.embed_matrices)
+        files[path] = eim.interpolant_json(itp, include_matrices=cfg.embed_matrices)
         if ts.csv_sha256 is not None and n == rb.n:
-            eim.save_interpolant_copy(itp, path.with_suffix(".f64"), ts.csv_sha256, cfg.n_max)
-        print(f"wrote {path} (n={n})")
-    return EXIT_OK
+            files[path.with_suffix(".f64")] = eim.interpolant_copy(itp, ts.csv_sha256,
+                                                                   cfg.n_max)
+        stdout += f"wrote {path} (n={n})\n"
+    return files, stdout, EXIT_OK
 
 
 def _comparison(cfg: RunConfig, ts: catalog.TrainingSet):
@@ -326,25 +340,24 @@ def _comparison(cfg: RunConfig, ts: catalog.TrainingSet):
     return criteria, diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig) -> tuple[dict, str, int]:
     criteria, reports = _confirmed(cfg, lambda ts: _comparison(cfg, ts))
     out_dir = Path(cfg.out_dir)
-    for criterion in criteria:
-        diagnostics.write_report_json(
-            reports[criterion], out_dir / f"report_{criterion.value}.json")
-    names = diagnostics.write_curve_csvs(reports, out_dir)
-    print(f"wrote {len(criteria)} report(s) and {', '.join(names)} in {out_dir}")
-    _print_comparison(reports, criteria)
-    return EXIT_OK
+    files = {out_dir / f"report_{c.value}.json": diagnostics.report_json(reports[c])
+             for c in criteria}
+    curves = diagnostics.curve_csvs(reports)
+    files.update((out_dir / name, data) for name, data in curves.items())
+    return files, (f"wrote {len(criteria)} report(s) and {', '.join(curves)} in {out_dir}\n"
+                   + _comparison_text(reports, criteria)), EXIT_OK
 
 
-def _print_comparison(reports, criteria) -> None:
+def _comparison_text(reports, criteria) -> str:
     """Per-order table (kappa_n, lambda_n, worst interp_err_sq per rule) and,
     when the classic rule ran, the classic/other error-ratio summaries."""
-    print(f"\n{'n':>3} " + " ".join(f"{c.value:>24}" for c in criteria)
-          + "   (kappa_n / lambda_n / interp_err_sq)")
+    lines = ["", f"{'n':>3} " + " ".join(f"{c.value:>24}" for c in criteria)
+             + "   (kappa_n / lambda_n / interp_err_sq)"]
     for recs in zip(*(reports[c].per_n for c in criteria)):
-        print(f"{recs[0].n:>3} " + " ".join(
+        lines.append(f"{recs[0].n:>3} " + " ".join(
             f"{r.kappa:7.2f} {r.lebesgue:7.2f} {r.max_interp_err_sq:8.2e}" for r in recs))
     classic = reports.get(SelectionCriterion.CLASSIC)
     for other in criteria:
@@ -355,7 +368,8 @@ def _print_comparison(reports, criteria) -> None:
         summary = (f"min {finite.min():.3f}, max {finite.max():.3f}, "
                    f"geo-mean {np.exp(np.log(finite).mean()):.3f}"
                    if finite.size else "no finite ratio")
-        print(f"error ratio classic/{other.value}: {summary}")
+        lines.append(f"error ratio classic/{other.value}: {summary}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _discrepancies(cfg: RunConfig, ts: catalog.TrainingSet) -> list[float]:
@@ -363,17 +377,18 @@ def _discrepancies(cfg: RunConfig, ts: catalog.TrainingSet) -> list[float]:
     return eim.verify_determinant_identity(rb, rb.n if cfg.n is None else cfg.n)
 
 
-def cmd_verify_theorem(cfg: RunConfig) -> int:
+def cmd_verify_theorem(cfg: RunConfig) -> tuple[dict, str, int]:
     discrepancies = _confirmed(cfg, lambda ts: _discrepancies(cfg, ts))
     out = Path(cfg.out_dir) / "theorem_check.csv"
-    write_table(out, ["step", "max_rel_discrepancy"], enumerate(discrepancies, start=2))
     # max() would drop a NaN that is not first; a NaN step must fail.
     ok = all(d <= THEOREM_TOLERANCE for d in discrepancies)
     worst = (math.nan if any(map(math.isnan, discrepancies))
              else max(discrepancies, default=0.0))
-    print(f"wrote {out}; worst step discrepancy {worst:.3e} "
-          f"({'pass' if ok else 'FAIL'} at {THEOREM_TOLERANCE:g})")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    # A failed check is a result: its table is written, and then it exits 1.
+    return ({out: table(["step", "max_rel_discrepancy"], enumerate(discrepancies, start=2))},
+            f"wrote {out}; worst step discrepancy {worst:.3e} "
+            f"({'pass' if ok else 'FAIL'} at {THEOREM_TOLERANCE:g})\n",
+            EXIT_OK if ok else EXIT_VERIFICATION)
 
 
 COMMANDS = {
@@ -399,12 +414,18 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    """Run one command: commit every file of its plan, all or none, then
+    print its stdout and return its exit code. On an error nothing of the
+    plan is printed, and the error's one line goes to stderr."""
     args = _build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](_resolve_config(args))
+        files, stdout, code = COMMANDS[args.command](_resolve_config(args))
+        commit(files)
     except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+    print(stdout, end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from . import numerics as nm
 from .catalog import LengthMismatch, TimeGrid, TrainingSet
 from .eim import SelectionCriterion, _eliminate
 from .rbm import ReducedBasis
-from ._fileio import write_json, write_table
+from ._fileio import json_document, table
 
 # Written into every report: the condition numbers and Lebesgue constants
 # refer to the stored Euclidean-orthonormal basis rows.
@@ -188,8 +187,9 @@ def error_ratio_curve(report_a: DiagnosticsReport,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def write_report_json(report: DiagnosticsReport, path) -> None:
-    write_json(path, {
+def report_json(report: DiagnosticsReport) -> bytes:
+    """The JSON document of ``report``."""
+    return json_document({
         "dataset_id": report.dataset_id,
         "criterion": report.criterion.value,
         "basis_convention": BASIS_CONVENTION,
@@ -213,16 +213,14 @@ def write_report_json(report: DiagnosticsReport, path) -> None:
     })
 
 
-def write_curve_csvs(reports: dict[SelectionCriterion, DiagnosticsReport],
-                     out_dir) -> list[str]:
-    """Write kappa.csv, lambda.csv, errors.csv and nodes.csv under out_dir.
+def curve_csvs(reports: dict[SelectionCriterion, DiagnosticsReport]) -> dict[str, bytes]:
+    """kappa.csv, lambda.csv, errors.csv and nodes.csv: a map from each file
+    name to its bytes, in that order.
 
     kappa/lambda/errors carry one column per criterion keyed by the
     criterion tag; errors.csv additionally carries the shared projection
     error column, which lower-bounds every interpolation column row by row.
-    Returns the written file names.
     """
-    out = Path(out_dir)
     ordered = [reports[c] for c in sorted(reports, key=lambda c: c.value)]
     if not ordered:
         raise ValueError("no reports to write")
@@ -230,13 +228,15 @@ def write_curve_csvs(reports: dict[SelectionCriterion, DiagnosticsReport],
         raise LengthMismatch("reports cover different numbers of orders")
     tags = [rep.criterion.value for rep in ordered]
     orders = list(zip(*(rep.per_n for rep in ordered)))  # the records of each order
-    write_table(out / "kappa.csv", ["n", *(f"kappa_{t}" for t in tags)],
-                [[rs[0].n, *(r.kappa for r in rs)] for rs in orders])
-    write_table(out / "lambda.csv", ["n", *(f"lambda_{t}" for t in tags)],
-                [[rs[0].n, *(r.lebesgue for r in rs)] for rs in orders])
-    write_table(out / "errors.csv", ["n", "proj_err_sq", *(f"interp_err_sq_{t}" for t in tags)],
-                [[rs[0].n, rs[0].max_proj_err_sq, *(r.max_interp_err_sq for r in rs)]
-                 for rs in orders])
-    write_table(out / "nodes.csv", ["criterion", "n", "nodes"],
-                [[rep.criterion.value, rec.n, rec.nodes] for rep in ordered for rec in rep.per_n])
-    return ["kappa.csv", "lambda.csv", "errors.csv", "nodes.csv"]
+    return {
+        "kappa.csv": table(["n", *(f"kappa_{t}" for t in tags)],
+                           [[rs[0].n, *(r.kappa for r in rs)] for rs in orders]),
+        "lambda.csv": table(["n", *(f"lambda_{t}" for t in tags)],
+                            [[rs[0].n, *(r.lebesgue for r in rs)] for rs in orders]),
+        "errors.csv": table(["n", "proj_err_sq", *(f"interp_err_sq_{t}" for t in tags)],
+                            [[rs[0].n, rs[0].max_proj_err_sq,
+                              *(r.max_interp_err_sq for r in rs)] for rs in orders]),
+        "nodes.csv": table(["criterion", "n", "nodes"],
+                           [[rep.criterion.value, rec.n, rec.nodes]
+                            for rep in ordered for rec in rep.per_n]),
+    }

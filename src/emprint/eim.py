@@ -74,7 +74,7 @@ from scipy.linalg.blas import zgeru
 from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis, _copy_key
-from ._fileio import _re_im, read_keyed_copy, write_json, write_keyed_copy
+from ._fileio import _re_im, json_document, keyed_copy, read_keyed_copy
 
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
@@ -420,14 +420,15 @@ def _copy_header(csv_sha256: str, tol: float, n_max: int | None,
             f"rule={criterion.value} n={n} l={l}")
 
 
-def save_interpolant_copy(itp: EmpiricalInterpolant, path, csv_sha256: str,
-                          n_max: int | None = None) -> None:
-    """Write the binary copy of ``itp``, selected on the basis swept from the
+def interpolant_copy(itp: EmpiricalInterpolant, csv_sha256: str,
+                     n_max: int | None = None) -> list:
+    """The binary copy of ``itp``, selected on the basis swept from the
     training CSV of digest ``csv_sha256`` with cap ``n_max``: per step the
-    node, det_v (re, im), kappa, lambda and |r_j(T_j)|."""
-    write_keyed_copy(
-        path, _copy_header(csv_sha256, itp.basis.tol, n_max, itp.criterion, itp.n,
-                           itp.basis.grid.n_samples),
+    node, det_v (re, im), kappa, lambda and |r_j(T_j)|, as
+    ``_fileio.keyed_copy`` gives it."""
+    return keyed_copy(
+        _copy_header(csv_sha256, itp.basis.tol, n_max, itp.criterion, itp.n,
+                     itp.basis.grid.n_samples),
         [(t, r.det_v.real, r.det_v.imag, r.kappa, r.lebesgue, r.residual_at_node)
          for t, r in zip(itp.node_indices, itp.per_step)])
 
@@ -465,10 +466,9 @@ def load_interpolant_copy(path, rb: ReducedBasis, criterion: SelectionCriterion,
         return None
 
 
-def save_interpolant_json(itp: EmpiricalInterpolant, path,
-                          include_matrices: bool = False) -> None:
-    """Write nodes, criterion, per-step diagnostics, and optionally the V and
-    B matrices as CSV blocks of re:im pairs."""
+def interpolant_json(itp: EmpiricalInterpolant, include_matrices: bool = False) -> bytes:
+    """The JSON document of nodes, criterion, per-step diagnostics, and
+    optionally the V and B matrices as CSV blocks of re:im pairs."""
     doc = {
         "criterion": itp.criterion.value,
         "n": itp.n,
@@ -492,4 +492,4 @@ def save_interpolant_json(itp: EmpiricalInterpolant, path,
     if include_matrices:
         doc["v_matrix_csv"] = _re_im(itp.v_matrix)
         doc["b_matrix_csv"] = _re_im(itp.b_matrix)
-    write_json(path, doc)
+    return json_document(doc)

@@ -45,9 +45,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgeru
 
-from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, write_waveform_csv
+from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, waveform_csv
 from .numerics import argmax_tied, error_floor_sq
-from ._fileio import read_keyed_copy, write_keyed_copy, write_table
+from ._fileio import keyed_copy, read_keyed_copy, table
 
 DEFAULT_TOL = 1e-12
 
@@ -197,14 +197,15 @@ def build_reduced_basis(ts: TrainingSet, tol: float = DEFAULT_TOL,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def save_basis_csv(rb: ReducedBasis, path) -> None:
-    """Write basis rows in the waveform CSV format with kind=basis and d=0."""
-    write_waveform_csv(path, rb.grid, np.empty((rb.n, 0)), rb.basis, kind="basis")
+def basis_csv(rb: ReducedBasis) -> list:
+    """The basis rows in the waveform CSV format with kind=basis and d=0, as
+    ``catalog.waveform_csv`` gives them."""
+    return waveform_csv(rb.grid, np.empty((rb.n, 0)), rb.basis, kind="basis")
 
 
-def save_greedy_errors_csv(rb: ReducedBasis, path) -> None:
+def greedy_errors_csv(rb: ReducedBasis) -> bytes:
     """Two-column CSV (n, sigma_sq) of the greedy error curve."""
-    write_table(path, ["n", "sigma_sq"], enumerate(rb.greedy_errors, start=1))
+    return table(["n", "sigma_sq"], enumerate(rb.greedy_errors, start=1))
 
 
 @functools.cache
@@ -235,13 +236,13 @@ def _basis_header(csv_sha256: str, tol: float, n_max: int | None, n: int, l: int
     return f"{BASIS_COPY_MAGIC} {_copy_key(csv_sha256, tol, n_max)} n={n} l={l}"
 
 
-def save_basis_copy(rb: ReducedBasis, path, csv_sha256: str,
-                    n_max: int | None = None) -> None:
-    """Write the binary copy of ``rb``, swept from the training CSV of digest
-    ``csv_sha256`` with cap ``n_max`` (see the module docstring)."""
-    write_keyed_copy(path, _basis_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples),
-                     np.concatenate([rb.greedy_errors, rb.greedy_params,
-                                     rb.basis.ravel().view(np.float64)]))
+def basis_copy(rb: ReducedBasis, csv_sha256: str, n_max: int | None = None) -> list:
+    """The binary copy of ``rb``, swept from the training CSV of digest
+    ``csv_sha256`` with cap ``n_max`` (see the module docstring), as
+    ``_fileio.keyed_copy`` gives it."""
+    return keyed_copy(_basis_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples),
+                      np.concatenate([rb.greedy_errors, rb.greedy_params,
+                                      rb.basis.ravel().view(np.float64)]))
 
 
 def load_basis_copy(path, ts: TrainingSet, tol: float,

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -177,23 +178,64 @@ def test_out_dir_blocked_by_file_exits_2(tmp_path, capsys, below):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
 
 
-@pytest.mark.parametrize("args, artifact", [
-    (["generate", *CHIRP], "training.csv"),
-    (["basis", "--input", "{tmp}/training.csv"], "basis.csv"),
-], ids=["generate", "basis-input"])
-def test_output_blocked_by_directory_exits_2(tmp_path, capsys, args, artifact):
-    # An output that cannot be written is bad input, not a failed verification.
-    assert main(["generate", *CHIRP, "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+# An earlier run in the out-dir, with other criteria than the runs blocked below.
+EARLIER_RUN = (["basis"], ["eim", "--criteria", "classic"], ["compare", "--criteria", "classic"],
+               ["verify-theorem"])
+ALL_RULES = ["--criteria", "classic,kappa,lambda"]
+
+
+def _snapshot(path):
+    """Each name in ``path`` with its bytes (None for a directory)."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("args, artifact, blocker", [
+    (["generate", *CHIRP], "training.csv", "directory"),
+    (["basis"], "basis.csv", "directory"),
+    (["eim", *ALL_RULES], "interpolant_lambda.json", "directory"),
+    (["compare", *ALL_RULES], "errors.csv", "directory"),
+    (["verify-theorem"], "theorem_check.csv", "directory"),
+    # The rename of the second file fails, after that of the first.
+    (["eim", *ALL_RULES], "interpolant_classic.f64", "rename"),
+], ids=["generate", "basis-input", "eim-input", "compare-input", "verify-theorem-input",
+        "eim-second-rename"])
+def test_output_blocked_by_directory_exits_2(tmp_path, capsys, monkeypatch, args, artifact,
+                                             blocker):
+    # An output that cannot be written is bad input, not a failed verification,
+    # and the command writes no file and prints nothing: the out-dir keeps the
+    # earlier run's files and bytes.
     out = tmp_path / "out"
-    (out / artifact).mkdir(parents=True)
-    code = main([*[arg.format(tmp=tmp_path) for arg in args], "--out-dir", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"'{out / artifact}'" in err
-    assert ".tmp" not in err  # the temp file is gone; only the artifact is named
-    assert [p.name for p in out.iterdir()] == [artifact]  # no *.tmp left behind
+    csv = out / "training.csv"
+    assert main(["generate", *CHIRP, "--out-dir", str(out)]) == 0
+    for cmd in EARLIER_RUN:
+        assert main([*cmd, "--input", str(csv), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    if blocker == "directory":
+        (out / artifact).unlink(missing_ok=True)
+        (out / artifact).mkdir()
+    else:
+        replace, targets = os.replace, []
+
+        def fail_second(src, dst):
+            targets.append(dst)
+            if len(targets) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", fail_second)
+    before = _snapshot(out)
+    source = [] if args[0] == "generate" else ["--input", str(csv)]
+    assert main([*args, *source, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"'{out / artifact}'" in captured.err
+    assert ".tmp" not in captured.err  # the temp file is gone; only the artifact is named
+    assert _snapshot(out) == before
+    if blocker == "rename":
+        # The first file was renamed, and that is not undone; it holds the
+        # bytes of the earlier run's, which had the classic rule too.
+        assert [Path(target).name for target in targets] == [
+            "interpolant_classic.json", "interpolant_classic.f64"]
 
 
 def test_basis_from_ingested_csv(tmp_path):
@@ -868,7 +910,7 @@ def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, option, 
         (tmp_path / "run.json").write_text(json.dumps({option.name: value}))
         args = ["--config", str(tmp_path / "run.json")]
     seen = []
-    monkeypatch.setitem(cli.COMMANDS, "generate", lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.setitem(cli.COMMANDS, "generate", lambda cfg: seen.append(cfg) or ({}, "", 0))
     assert main(["generate", *args]) == 0
     assert seen == [replace(RunConfig("generate"), **{option.name: value})]
 

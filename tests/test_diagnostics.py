@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from emprint import catalog, diagnostics, numerics as nm, rbm
 from emprint.catalog import LengthMismatch, TimeGrid, TrainingSet
-from emprint.diagnostics import (error_ratio_curve, run_comparison,
-                                 write_curve_csvs, write_report_json)
+from emprint._fileio import commit
+from emprint.diagnostics import curve_csvs, error_ratio_curve, report_json, run_comparison
 from emprint.eim import SelectionCriterion, build_interpolant, interpolate
 from emprint.numerics import error_floor_sq
 from emprint.rbm import ReducedBasis
@@ -347,7 +347,7 @@ def test_weighted_and_euclidean_operator_norms_coincide(rng, small_basis):
 def test_report_json(tmp_path, small_reports):
     report = small_reports[SelectionCriterion.MIN_LAMBDA]
     path = tmp_path / "report.json"
-    write_report_json(report, path)
+    commit({path: report_json(report)})
     doc = json.loads(path.read_text())
     assert doc["criterion"] == "lambda"
     assert doc["dataset_id"] == "chirp-small"
@@ -357,7 +357,9 @@ def test_report_json(tmp_path, small_reports):
 
 
 def test_curve_csvs(tmp_path, small_reports):
-    names = write_curve_csvs(small_reports, tmp_path)
+    curves = curve_csvs(small_reports)
+    commit({tmp_path / name: data for name, data in curves.items()})
+    names = list(curves)
     assert sorted(names) == ["errors.csv", "kappa.csv", "lambda.csv", "nodes.csv"]
 
     err_lines = (tmp_path / "errors.csv").read_text().splitlines()

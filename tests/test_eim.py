@@ -13,7 +13,8 @@ from emprint import numerics as nm
 from emprint.catalog import InvalidRange, LengthMismatch, TimeGrid
 from emprint.eim import (EmpiricalInterpolant, SelectionCriterion, SingularVMatrix,
                          build_interpolant, interpolate, interpolate_function,
-                         save_interpolant_json, verify_determinant_identity)
+                         interpolant_json, verify_determinant_identity)
+from emprint._fileio import commit
 from emprint.numerics import TIE_REL_TOL, argmax_tied
 from emprint.rbm import ReducedBasis
 
@@ -570,7 +571,7 @@ def test_constructor_rejects_residuals_of_wrong_shape(small_basis):
 def test_interpolant_json_round_trip(tmp_path, small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.MIN_KAPPA, 5)
     path = tmp_path / "itp.json"
-    save_interpolant_json(itp, path, include_matrices=True)
+    commit({path: interpolant_json(itp, include_matrices=True)})
     doc = json.loads(path.read_text())
     assert doc["criterion"] == "kappa"
     assert doc["node_indices"] == list(itp.node_indices)
@@ -597,7 +598,7 @@ def _bits(a):
 @pytest.mark.parametrize("criterion", ALL_CRITERIA)
 def test_node_copy_round_trip_is_bitwise(tmp_path, small_basis, criterion):
     itp = build_interpolant(small_basis, criterion, small_basis.n)
-    eim.save_interpolant_copy(itp, tmp_path / "itp.f64", DIGEST)
+    commit({tmp_path / "itp.f64": eim.interpolant_copy(itp, DIGEST)})
     copy = eim.load_interpolant_copy(tmp_path / "itp.f64", small_basis, criterion, DIGEST)
     assert copy.basis is small_basis and copy.criterion is criterion
     assert copy.node_indices == itp.node_indices
@@ -609,7 +610,7 @@ def test_node_copy_round_trip_is_bitwise(tmp_path, small_basis, criterion):
 def test_node_copy_layout(tmp_path, small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.MIN_LAMBDA, small_basis.n)
     path = tmp_path / "itp.f64"
-    eim.save_interpolant_copy(itp, path, DIGEST, n_max=9)
+    commit({path: eim.interpolant_copy(itp, DIGEST, n_max=9)})
     header, payload = path.read_bytes().split(b"\n", 1)
     n = small_basis.n
     assert header.decode() == (f"emprint-interpolant v1 sha256={DIGEST} "
@@ -625,7 +626,7 @@ def test_node_copy_layout(tmp_path, small_basis):
 def test_node_copy_is_read_only_for_its_key(tmp_path, small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.MIN_KAPPA, small_basis.n)
     path = tmp_path / "itp.f64"
-    eim.save_interpolant_copy(itp, path, DIGEST)
+    commit({path: eim.interpolant_copy(itp, DIGEST)})
     load = eim.load_interpolant_copy
     assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, DIGEST) is not None
     assert load(path, small_basis, SelectionCriterion.MIN_KAPPA, None) is None
@@ -640,7 +641,7 @@ def test_node_copy_is_read_only_for_its_key(tmp_path, small_basis):
 def test_node_copy_with_a_bad_node_is_ignored(tmp_path, small_basis, node):
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, small_basis.n)
     path = tmp_path / "itp.f64"
-    eim.save_interpolant_copy(itp, path, DIGEST)
+    commit({path: eim.interpolant_copy(itp, DIGEST)})
     header, payload = path.read_bytes().split(b"\n", 1)
     steps = np.frombuffer(payload, dtype="<f8").reshape(-1, 6).copy()
     steps[2, 0] = steps[0, 0] if node == "repeat" else node
@@ -653,7 +654,7 @@ def test_node_copy_with_a_zero_pivot_is_ignored(tmp_path):
     rb = make_basis(np.eye(2, 3, dtype=np.complex128))
     itp = build_interpolant(rb, SelectionCriterion.CLASSIC, 2)
     path = tmp_path / "itp.f64"
-    eim.save_interpolant_copy(itp, path, DIGEST)
+    commit({path: eim.interpolant_copy(itp, DIGEST)})
     header, payload = path.read_bytes().split(b"\n", 1)
     steps = np.frombuffer(payload, dtype="<f8").reshape(-1, 6).copy()
     steps[1, 0] = 2.0  # r_2 = e_2 vanishes at grid index 2

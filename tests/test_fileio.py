@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from emprint import catalog, cli, diagnostics, eim, rbm
-from emprint._fileio import (atomic_write_bytes, atomic_write_text, read_keyed_copy,
-                             write_keyed_copy)
+from emprint._fileio import commit, keyed_copy, read_keyed_copy
 from emprint.catalog import TimeGrid
 from emprint.diagnostics import DiagnosticsReport, OrderRecord
 from emprint.eim import EmpiricalInterpolant, SelectionCriterion, StepRecord
 
 
-@pytest.mark.parametrize("write, data", [(atomic_write_text, "a,b\n"),
-                                         (atomic_write_bytes, b"a,b\n")],
-                         ids=["text", "bytes"])
+# A file's contents are its bytes, or a list of buffers, as a text's lines.
+@pytest.mark.parametrize("data", [[b"a,", b"b\n"], b"a,b\n"], ids=["text", "bytes"])
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_written_file_respects_umask(tmp_path, umask, mode, write, data):
+def test_written_file_respects_umask(tmp_path, umask, mode, data):
     old = os.umask(umask)
     try:
-        write(tmp_path / "out.csv", data)
+        commit({tmp_path / "out.csv": data})
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
@@ -34,7 +32,7 @@ def _header(n):
 
 def test_keyed_copy_reads_back_bitwise_into_an_aligned_read_only_array(tmp_path):
     values = np.arange(12) / 7
-    write_keyed_copy(tmp_path / "c.f64", _header(4), values)
+    commit({tmp_path / "c.f64": keyed_copy(_header(4), values)})
     read = read_keyed_copy(tmp_path / "c.f64", _header, 3)
     assert read.dtype == np.dtype("<f8") and read.tobytes() == values.tobytes()
     assert read.flags.aligned and not read.flags.writeable
@@ -81,10 +79,9 @@ REPORTS = {
 }
 
 
-def test_greedy_errors_table(tmp_path):
+def test_greedy_errors_table():
     rb = rbm.ReducedBasis(GRID, BASIS_ROWS, np.array([0.1, 2.5e-16]), (4, 0), 1e-12)
-    rbm.save_greedy_errors_csv(rb, tmp_path / "greedy_errors.csv")
-    assert (tmp_path / "greedy_errors.csv").read_bytes() == b"n,sigma_sq\n1,0.1\n2,2.5e-16\n"
+    assert rbm.greedy_errors_csv(rb) == b"n,sigma_sq\n1,0.1\n2,2.5e-16\n"
 
 
 def test_theorem_check_table(tmp_path, monkeypatch):
@@ -96,9 +93,9 @@ def test_theorem_check_table(tmp_path, monkeypatch):
         b"step,max_rel_discrepancy\n2,1.5e-15\n3,0.0\n4,1e-300\n")
 
 
-def test_curve_tables(tmp_path):
-    assert diagnostics.write_curve_csvs(REPORTS, tmp_path) == [
-        "kappa.csv", "lambda.csv", "errors.csv", "nodes.csv"]
+def test_curve_tables():
+    curves = diagnostics.curve_csvs(REPORTS)
+    assert list(curves) == ["kappa.csv", "lambda.csv", "errors.csv", "nodes.csv"]
     expected = {
         "kappa.csv": b"n,kappa_classic,kappa_kappa\n1,1.0,1.0\n2,1.2345678901234568e+16,1.25\n",
         "lambda.csv": b"n,lambda_classic,lambda_kappa\n1,1.0,1.0\n2,2.0,inf\n",
@@ -107,12 +104,12 @@ def test_curve_tables(tmp_path):
         "nodes.csv": b"criterion,n,nodes\nclassic,1,1\nclassic,2,1 2\nkappa,1,1\nkappa,2,1 2\n",
     }
     for name, data in expected.items():
-        assert (tmp_path / name).read_bytes() == data, name
+        assert curves[name] == data, name
 
 
-def test_report_json(tmp_path):
-    diagnostics.write_report_json(REPORTS[SelectionCriterion.CLASSIC], tmp_path / "r.json")
-    assert (tmp_path / "r.json").read_text(encoding="utf-8") == """{
+def test_report_json():
+    data = diagnostics.report_json(REPORTS[SelectionCriterion.CLASSIC])
+    assert data.decode("utf-8") == """{
   "dataset_id": "hand",
   "criterion": "classic",
   "basis_convention": "euclidean-orthonormal-rows",
@@ -149,15 +146,15 @@ def test_report_json(tmp_path):
 """
 
 
-def test_interpolant_json_with_re_im_cells(tmp_path):
+def test_interpolant_json_with_re_im_cells():
     # Nodes 1 and 2 of BASIS_ROWS: V = diag(0.8i, i), B_1 = e_1 / 0.8i.
     rb = rbm.ReducedBasis(GRID, BASIS_ROWS, np.array([0.1, 2.5e-16]), (4, 0), 1e-12)
     itp = EmpiricalInterpolant(
         rb, (1, 2), np.array([[-0.75j, 1.0, 0.0], [0.0, 0.0, 1.0]]), BASIS_ROWS,
         SelectionCriterion.CLASSIC,
         (StepRecord(0.8j, 1.0, 1.25, 0.8), StepRecord(complex(-0.8, -0.0), 1.25, 1.25, 1.0)))
-    eim.save_interpolant_json(itp, tmp_path / "i.json", include_matrices=True)
-    assert (tmp_path / "i.json").read_text(encoding="utf-8") == """{
+    data = eim.interpolant_json(itp, include_matrices=True)
+    assert data.decode("utf-8") == """{
   "criterion": "classic",
   "n": 2,
   "node_indices": [
@@ -192,8 +189,10 @@ def test_interpolant_json_with_re_im_cells(tmp_path):
 
 
 def test_waveform_row_of_re_im_cells(tmp_path):
-    data = catalog.write_waveform_csv(tmp_path / "w.csv", GRID, np.array([[0.5]]),
-                                      np.array([[1 + 2j, complex(-0.0, 1e-300), 3]]))
+    lines = catalog.waveform_csv(GRID, np.array([[0.5]]),
+                                 np.array([[1 + 2j, complex(-0.0, 1e-300), 3]]))
+    data = b"".join(lines)
     assert data == (b"# emprint-training v1, L=3, t_start=0.0, t_end=1.0, d=1\n"
                     b"0.5,1.0:2.0,-0.0:1e-300,3.0:0.0\n")
+    commit({tmp_path / "w.csv": lines})
     assert (tmp_path / "w.csv").read_bytes() == data

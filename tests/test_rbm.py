@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from emprint import catalog, rbm
+from emprint._fileio import commit
 from emprint.catalog import InvalidRange, TimeGrid, TrainingSet
 from emprint.numerics import argmax_tied
 from emprint.rbm import DegenerateResidual, ReducedBasis, build_reduced_basis
@@ -239,20 +240,21 @@ def test_constructor_rejects_nan_greedy_errors(errors):
 
 def test_basis_csv_round_trip(tmp_path, small_basis):
     path = tmp_path / "basis.csv"
-    rbm.save_basis_csv(small_basis, path)
+    commit({path: rbm.basis_csv(small_basis)})
     grid, rows = load_basis_csv(path)
     assert grid == small_basis.grid
     assert np.array_equal(rows, small_basis.basis)
 
 
 def test_basis_csv_with_a_helper_holds_its_text_at_most_twice(tmp_path, chirp_basis, writers):
-    # The rows formatted here, the helper's chunks and their join. Each row
-    # here is 10 ms late, so that the helper writes some of them.
+    # The rows formatted here and the helper's chunks, never joined, beside
+    # the write's buffer. Each row here is 10 ms late, so that the helper
+    # writes some of them.
     writers.delay = 0.01
     path = tmp_path / "basis.csv"
     tracemalloc.start()
     try:
-        rbm.save_basis_csv(chirp_basis, path)
+        commit({path: rbm.basis_csv(chirp_basis)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,7 +270,7 @@ def test_a_small_basis_starts_no_helper_and_a_training_set_does(tmp_path, writer
     ts = catalog.generate_family(spec)
     rb = build_reduced_basis(ts, tol=1e-10)
     monkeypatch.setattr(catalog, "_HELPER_CELLS", HELPER_CELLS)
-    rbm.save_basis_csv(rb, tmp_path / "basis.csv")
+    commit({tmp_path / "basis.csv": rbm.basis_csv(rb)})
     assert rb.n == 29 and writers.started == 0
     catalog.save_training_csv(ts, tmp_path / "training.csv")
     assert writers.started == 1
@@ -276,7 +278,7 @@ def test_a_small_basis_starts_no_helper_and_a_training_set_does(tmp_path, writer
 
 def test_greedy_errors_csv(tmp_path, small_basis):
     path = tmp_path / "errs.csv"
-    rbm.save_greedy_errors_csv(small_basis, path)
+    commit({path: rbm.greedy_errors_csv(small_basis)})
     lines = path.read_text().splitlines()
     assert lines[0] == "n,sigma_sq"
     assert len(lines) == small_basis.n + 1
@@ -302,7 +304,7 @@ def saved_small(tmp_path, small_training):
 
 def test_basis_copy_round_trip_is_bitwise(tmp_path, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12)
-    rbm.save_basis_copy(rb, tmp_path / "basis.f64", saved_small.csv_sha256)
+    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_sha256)})
     copy = rbm.load_basis_copy(tmp_path / "basis.f64", saved_small, 1e-12)
     assert copy.grid == rb.grid and copy.tol == rb.tol
     assert copy.greedy_params == rb.greedy_params
@@ -313,7 +315,7 @@ def test_basis_copy_round_trip_is_bitwise(tmp_path, saved_small):
 def test_basis_copy_layout(tmp_path, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12, n_max=3)
     path = tmp_path / "basis.f64"
-    rbm.save_basis_copy(rb, path, saved_small.csv_sha256, n_max=3)
+    commit({path: rbm.basis_copy(rb, saved_small.csv_sha256, n_max=3)})
     header, payload = path.read_bytes().split(b"\n", 1)
     assert header.decode() == (f"emprint-basis v1 sha256={saved_small.csv_sha256} "
                                f"code={rbm._code_digest()} tol=1e-12 n_max=3 n=3 l=301")
@@ -351,7 +353,7 @@ def test_code_digest_names_the_sweep_sources_and_library_versions(monkeypatch):
 
 def test_basis_copy_needs_a_training_digest(tmp_path, small_training, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12)
-    rbm.save_basis_copy(rb, tmp_path / "basis.f64", saved_small.csv_sha256)
+    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_sha256)})
     # A set built in memory has no digest to key the copy with.
     assert small_training.csv_sha256 is None
     assert rbm.load_basis_copy(tmp_path / "basis.f64", small_training, 1e-12) is None
@@ -363,7 +365,7 @@ def test_basis_copy_with_a_pick_outside_the_training_rows_is_ignored(
         tmp_path, saved_small, pick):
     rb = build_reduced_basis(saved_small, tol=1e-12)
     path = tmp_path / "basis.f64"
-    rbm.save_basis_copy(rb, path, saved_small.csv_sha256)
+    commit({path: rbm.basis_copy(rb, saved_small.csv_sha256)})
     header, payload = path.read_bytes().split(b"\n", 1)
     values = np.frombuffer(payload, dtype="<f8").copy()
     values[rb.n + 1] = values[rb.n] if pick == "repeat" else pick

@@ -77,10 +77,14 @@ def commit(files) -> None:
                 os.unlink(tmp)
 
 
-def keyed_copy(header: str, values) -> list:
-    """The binary copy of ``values`` under ``header``: the header as one
-    ASCII line, then the values as little-endian doubles, in two buffers."""
-    return [f"{header}\n".encode("ascii"), np.ascontiguousarray(values, dtype="<f8")]
+def keyed_copy(header: str, *arrays) -> list:
+    """The binary copy of a sequence of arrays under ``header``: the header
+    as one ASCII line, then each array's values in turn, row-major, as
+    little-endian doubles, one buffer per array. A C-ordered ``"<f8"``
+    array (any float64 one on a little-endian host), a row view included,
+    is its own buffer: nothing is copied."""
+    return [f"{header}\n".encode("ascii"),
+            *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)]
 
 
 def read_keyed_copy(path, header_for, row: int) -> np.ndarray | None:

@@ -29,6 +29,12 @@ none, with ``_fileio.commit``, as ``save_training_csv`` does for a training
 set's two files. Only a rename that fails after others succeeded is not
 undone (see ``_fileio.commit``).
 
+A family is synthesized into one (K, L) array, allocated once and filled
+in row blocks of at most ``_BLOCK_CELLS`` samples, so that the formula's
+temporaries stay small; ``training_files`` writes the parsed copy from row
+views of the set's own arrays. ``generate`` so holds the samples once and
+the CSV text once, with no other copy of either.
+
 A training CSV is parsed once. ``training_files`` gives, beside
 ``training.csv``, the parsed copy ``training.csv.f64``, by
 ``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v1
@@ -237,6 +243,12 @@ FAMILIES = {
 
 DEFAULT_GRID = TimeGrid(0.0, 1.0, 1001)
 
+# ``generate_family`` evaluates a family formula on whole rows of at most
+# this many samples at a time (at least one row), so that each of the
+# formula's temporaries takes at most 512 KiB as complex values. The
+# formulas work element by element, so the samples do not depend on it.
+_BLOCK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -316,7 +328,8 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
     for multi-parameter families) or uniformly at random with ``spec.seed``.
     Identical specs always produce identical training sets. Raises
     InvalidRange when the ranges are too narrow for ``spec.n_params``
-    distinct parameter vectors.
+    distinct parameter vectors. The samples are allocated once and filled
+    in row blocks of at most ``_BLOCK_CELLS`` samples.
     """
     evaluator = FAMILIES[spec.family][2]
     if spec.sampling == "equispaced":
@@ -326,7 +339,11 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
     if np.unique(params, axis=0).shape[0] != spec.n_params:
         raise InvalidRange(f"parameter ranges too narrow for {spec.n_params} "
                            f"distinct parameter vectors")
-    samples = evaluator(params, spec.grid.points)
+    t = spec.grid.points
+    samples = np.empty((spec.n_params, t.size), dtype=np.complex128)
+    rows = max(1, _BLOCK_CELLS // t.size)
+    for start in range(0, spec.n_params, rows):
+        samples[start:start + rows] = evaluator(params[start:start + rows], t)
     return TrainingSet(spec.grid, params, samples)
 
 
@@ -473,10 +490,12 @@ def training_files(ts: TrainingSet, path) -> dict:
     for line in lines:
         digest.update(line)
     # Each row: the parameters, then the samples' real view (re, im, ...),
-    # the layout ``_read_parsed_copy`` views back as complex.
-    values = np.hstack([ts.params, np.ascontiguousarray(ts.samples).view(np.float64)])
+    # the layout ``_read_parsed_copy`` views back as complex; written from
+    # views of the two arrays, with no joined copy.
+    parts = np.ascontiguousarray(ts.samples).view(np.float64)
     return {Path(path): lines, _parsed_copy_path(path): keyed_copy(
-        _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples), values)}
+        _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples),
+        *(view for row in zip(ts.params, parts) for view in row))}
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:

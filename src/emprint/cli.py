@@ -12,10 +12,10 @@ Every command reads either a training CSV (--input) or a family spec
 (--family/--k/--l ...). Options may come from a single JSON config file
 (--config); explicit command-line flags override it, and the environment is
 never consulted. Outputs are plain CSV/JSON, plus the binary copies below,
-and a rerun with the same configuration and the same number of BLAS threads
-reproduces them byte for byte. ``errors.csv`` and ``report_<rule>.json``
-move in their last digits with that number, which OpenBLAS takes from the
-CPUs the process may use unless told otherwise.
+and a rerun with the same configuration reproduces them byte for byte,
+whatever the BLAS thread count: ``main`` runs each command with numpy's and
+scipy's OpenBLAS at one thread and restores their counts afterwards, on an
+error too (see ``_blas``).
 
 The greedy sweep runs once per input: ``basis`` on a training CSV also
 writes ``basis.f64``, the basis's binary copy (see ``rbm``), into --out-dir,
@@ -72,6 +72,7 @@ from .catalog import InvalidRange, NonFiniteSample, ParseError, TimeGrid, Unknow
 from .eim import SelectionCriterion, SingularVMatrix
 from .numerics import ConvergenceFailure
 from .rbm import DegenerateResidual
+from ._blas import one_thread
 from ._fileio import commit, table
 
 THEOREM_TOLERANCE = 1e-7
@@ -419,8 +420,9 @@ def main(argv=None) -> int:
     plan is printed, and the error's one line goes to stderr."""
     args = _build_parser().parse_args(argv)
     try:
-        files, stdout, code = COMMANDS[args.command](_resolve_config(args))
-        commit(files)
+        with one_thread():
+            files, stdout, code = COMMANDS[args.command](_resolve_config(args))
+            commit(files)
     except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from emprint import catalog, cli, diagnostics, eim, rbm
 from emprint.cli import RunConfig, main
@@ -126,6 +128,61 @@ def test_no_helper_or_thread_outlives_a_command(tmp_path, writers, command, case
     assert threading.active_count() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _openblas_controls():
+    """(get, set) of the thread count of each OpenBLAS library beside numpy
+    and scipy, found here without ``emprint._blas``."""
+    controls = []
+    for package in (np, scipy):
+        root = Path(package.__file__).parent
+        for lib in sorted([*root.parent.glob(f"{root.name}.libs/*openblas*"),
+                           *root.glob(".dylibs/*openblas*")]):
+            dll = ctypes.CDLL(str(lib))
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(dll, name):
+                    get, set_ = getattr(dll, name), getattr(dll, name.replace("_get_", "_set_"))
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+def test_every_command_runs_on_one_blas_thread_and_restores_the_count(
+        tmp_path, monkeypatch, capsys):
+    libraries = _openblas_controls()
+    if not libraries:
+        pytest.skip("no OpenBLAS library with a thread-count getter beside numpy or scipy")
+
+    def counts():
+        return [get() for get, _ in libraries]
+    before, inside = counts(), []
+
+    def planted(cfg):
+        inside.append(counts())
+        if cfg.input is not None:
+            raise catalog.ParseError("line 1: planted")
+        return {}, "", 0
+    out = ["--out-dir", str(tmp_path)]
+    try:
+        for _, set_ in libraries:  # a count other than 1, so that a restore shows
+            set_(2)
+        assert main(["generate", *CHIRP, *out]) == 0
+        assert counts() == [2] * len(libraries)
+        assert main(["basis", "--input", str(tmp_path / "missing.csv"), *out]) == 2
+        assert counts() == [2] * len(libraries)
+        monkeypatch.setitem(cli.COMMANDS, "eim", planted)
+        assert main(["eim", *CHIRP, *out]) == 0
+        assert counts() == [2] * len(libraries)
+        assert main(["eim", "--input", str(tmp_path / "training.csv"), *out]) == 2
+        assert counts() == [2] * len(libraries)
+    finally:
+        for (_, set_), count in zip(libraries, before):
+            set_(count)
+    assert inside == [[1] * len(libraries)] * 2
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 # ---------------------------------------------------------------------------

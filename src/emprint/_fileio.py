@@ -1,24 +1,34 @@
 """The one sink of every artifact, and the one owner of every artifact's
-text format: numeric tables (``table``), JSON documents (``json_document``)
-and ``re:im`` cells of complex values (``_re_im``, by ``_rowtext.re_im``,
-the formatter of the waveform-CSV rows too). Every float is written in its
-shortest round-trip form. ``keyed_copy``/``read_keyed_copy`` are the one
-write and read of every binary copy (``training.csv.f64``, ``basis.f64``
-and ``interpolant_<rule>.f64``): an exact ASCII header line, then
-little-endian doubles.
+text format: numeric tables (``table``), JSON documents (``json_document``),
+``re:im`` cells of complex values (``_re_im``) and the rows of a waveform
+CSV. Every float is written in its shortest round-trip form, the text
+``repr`` gives it. ``keyed_copy``/``read_keyed_copy`` are the one write and
+read of every binary copy (``training.csv.f64``, ``basis.f64`` and
+``interpolant_<rule>.f64``): an exact ASCII header line, then little-endian
+doubles.
+
+``repr_rows`` formats a whole (rows, columns) block of doubles at once, in
+numpy, with the bytes ``repr`` gives each value: a waveform CSV's rows and
+every ``re:im`` cell go through it. It finds the shortest round-trip digits
+as Ryu does (Adams 2018): |x| is scaled to N = |x| 10**k in [1e16, 1e17) in
+double-double arithmetic, and the digits are those of the multiple of the
+largest power of ten inside N's round-trip interval that is closest to N
+(see ``repr_rows``). The few values it cannot decide for certain are written
+by ``repr`` itself.
 
 The serializers here and elsewhere take no path and return a file's
-contents, as bytes or as a list of buffers written one after the other.
-``commit`` alone creates, writes and renames files: it writes all the files
-of one command or none of them (see its docstring). Two cases are not all
-or none: ``verify-theorem`` exiting 1 still writes ``theorem_check.csv``,
-its result (see ``cli``), and a rename that fails after others succeeded
-is not undone."""
+contents, as bytes or as an iterable of buffers written one after the
+other. ``commit`` alone creates, writes and renames files: it writes all the
+files of one command or none of them (see its docstring). Two cases are not
+all or none: ``verify-theorem`` exiting 1 still writes ``theorem_check.csv``,
+its result (see ``cli``), and a rename that fails after others succeeded is
+not undone."""
 
 from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import json
 import os
 import tempfile
@@ -26,19 +36,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rowtext import re_im
-
-# Each temp file is written through a buffer of this many bytes: a waveform
-# CSV arrives as one buffer per row, each too small to be a write of its own.
-# The buffer is held beside the file's contents, so it is kept small: at
-# 1 MiB it would add a quarter of a 4 MB training CSV to the peak memory of
-# writing it.
+# Each temp file is written through a buffer of this many bytes: a binary
+# copy arrives as one buffer per row, each too small to be a write of its
+# own. The buffer is held while the file is written, so it is kept small.
 _WRITE_BUFFER = 1 << 16
 
 
 def commit(files) -> None:
-    """Write ``files``, a map of each path to its bytes or to a list of
-    buffers written in turn, all or none.
+    """Write ``files``, a map of each path to its bytes or to an iterable of
+    buffers written in turn, all or none. The files are written in the
+    map's order and each iterable is consumed once, as it is written, so a
+    file's buffers may be made while the files before it are written (see
+    ``catalog.training_files``).
 
     First every target is checked: one that is a directory is refused, by
     name, before anything is created (the directories above the targets
@@ -63,7 +72,7 @@ def commit(files) -> None:
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
             temps.append(tmp)
             with open(fd, "wb", buffering=_WRITE_BUFFER) as fh:
-                fh.writelines(data if isinstance(data, list) else [data])
+                fh.writelines([data] if isinstance(data, bytes) else data)
             os.chmod(tmp, 0o666 & ~mask)
         for path in targets:
             try:
@@ -137,9 +146,199 @@ def json_document(doc) -> bytes:
 
 
 def _re_im(z) -> str:
-    """``re:im`` cells of a row of complex values joined by ',', or of each
-    row of a matrix, the rows joined by LF."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim == 2:
-        return "\n".join(map(_re_im, z))
-    return re_im(np.ascontiguousarray(z).view(np.float64).tolist())
+    """``re:im`` cells of each row of the complex matrix ``z``, joined by
+    ',', the rows joined by LF, from one ``repr_rows`` call."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return repr_rows(z.view(np.float64), b":," * (z.shape[1] - 1) + b":\n")[:-1].decode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# The shortest round-trip text of a block of doubles
+#
+# Each value is laid out in a slot of _SLOT bytes of a uint8 template; bytes
+# left 0 are holes, dropped in one pass at the end. A slot's columns:
+#   0        '-' or a hole
+#   1-5      "0.000": the "0." and leading zeros of 1e-4 <= |x| < 1
+#   6-7      holes, so that the digits start on an 8-byte boundary
+#   8-41     digit j of 17 at 8 + 2j, then a '.' or a hole at 9 + 2j
+#   42-46    'e', the exponent's sign, its hundreds (or a hole), tens, ones
+#   47       the value's separator
+# Which columns are shown depends only on (sign, form, digit count): the
+# template's row for them comes from one table (``_layouts``), and the
+# digits are added to its '0's. Trailing zero digits add 0 to holes, which
+# stay holes.
+# ---------------------------------------------------------------------------
+
+_SLOT = 48
+
+# The exact decimal scalings: 10**k for these k, each as a double-double.
+# Every |x| in [1e-280, 1e280] has N = |x| 10**k in [1e16, 1e17) for one k
+# of them, and k's guess from log10, one off at most, is one of them too.
+_K_MIN, _K_MAX = -266, 298
+
+# Dekker's splitter, 2**27 + 1: a double times it splits into two halves of
+# 26 bits, whose products are exact.
+_SPLIT = 134217729.0
+
+_POW10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi[k - _K_MIN] + lo[k - _K_MIN] = 10**k to about 2**-107,
+    each the double nearest its exact value; from Python ints, whose true
+    division is correctly rounded."""
+    pairs = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+    return tuple(np.array(column) for column in zip(*pairs))
+
+
+def _layout(negative: bool, form: int, ndig: int) -> str:
+    """A slot's template row (see above), as 48 Latin-1 characters, for a
+    value of ``ndig`` significant digits. ``form`` 0-19 is positional, with
+    the decimal point after digit form - 3 (0 or fewer: "0." and 3 - form
+    zeros first); 20-23 has an exponent, negative for 22 and 23, of three
+    digits for 21 and 23."""
+    decpt, point, shown, lead, exp = form - 3, -1, ndig, "", ""
+    if form >= 20:
+        point, exp = -(ndig == 1), "e" + "+-"[form >= 22] + ("000" if form % 2 else "\0" + "00")
+    elif decpt <= 0:
+        lead = "0." + "0" * -decpt
+    else:  # the zeros up to the point, then ".0" if no digit follows
+        point, shown = decpt - 1, max(ndig, decpt + 1)
+    digits = "".join("0\0"[j >= shown] + ".\0"[j != point] for j in range(17))
+    return "-\0"[not negative] + lead.ljust(7, "\0") + digits + exp.ljust(6, "\0")
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The template rows of every (sign, form, digit count), by key
+    (24 sign + form) 17 + ndig - 1; the digits of 0..9999 as the uint64
+    that adds them to four digit columns; the digits of exponents 0..399 as
+    the uint32 that adds them to columns 44-46."""
+    rows = "".join(_layout(negative, form, ndig) for negative in (False, True)
+                   for form in range(24) for ndig in range(1, 18))
+    n = np.arange(10_000, dtype=np.int64)
+    return (np.frombuffer(rows.encode("latin-1"), dtype=np.uint8).reshape(-1, _SLOT),
+            sum((n // 10 ** (3 - i) % 10) << (16 * i) for i in range(4)).astype(np.uint64),
+            sum((n[:400] // 10 ** (2 - i) % 10) << (8 * i) for i in range(3)).astype(np.uint32))
+
+
+def _scaled(x: np.ndarray, k: np.ndarray):
+    """(A, f, 10**k's hi part): N = x 10**k = A + f, A an int64 and f in
+    [0, 1), to within about 1e-14, for doubles x > 0. The product is
+    x (hi + lo), with x hi exact by Dekker's two-product."""
+    pow_hi, pow_lo = _powers_of_ten()
+    hi = pow_hi.take(k - _K_MIN)
+    product = x * hi
+    x_hi = _SPLIT * x
+    x_hi -= x_hi - x
+    x_lo = x - x_hi
+    h_hi = _SPLIT * hi
+    h_hi -= h_hi - hi
+    h_lo = hi - h_hi
+    tail = ((((x_hi * h_hi - product) + x_hi * h_lo) + x_lo * h_hi) + x_lo * h_lo
+            + x * pow_lo.take(k - _K_MIN))
+    top = product + tail  # a double of 1e16 or more: an integer
+    tail -= top - product
+    return top.astype(np.int64) + np.floor(tail).astype(np.int64), tail - np.floor(tail), hi
+
+
+def _places(top: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The largest d for each interval of the ``gap`` integers up to ``top``
+    that holds a multiple of 10**d: the d with top mod 10**d < gap. d = 0
+    always holds; each place is tried only on the values the last one held
+    for, fewer at each place."""
+    d = (top - top // 10 * 10 < gap).astype(np.int64)
+    going = (top - top // 100 * 100 < gap).nonzero()[0]
+    d[going] += 1
+    top, gap, p = top.take(going), gap.take(going), 100
+    while going.size:
+        p *= 10
+        keep = top - top // p * p < gap
+        going, top, gap = going[keep], top[keep], gap[keep]
+        d[going] += 1
+    return d
+
+
+def _shortest(x: np.ndarray):
+    """(digits, d, decpt, fast) of the doubles ``x``: |x| = 0.digits
+    10**decpt, digits an int64 of 17 digits whose last d are zeros, for each
+    value where ``fast``; the others are left to ``repr`` (see
+    ``repr_rows``)."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~fast] = 1.5  # any value the arithmetic below takes
+    mantissa, exponent = np.frexp(ax)
+    fast &= mantissa != 0.5
+    k = (16 - np.floor(np.log10(ax))).astype(np.int64)
+    a, f, scale = _scaled(ax, k)
+    # log10 may round into the next decade within an ulp or two of a power
+    # of ten; repr writes those.
+    fast &= (a >= 10 ** 16) & (a < 10 ** 17)
+    half_ulp = np.ldexp(scale, exponent - 54)  # U, to about 1e-15
+    low, high = f - half_ulp, f + half_ulp
+    fast &= (np.abs(low - np.rint(low)) >= 1e-7) & (np.abs(high - np.rint(high)) >= 1e-7)
+    high = np.floor(high).astype(np.int64)
+    d = _places(a + high, high - np.ceil(low).astype(np.int64) + 1)
+    # The multiple of 10**d nearest N: N / 10**d rounded to the nearest
+    # integer, unless N is within 1e-7 of a midpoint, where ties would decide.
+    p = _POW10.take(d)
+    q = a // p
+    twice_over = 2 * (a - q * p) - p + 2 * f  # 2 (N mod 10**d) - 10**d
+    fast &= np.abs(twice_over) >= 2e-7
+    q += (twice_over > 0).astype(np.int64)
+    roll = d == 17  # 10**17: the digit 1 of the next decade
+    return (np.where(roll, np.int64(10 ** 16), q * p), d - roll.astype(np.int64),
+            17 - k + roll.astype(np.int64), fast)
+
+
+def _template(x: np.ndarray, seps: bytes) -> bytes:
+    """The slots of the doubles ``x`` (see above), holes included, each
+    value's separator from ``seps`` in turn, as bytes."""
+    rows, quads, exponents = _layouts()
+    digits, d, decpt, fast = _shortest(x)
+    exp_form = (decpt <= -4) | (decpt > 16)  # the exponent is decpt - 1
+    shown_power = np.where(exp_form, np.abs(decpt - 1), 0).astype(np.int64)
+    form = np.where(exp_form, 20 + 2 * (decpt < 1).astype(np.int64)
+                    + (shown_power >= 100).astype(np.int64), decpt + 3).astype(np.int64)
+    key = (24 * np.signbit(x).astype(np.int64) + form) * 17 + 16 - d
+    key[~fast] = 0
+    text = rows.take(key, axis=0)
+    last = digits // 10
+    text[:, 40] += (digits - last * 10).astype(np.uint8)
+    words = text.view(np.uint64)  # word w holds digits 4w - 4 .. 4w - 1
+    for word in (4, 3, 2, 1):
+        quad = last // 10_000
+        words[:, word] += quads.take(last - quad * 10_000)
+        last = quad
+    text.view(np.uint32)[:, 11] += exponents.take(shown_power)
+    text.reshape(-1, len(seps), _SLOT)[..., -1] = np.frombuffer(seps, dtype=np.uint8)
+    for i in (~fast).nonzero()[0].tolist():
+        value = repr(float(x[i])).encode("ascii").ljust(_SLOT - 1, b"\0")
+        text[i, :-1] = np.frombuffer(value, dtype=np.uint8)
+    return text.tobytes()
+
+
+def repr_rows(block, seps: bytes) -> bytes:
+    """The text of the (rows, columns) float64 ``block``: row by row, the
+    bytes ``repr`` gives each value, followed by the byte ``seps[j]`` of its
+    column j.
+
+    N = |x| 10**k lies in [1e16, 1e17) and x's round-trip interval, the
+    reals that read back as x, is [N - U, N + U] with U half an ulp of x
+    times 10**k. The shortest digits are those of a multiple of 10**d in
+    it, d the largest there is one for, and of the one closest to N; a
+    multiple 10**17 is the digit 1 of the next decade. Values it cannot
+    decide for certain are written by ``repr``: zeros, subnormals, |x|
+    outside [1e-280, 1e280] (infinities and NaN included), powers of two
+    (whose interval is lopsided), values an ulp or two from a power of ten
+    whose log10 rounds into the next decade, and any whose interval end or
+    rounding midpoint lies within 1e-7 of an integer, where round-half-even
+    would decide. N is known to about 1e-14."""
+    values = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    return _template(values, seps).translate(None, b"\0")

@@ -6,22 +6,12 @@ elsewhere in the package are measured in the weighted discrete norm
 sqrt(sum |h|^2 dt), which carries the grid's uniform quadrature weight dt
 and approximates the continuous L2 norm.
 
-Both waveform CSVs, the training set's and the basis's (``waveform_csv``),
-are written by one row writer that uses two CPUs when this
-process may run on more than one, K >= 2 and the text has at least
-``_HELPER_CELLS`` cells (K x (d + L)). A helper interpreter, ``_rowtext``
-run as a script under ``-I -S`` (the standard library only: no numpy, none
-of this process's pages), writes rows 0, 1, 2, ... and passes on each line
-as soon as it is done, while this process writes rows K-1, K-2, ....
-Between its rows this process sends the helper the rows' doubles and reads
-its lines, both on non-blocking pipes, and it stops as soon as its next row
-is one the helper has already written; the two meet wherever the faster one
-gets to. The helper's lines up to there are kept as read, and used only if
-they hold d + L - 1 commas a line; any row the helper did not give (it
-could not start, died, was slow, or failed that check) is written here.
-Both sides write each row with ``_rowtext.row``, so the bytes are those of
-a serial write. The helper is killed and reaped before ``waveform_csv``
-returns or raises.
+Both waveform CSVs, the training set's and the basis's, are streamed
+(``waveform_csv``): the header line, then the rows in blocks of whole rows
+of at most ``_TEXT_VALUES`` doubles, each block's text made by one
+``_fileio.repr_rows`` call, the bytes ``repr`` gives each value, as the
+file is written. So the text is never held whole, and the formatter's
+temporaries stay those of one block.
 
 ``waveform_csv`` and ``training_files`` return the files' contents and
 write nothing; a command's caller commits all its files at once, all or
@@ -33,13 +23,13 @@ A family is synthesized into one (K, L) array, allocated once and filled
 in row blocks of at most ``_BLOCK_CELLS`` samples, so that the formula's
 temporaries stay small; ``training_files`` writes the parsed copy from row
 views of the set's own arrays. ``generate`` so holds the samples once and
-the CSV text once, with no other copy of either.
+at most one block of the CSV text, with no other copy of either.
 
 A training CSV is parsed once. ``training_files`` gives, beside
 ``training.csv``, the parsed copy ``training.csv.f64``, by
 ``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v1
 sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is that of the CSV's
-exact bytes (hashed over its lines, which are never joined), then the
+exact bytes (hashed block by block as they are written), then the
 K x (d + 2L) values as little-endian doubles, row-major (the parameters,
 then re, im of each sample).
 
@@ -61,13 +51,8 @@ binary copies with it.
 
 from __future__ import annotations
 
-import contextlib
-import fcntl
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,8 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _rowtext
-from ._fileio import commit, fmt_float, keyed_copy, read_keyed_copy
+from ._fileio import commit, fmt_float, keyed_copy, read_keyed_copy, repr_rows
 
 
 class LengthMismatch(Exception):
@@ -356,146 +340,52 @@ def generate_family(spec: FamilySpec) -> TrainingSet:
 # UTF-8, LF line endings, floats in decimal with optional exponent.
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-# A text of fewer cells than this, rows x (d + L), is written here alone. A
-# helper takes about 13 ms to start, the time of 5,000-8,000 cells here, so
-# it takes over too little of a shorter text. On 2 shared vCPUs the packet-2d
-# basis (5,829 cells) took 19.0 ms with a helper and 17.3 ms without; the
-# chirp-3rules basis (19,019 cells) took 36-40 ms with one and 41-52 without.
-_HELPER_CELLS = 12_000
-
-# Each read of the helper's output takes at most this many bytes.
-_READ_BYTES = 1 << 16
-
-# The helper's two pipes are widened to this many bytes where the platform
-# allows it (F_SETPIPE_SZ, Linux), so that its input can run rows ahead of
-# it and it can run rows ahead of the reads here.
-_PIPE_BYTES = 1 << 20
-
-
-class _Helper:
-    """A helper interpreter, ``_rowtext`` run as a script, that writes the
-    lines of rows from the top, and the text read from it so far.
-
-    This process sends the rows' doubles and reads the lines on non-blocking
-    pipes between its own rows (``pump``). A feeding thread would starve: it
-    waits for the GIL, and each read here resets its wait."""
-
-    proc = None
-    lines = 0  # the LFs in ``chunks``
-
-    def start(self, params: np.ndarray, samples: np.ndarray) -> None:
-        """Start it on the rows ``params``, ``samples``. A helper that
-        cannot start writes no lines."""
-        self.chunks = []  # its text, as read
-        try:
-            self.proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", _rowtext.__file__,
-                 *map(str, (params.shape[1], samples.shape[1], len(params)))],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        except OSError:
-            return
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            os.set_blocking(pipe.fileno(), False)
-            with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        # The rows' doubles not yet sent, the parameters then the samples, as
-        # byte views of their arrays: a copy would add to the peak RSS.
-        self.unsent = [memoryview(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
-                       for a in (params, samples)]
-
-    def pump(self) -> int:
-        """Send it what its input pipe takes and read what it has written,
-        without waiting; returns the lines read so far."""
-        if self.proc is not None:
-            with contextlib.suppress(BlockingIOError, BrokenPipeError):  # full, or it exited
-                while self.unsent:
-                    sent = os.write(self.proc.stdin.fileno(), self.unsent[0])
-                    self.unsent = [v for v in (self.unsent[0][sent:], *self.unsent[1:]) if v]
-            with contextlib.suppress(BlockingIOError):  # nothing more to read yet
-                while chunk := os.read(self.proc.stdout.fileno(), _READ_BYTES):
-                    self.chunks.append(chunk)
-                    self.lines += chunk.count(b"\n")
-        return self.lines
-
-    def text(self, rows: int, commas: int) -> list | None:
-        """The chunks of its first ``rows`` lines, the last chunk cut after
-        their final LF, or None unless they hold ``commas`` commas a line."""
-        chunks, excess = self.chunks, self.lines - rows
-        while chunks and chunks[-1].count(b"\n") <= excess:
-            excess -= chunks.pop().count(b"\n")
-        if chunks:
-            chunks[-1] = chunks[-1].rsplit(b"\n", excess + 1)[0] + b"\n"
-        return chunks if sum(c.count(b",") for c in chunks) == rows * commas else None
-
-    def stop(self) -> None:
-        """Kill and reap it, and close its pipes."""
-        if self.proc is not None:
-            with self.proc:  # closes its pipes and waits for it
-                self.proc.kill()
-
-
-def _encoded_rows(params: np.ndarray, samples: np.ndarray) -> list:
-    """The lines of the rows ``params``, ``samples``, each by
-    ``_rowtext.row``, in order, as a list of byte strings. With a second CPU
-    and at least ``_HELPER_CELLS`` cells, a helper writes them from the top
-    while this process writes them from the bottom (see the module
-    docstring); the helper's lines then come first, as the chunks read."""
-    k, cells = len(params), params.shape[1] + samples.shape[1]  # cells: d + L a row
-    parts = np.ascontiguousarray(samples).view(np.float64)
-    values = params.tolist()
-
-    def line(i):
-        return _rowtext.row(values[i], parts[i].tolist())
-    tail, head = [], None  # tail: rows k - 1, k - 2, ... written here
-    if k > 1 and k * cells >= _HELPER_CELLS and sys.executable and _usable_cpus() > 1:
-        helper = _Helper()
-        try:
-            helper.start(params, samples)
-            while len(tail) < k - helper.pump():
-                tail.append(line(k - 1 - len(tail)))
-            head = helper.text(k - len(tail), cells - 1)
-        finally:
-            helper.stop()
-    # Rows the helper did not give, or gave with the wrong number of cells,
-    # are written here.
-    return (head or [line(i) for i in range(k - len(tail))]) + tail[::-1]
+# ``waveform_csv`` formats whole rows in blocks of at most this many doubles
+# (at least one row), so that the formatter's temporaries, about 170 bytes a
+# double, stay small. The rows do not depend on it.
+_TEXT_VALUES = 8192
 
 
 def waveform_csv(grid: TimeGrid, params: np.ndarray, samples: np.ndarray,
-                 kind: str | None = None) -> list:
-    """A waveform CSV, as its header line and then its rows' lines (the
-    helper's, if any, as the chunks read; see ``_encoded_rows``), each
-    UTF-8 bytes with its LF. The list is the one copy of the text; it is
-    never joined."""
+                 kind: str | None = None):
+    """A waveform CSV, as an iterator over its bytes: the header line, then
+    blocks of whole rows of at most ``_TEXT_VALUES`` doubles, each UTF-8
+    with its LFs. A row is its parameters, then its samples' ``re:im``
+    cells, each by ``_fileio.repr_rows``. Each block is made as it is
+    asked for, so the text is never held whole."""
     header = (
         f"# {CSV_MAGIC}, L={grid.n_samples}, t_start={fmt_float(grid.t_start)}, "
         f"t_end={fmt_float(grid.t_end)}, d={params.shape[1]}"
     )
-    if kind is not None:
-        header += f", kind={kind}"
-    return [f"{header}\n".encode("utf-8"), *_encoded_rows(params, samples)]
+    yield f"{header}{'' if kind is None else f', kind={kind}'}\n".encode("utf-8")
+    parts = np.ascontiguousarray(samples).view(np.float64)
+    seps = b"," * params.shape[1] + b":," * (samples.shape[1] - 1) + b":\n"
+    rows = max(1, _TEXT_VALUES // len(seps))
+    for start in range(0, len(parts), rows):
+        yield repr_rows(np.hstack([params[start:start + rows], parts[start:start + rows]]), seps)
 
 
 def training_files(ts: TrainingSet, path) -> dict:
     """The files ``save_training_csv(ts, path)`` writes, for ``_fileio.commit``:
-    the CSV at ``path`` and its parsed copy (see the module docstring)."""
-    lines = waveform_csv(ts.grid, ts.params, ts.samples)
+    the CSV at ``path`` and its parsed copy (see the module docstring). Both
+    are iterators, to be written in this order: the CSV is hashed as it is
+    written, and the copy's header, which holds the digest, is made after."""
     digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line)
-    # Each row: the parameters, then the samples' real view (re, im, ...),
-    # the layout ``_read_parsed_copy`` views back as complex; written from
-    # views of the two arrays, with no joined copy.
-    parts = np.ascontiguousarray(ts.samples).view(np.float64)
-    return {Path(path): lines, _parsed_copy_path(path): keyed_copy(
-        _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples),
-        *(view for row in zip(ts.params, parts) for view in row))}
+
+    def csv():
+        for block in waveform_csv(ts.grid, ts.params, ts.samples):
+            digest.update(block)
+            yield block
+
+    def copy():
+        # Each row: the parameters, then the samples' real view (re, im,
+        # ...), the layout ``_read_parsed_copy`` views back as complex;
+        # written from views of the two arrays, with no joined copy.
+        yield from keyed_copy(
+            _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples),
+            *(view for row in zip(ts.params, np.ascontiguousarray(ts.samples).view(np.float64))
+              for view in row))
+    return {Path(path): csv(), _parsed_copy_path(path): copy()}
 
 
 def save_training_csv(ts: TrainingSet, path) -> None:

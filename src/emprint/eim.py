@@ -469,6 +469,7 @@ def load_interpolant_copy(path, rb: ReducedBasis, criterion: SelectionCriterion,
 def interpolant_json(itp: EmpiricalInterpolant, include_matrices: bool = False) -> bytes:
     """The JSON document of nodes, criterion, per-step diagnostics, and
     optionally the V and B matrices as CSV blocks of re:im pairs."""
+    det_v = _re_im([[rec.det_v] for rec in itp.per_step]).split("\n")
     doc = {
         "criterion": itp.criterion.value,
         "n": itp.n,
@@ -481,7 +482,7 @@ def interpolant_json(itp: EmpiricalInterpolant, include_matrices: bool = False) 
         "per_step": [
             {
                 "n": j + 1,
-                "det_v": _re_im([rec.det_v]),
+                "det_v": det_v[j],
                 "kappa": rec.kappa,
                 "lambda": rec.lebesgue,
                 "residual_at_node": rec.residual_at_node,

@@ -1,6 +1,3 @@
-import time
-import types
-
 import numpy as np
 import pytest
 
@@ -46,37 +43,3 @@ def small_basis(small_training) -> rbm.ReducedBasis:
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
-
-@pytest.fixture
-def writers(monkeypatch):
-    """Who writes the lines of each waveform CSV from here on. ``here``
-    counts the rows formatted in this process, ``helper`` the helper's lines
-    used, ``refused`` those that failed their check and ``started`` the
-    helpers started. The helper's size gate is lowered to 0, the process may
-    use ``cpus`` CPUs (2; set 1 for a serial write), and each row here is
-    ``delay`` seconds late (0; set more so that a helper writes rows too)."""
-    counts = types.SimpleNamespace(here=0, helper=0, refused=0, started=0, cpus=2, delay=0)
-    row, start, text = catalog._rowtext.row, catalog._Helper.start, catalog._Helper.text
-
-    def counted_row(*args):
-        counts.here += 1
-        time.sleep(counts.delay)
-        return row(*args)
-
-    def counted_start(self, *args):
-        counts.started += 1
-        return start(self, *args)
-
-    def counted_text(self, rows, commas):
-        head = text(self, rows, commas)
-        if head is None:
-            counts.refused += rows
-        else:
-            counts.helper += rows
-        return head
-    monkeypatch.setattr(catalog._rowtext, "row", counted_row)
-    monkeypatch.setattr(catalog._Helper, "start", counted_start)
-    monkeypatch.setattr(catalog._Helper, "text", counted_text)
-    monkeypatch.setattr(catalog, "_HELPER_CELLS", 0)
-    monkeypatch.setattr(catalog, "_usable_cpus", lambda: counts.cpus)
-    return counts

@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 import stat
@@ -5,8 +6,8 @@ import stat
 import numpy as np
 import pytest
 
-from emprint import catalog, cli, diagnostics, eim, rbm
-from emprint._fileio import commit, keyed_copy, read_keyed_copy
+from emprint import _fileio, catalog, cli, diagnostics, eim, rbm
+from emprint._fileio import commit, keyed_copy, read_keyed_copy, repr_rows
 from emprint.catalog import TimeGrid
 from emprint.diagnostics import DiagnosticsReport, OrderRecord
 from emprint.eim import EmpiricalInterpolant, SelectionCriterion, StepRecord
@@ -55,6 +56,86 @@ def test_keyed_copy_refuses_any_other_file(tmp_path, header, payload):
 def test_keyed_copy_refuses_what_is_no_file(tmp_path, make):
     make(tmp_path / "c.f64")
     assert read_keyed_copy(tmp_path / "c.f64", _header, 3) is None
+
+
+# ---------------------------------------------------------------------------
+# The float text: repr_rows gives each value the bytes repr gives it
+# ---------------------------------------------------------------------------
+
+def repr_mismatches(values) -> list:
+    """(repr, repr_rows's text) of each value of ``values`` on which they
+    differ, formatted in blocks of 8,192 as one column."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    bad = []
+    for start in range(0, values.size, 8192):
+        block = values[start:start + 8192]
+        got = repr_rows(block.reshape(-1, 1), b"\n").decode("ascii").split("\n")
+        assert len(got) == block.size + 1 and got[-1] == ""
+        bad += [(want, text) for want, text in zip(map(repr, block.tolist()), got) if want != text]
+    return bad
+
+
+POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-323, 309)])
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308],
+    np.concatenate([POWERS_OF_TEN, np.nextafter(POWERS_OF_TEN, 0),
+                    np.nextafter(POWERS_OF_TEN, np.inf), -POWERS_OF_TEN]),
+    np.ldexp(1.0, np.arange(-1074, 1024)),
+    np.arange(-10 ** 5, 10 ** 5 + 1),
+    [float(f"{m}e{e}") for m in (1, 2, 5, 12, 123, 999, 1234567) for e in range(-30, 31)]
+    + [0.1, 0.2, 0.3, 0.30000000000000004, 1.5, 2.5, 123.456, 1e-5, 1e-4, 0.001234,
+       1e16, 1e22, 9007199254740993.0, 1234567890123456.8, 12345678901234567.0],
+    np.random.default_rng(20240817).integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(
+        np.float64),
+], ids=["extremes", "powers-of-ten", "powers-of-two", "integers", "short-decimals",
+        "random-bits"])
+def test_repr_rows_gives_repr(values):
+    assert repr_mismatches(values)[:10] == []
+
+
+@pytest.mark.parametrize("family, k, l", [("damped_chirp", 31, 401),
+                                          ("gaussian_packet", 64, 201),
+                                          ("poly_fourier", 21, 301)])
+def test_repr_rows_gives_repr_on_every_family(family, k, l):
+    ts = catalog.generate_family(catalog.make_family_spec(family, k, grid=TimeGrid(0.0, 1.0, l)))
+    values = np.concatenate([ts.params.reshape(-1), ts.samples.view(np.float64).reshape(-1)])
+    assert repr_mismatches(values)[:10] == []
+
+
+# Values the formatter cannot decide for certain, by class; each must be
+# written by repr itself. The doubles nearest 1e23 and 1e-7 lie just below
+# them, where log10 gives 23 and -7; 2**53 + 2 has N +- U integers (N =
+# 10 x, U = 10), and N of 3 * 2**-24 lies on a rounding midpoint.
+UNDECIDED = {
+    "zero": [0.0, -0.0],
+    "subnormal": [5e-324, -2.225073858507201e-308],
+    "outside-1e-280-1e280": [9.99e-281, 1.01e280, -1.7976931348623157e308],
+    "non-finite": [math.inf, -math.inf, math.nan],
+    "power-of-two": [0.5, 2.0 ** -900, -(2.0 ** 900)],
+    "next-decade": [1e23, -1e-7, 0.09999999999999999],
+    "interval-end": [9007199254740994.0, 9007199254740996.0],
+    "midpoint": [1.7881393432617188e-07, 5.960464477539062e-07],
+}
+
+
+@pytest.mark.parametrize("case", UNDECIDED)
+def test_each_undecided_class_goes_to_repr(monkeypatch, case):
+    written = []
+    monkeypatch.setattr(_fileio, "repr", lambda v: written.append(v) or builtins.repr(v),
+                        raising=False)
+    values = UNDECIDED[case] + [0.1, -123.456]  # two it decides
+    text = repr_rows(np.array([values]), b"," * (len(values) - 1) + b"\n")
+    assert text == (",".join(map(repr, values)) + "\n").encode("ascii")
+    assert list(map(repr, written)) == list(map(repr, UNDECIDED[case]))
+
+
+def test_separators_follow_their_columns():
+    block = np.array([[1.0, -2.5, 3e-7], [0.1, 1e300, -0.0]])
+    assert repr_rows(block, b":,\n") == b"1.0:-2.5,3e-07\n0.1:1e+300,-0.0\n"
+    assert repr_rows(np.empty((0, 3)), b":,\n") == b""
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +270,13 @@ def test_interpolant_json_with_re_im_cells():
 
 
 def test_waveform_row_of_re_im_cells(tmp_path):
-    lines = catalog.waveform_csv(GRID, np.array([[0.5]]),
-                                 np.array([[1 + 2j, complex(-0.0, 1e-300), 3]]))
-    data = b"".join(lines)
-    assert data == (b"# emprint-training v1, L=3, t_start=0.0, t_end=1.0, d=1\n"
-                    b"0.5,1.0:2.0,-0.0:1e-300,3.0:0.0\n")
+    # The header, then the rows' blocks, each made as the file is written.
+    lines = catalog.waveform_csv(GRID, np.array([[0.5], [-2.0]]),
+                                 np.array([[1 + 2j, complex(-0.0, 1e-300), 3],
+                                           [1e16, complex(0.1, -1e-5), 123.456j]]))
     commit({tmp_path / "w.csv": lines})
-    assert (tmp_path / "w.csv").read_bytes() == data
+    assert (tmp_path / "w.csv").read_bytes() == (
+        b"# emprint-training v1, L=3, t_start=0.0, t_end=1.0, d=1\n"
+        b"0.5,1.0:2.0,-0.0:1e-300,3.0:0.0\n"
+        b"-2.0,1e+16:0.0,0.1:-1e-05,0.0:123.456\n")
+    assert next(lines, None) is None  # consumed once, by the write

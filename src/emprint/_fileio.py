@@ -299,7 +299,8 @@ def _shortest(x: np.ndarray):
 
 def _template(x: np.ndarray, seps: bytes) -> bytes:
     """The slots of the doubles ``x`` (see above), holes included, each
-    value's separator from ``seps`` in turn, as bytes."""
+    value's separator from ``seps`` in turn, as bytes: the template and
+    every temporary are freed before ``repr_rows`` drops the holes."""
     rows, quads, exponents = _layouts()
     digits, d, decpt, fast = _shortest(x)
     exp_form = (decpt <= -4) | (decpt > 16)  # the exponent is decpt - 1

@@ -60,14 +60,17 @@ def test_generate_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("command, case, code", [
-    ("generate", "written", 0), ("generate", "out-dir-is-a-file", 2),
-    ("generate", "csv-blocked", 2), ("basis", "written", 0),
-    ("basis", "csv-blocked", 2), ("basis", "all-zero", 3),
+@pytest.mark.parametrize("command, case, code, commits", [
+    ("generate", "written", 0, 1), ("generate", "out-dir-is-a-file", 2, 0),
+    ("generate", "csv-blocked", 2, 1), ("basis", "written", 0, 1),
+    ("basis", "csv-blocked", 2, 1), ("basis", "all-zero", 3, 0),
 ])
-def test_no_thread_or_process_outlives_generate_or_basis(tmp_path, command, case, code):
-    # Both write a waveform CSV; neither leaves a thread (the hash of an
-    # --input) or a child process behind, on success or on an error exit.
+def test_no_helper_or_thread_outlives_a_command(tmp_path, monkeypatch, command, case, code,
+                                                 commits):
+    # Both write a waveform CSV, in this process: ``commits`` is how many
+    # times the command starts to commit its files. Neither leaves a thread
+    # (the hash of an --input) or a helper process behind, on success or on
+    # an error exit.
     out, args = tmp_path / "out", CHIRP
     if case == "all-zero":
         _all_zero_training(out)
@@ -79,8 +82,12 @@ def test_no_thread_or_process_outlives_generate_or_basis(tmp_path, command, case
         out.write_text("not a directory\n")
     elif case == "csv-blocked":
         (out / f"{command.replace('generate', 'training')}.csv").mkdir(parents=True)
+    calls = []
+    real_commit = cli.commit
+    monkeypatch.setattr(cli, "commit", lambda files: (calls.append(files), real_commit(files)))
     before = threading.active_count()
     assert main([command, *args, "--out-dir", str(out)]) == code
+    assert len(calls) == commits
     assert threading.active_count() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

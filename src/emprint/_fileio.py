@@ -171,11 +171,6 @@ def _re_im(z) -> str:
 
 _SLOT = 48
 
-# The exact decimal scalings: 10**k for these k, each as a double-double.
-# Every |x| in [1e-280, 1e280] has N = |x| 10**k in [1e16, 1e17) for one k
-# of them, and k's guess from log10, one off at most, is one of them too.
-_K_MIN, _K_MAX = -266, 298
-
 # Dekker's splitter, 2**27 + 1: a double times it splits into two halves of
 # 26 bits, whose products are exact.
 _SPLIT = 134217729.0
@@ -184,56 +179,63 @@ _POW10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
 
 
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """hi, lo with hi[k - _K_MIN] + lo[k - _K_MIN] = 10**k to about 2**-107,
-    each the double nearest its exact value; from Python ints, whose true
-    division is correctly rounded."""
-    pairs = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        pairs.append((hi, (num * b - a * den) / (den * b)))
-    return tuple(np.array(column) for column in zip(*pairs))
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """hi, lo with hi + lo = 10**k to about 2**-107, each the double nearest
+    its exact value; from Python ints, whose true division is correctly
+    rounded."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
 
 
-def _layout(negative: bool, form: int, ndig: int) -> str:
-    """A slot's template row (see above), as 48 Latin-1 characters, for a
-    value of ``ndig`` significant digits. ``form`` 0-19 is positional, with
-    the decimal point after digit form - 3 (0 or fewer: "0." and 3 - form
-    zeros first); 20-23 has an exponent, negative for 22 and 23, of three
-    digits for 21 and 23."""
-    decpt, point, shown, lead, exp = form - 3, -1, ndig, "", ""
-    if form >= 20:
-        point, exp = -(ndig == 1), "e" + "+-"[form >= 22] + ("000" if form % 2 else "\0" + "00")
-    elif decpt <= 0:
-        lead = "0." + "0" * -decpt
-    else:  # the zeros up to the point, then ".0" if no digit follows
-        point, shown = decpt - 1, max(ndig, decpt + 1)
-    digits = "".join("0\0"[j >= shown] + ".\0"[j != point] for j in range(17))
-    return "-\0"[not negative] + lead.ljust(7, "\0") + digits + exp.ljust(6, "\0")
+@functools.cache
+def _powers_of_ten(k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi[k - k_min] + lo[k - k_min] = 10**k (``_power_of_ten``)
+    for k_min <= k <= k_max: each block asks for the k of its values only,
+    so a process makes the few dozen its data needs, not all 565 of
+    [1e-280, 1e280]."""
+    return tuple(np.array([_power_of_ten(k) for k in range(k_min, k_max + 1)]).T)
 
 
 @functools.cache
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The template rows of every (sign, form, digit count), by key
-    (24 sign + form) 17 + ndig - 1; the digits of 0..9999 as the uint64
+    """The template row (see above) of every (sign, form, digit count) by
+    key (24 sign + form) 17 + ndig - 1; the digits of 0..9999 as the uint64
     that adds them to four digit columns; the digits of exponents 0..399 as
-    the uint32 that adds them to columns 44-46."""
-    rows = "".join(_layout(negative, form, ndig) for negative in (False, True)
-                   for form in range(24) for ndig in range(1, 18))
+    the uint32 that adds them to columns 44-46.
+
+    ``form`` 0-19 is positional, with the decimal point after digit
+    decpt = form - 3: for decpt <= 0, "0." and -decpt zeros come first and
+    no point follows a digit; otherwise the digits are shown up to the point
+    at least, then ".0" if no digit follows. 20-23 has an exponent, negative
+    for 22 and 23, of three digits for 21 and 23, and a point after the
+    first digit unless it is the only one."""
+    form, ndig, column = np.arange(24)[:, None, None], np.arange(1, 18)[:, None], np.arange(17)
+    positional = form < 20
+    rows = np.zeros((2, 24, 17, _SLOT), dtype=np.uint8)
+    rows[..., 1:6] = np.frombuffer(b"0.000", np.uint8) * ((column[:5] + form < 5) & (form <= 3))
+    rows[..., 8:42:2] = ord("0") * ((column < ndig) | positional & (column <= form - 3))
+    rows[..., 9:42:2] = ord(".") * (positional & (column == form - 4)
+                                    | ~positional & (ndig > 1) & (column == 0))
+    rows[:, 20:, :, 42:47] = np.frombuffer(b"e+\x0000e+000e-\x0000e-000",
+                                           np.uint8).reshape(4, 1, 5)
+    rows[1, ..., 0] = ord("-")
     n = np.arange(10_000, dtype=np.int64)
-    return (np.frombuffer(rows.encode("latin-1"), dtype=np.uint8).reshape(-1, _SLOT),
-            sum((n // 10 ** (3 - i) % 10) << (16 * i) for i in range(4)).astype(np.uint64),
-            sum((n[:400] // 10 ** (2 - i) % 10) << (8 * i) for i in range(3)).astype(np.uint32))
+    pair = n[:100] // 10 + n[:100] % 10 * 65536  # tens at byte 0, ones at byte 2
+    quads = (pair[:, None] + pair * 2 ** 32).reshape(-1)
+    return (rows.reshape(-1, _SLOT), quads.astype(np.uint64),
+            (n[:400] // 100 + n[:400] // 10 % 10 * 256 + n[:400] % 10 * 65536).astype(np.uint32))
 
 
 def _scaled(x: np.ndarray, k: np.ndarray):
     """(A, f, 10**k's hi part): N = x 10**k = A + f, A an int64 and f in
     [0, 1), to within about 1e-14, for doubles x > 0. The product is
     x (hi + lo), with x hi exact by Dekker's two-product."""
-    pow_hi, pow_lo = _powers_of_ten()
-    hi = pow_hi.take(k - _K_MIN)
+    # 16, the k of 1.5, keeps the range of an empty block from being empty.
+    k_min = int(k.min(initial=16))
+    pow_hi, pow_lo = _powers_of_ten(k_min, int(k.max(initial=16)))
+    hi = pow_hi.take(k - k_min)
     product = x * hi
     x_hi = _SPLIT * x
     x_hi -= x_hi - x
@@ -242,7 +244,7 @@ def _scaled(x: np.ndarray, k: np.ndarray):
     h_hi -= h_hi - hi
     h_lo = hi - h_hi
     tail = ((((x_hi * h_hi - product) + x_hi * h_lo) + x_lo * h_hi) + x_lo * h_lo
-            + x * pow_lo.take(k - _K_MIN))
+            + x * pow_lo.take(k - k_min))
     top = product + tail  # a double of 1e16 or more: an integer
     tail -= top - product
     return top.astype(np.int64) + np.floor(tail).astype(np.int64), tail - np.floor(tail), hi

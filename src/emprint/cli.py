@@ -320,7 +320,7 @@ def cmd_eim(cfg: RunConfig) -> tuple[dict, str, int]:
     files, stdout = {}, ""
     for itp in interpolants:
         path = out_dir / f"interpolant_{itp.criterion.value}.json"
-        files[path] = eim.interpolant_json(itp, include_matrices=cfg.embed_matrices)
+        files[path] = diagnostics.interpolant_json(itp, include_matrices=cfg.embed_matrices)
         if ts.csv_sha256 is not None and n == rb.n:
             files[path.with_suffix(".f64")] = eim.interpolant_copy(itp, ts.csv_sha256,
                                                                    cfg.n_max)

@@ -24,7 +24,10 @@ steps the second block is c - a_n. Each order costs O(K N) per criterion,
 updates that K x 2N block in place and solves no system. The full-order
 interpolants come from the caller, which selects them or reads them from
 their copies (see ``eim``), so a comparison selects no node itself. Reports
-serialize to JSON plus four plot-ready CSV curves.
+serialize to JSON plus four plot-ready CSV curves. The interpolant's JSON
+document (``interpolant_json``) is written here too, not in ``eim``, whose
+source keys every binary copy (``rbm._code_digest``): a change to how a
+document is laid out then leaves every copy valid.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ import numpy as np
 
 from . import numerics as nm
 from .catalog import LengthMismatch, TimeGrid, TrainingSet
-from .eim import SelectionCriterion, _eliminate
+from .eim import EmpiricalInterpolant, SelectionCriterion, _eliminate
 from .rbm import ReducedBasis
-from ._fileio import json_document, table
+from ._fileio import _re_im, json_document, table
 
 # Written into every report: the condition numbers and Lebesgue constants
 # refer to the stored Euclidean-orthonormal basis rows.
@@ -186,6 +189,36 @@ def error_ratio_curve(report_a: DiagnosticsReport,
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+def interpolant_json(itp: EmpiricalInterpolant, include_matrices: bool = False) -> bytes:
+    """The JSON document of nodes, criterion, per-step diagnostics, and
+    optionally the V and B matrices as CSV blocks of re:im pairs."""
+    det_v = _re_im([[rec.det_v] for rec in itp.per_step]).split("\n")
+    doc = {
+        "criterion": itp.criterion.value,
+        "n": itp.n,
+        "node_indices": list(itp.node_indices),
+        "grid": {
+            "t_start": itp.basis.grid.t_start,
+            "t_end": itp.basis.grid.t_end,
+            "n_samples": itp.basis.grid.n_samples,
+        },
+        "per_step": [
+            {
+                "n": j + 1,
+                "det_v": det_v[j],
+                "kappa": rec.kappa,
+                "lambda": rec.lebesgue,
+                "residual_at_node": rec.residual_at_node,
+            }
+            for j, rec in enumerate(itp.per_step)
+        ],
+    }
+    if include_matrices:
+        doc["v_matrix_csv"] = _re_im(itp.v_matrix)
+        doc["b_matrix_csv"] = _re_im(itp.b_matrix)
+    return json_document(doc)
+
 
 def report_json(report: DiagnosticsReport) -> bytes:
     """The JSON document of ``report``."""

@@ -36,15 +36,21 @@ steps those of the sample's interpolation error at order n (the comparison
 in ``diagnostics``).
 
 The kappa/lambda rules take the classic pick as the incumbent. Every
-candidate V_j(t) is the same block of chosen nodes with one row appended, so
-one SVD of the block gives each candidate's smallest singular value as the
-root of a secular equation (the row-append SVD update), and one evaluation
-of it prunes every candidate that provably scores worse than the incumbent.
-The survivors are scored exactly, in stacks of at most CANDIDATE_STACK,
-under the lowest-index tie rule: the picks and every output are those of a
-scan that scores every candidate. The winner's kappa and lambda from that
-scoring are its step record's, so a scanned step computes no SVD of its
-V_j again. The identity verifier gets every
+candidate V_j(t) is the same block A of chosen nodes with one row x_t
+appended, so one SVD of A, A = U S W^H, bounds every candidate (see
+``_pruner``): sigma_min(V_j(t))^2 <= |x_t w_j|^2, with w_j the null vector of
+A, which is the classic residual |r_j(t)|^2 scaled by at most 1, and
+sigma_max(V_j(t))^2 >= max(s_1^2 + |x_t w_1|^2, ||x_t||^2). One product of
+the grid with w_1 and w_j prunes most candidates that provably score worse
+than the incumbent; only the rest evaluate the secular equation of the
+row-append SVD update, whose root is their sigma_min^2. The survivor whose
+secular value says it is likeliest to score well is scored first, the rest
+are pruned again against the better score, and what is left is scored in
+stacks of at most CANDIDATE_STACK, under the lowest-index tie rule. Each
+bound allows for the roundoff of the SVDs and the products, so the picks
+and every output are those of a scan that scores every candidate. The
+winner's kappa and lambda from that scoring are its step record's, so a
+scanned step computes no SVD of its V_j again. The identity verifier gets every
 det V_j(t) / det V_{j-1} from one null vector of the chosen nodes' block per
 step, taken from a Householder QR, independently of the elimination.
 
@@ -74,7 +80,7 @@ from scipy.linalg.blas import zgeru
 from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis, _copy_key
-from ._fileio import _re_im, json_document, keyed_copy, read_keyed_copy
+from ._fileio import keyed_copy, read_keyed_copy
 
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
@@ -165,20 +171,6 @@ class EmpiricalInterpolant:
         return np.array(self.node_indices, dtype=np.intp)
 
 
-def _candidates(basis_rows: np.ndarray, j: int, nodes: list[int], columns):
-    """V_j(t) for each grid index t in ``columns``, in that order: the
-    node-value matrix of the first j-1 nodes with t appended as node j, as
-    (m, j, j) stacks of m <= CANDIDATE_STACK candidates."""
-    rows = basis_rows[:j]
-    prefix = rows[:, list(nodes[: j - 1])].T
-    for start in range(0, len(columns), CANDIDATE_STACK):
-        block = rows[:, columns[start:start + CANDIDATE_STACK]]
-        stack = np.empty((block.shape[1], j, j), dtype=np.complex128)
-        stack[:, : j - 1] = prefix
-        stack[:, j - 1] = block.T
-        yield stack
-
-
 def _eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> None:
     """The elimination step, in place: x <- x - (x[:, t] / r(t)) r for the
     rows of ``x``, with r = ``residual`` the residual of the step that
@@ -193,55 +185,102 @@ def _eliminate(x: np.ndarray, t: int, residual: np.ndarray) -> None:
         x[...] = updated.T
 
 
-def _survivors(basis_rows: np.ndarray, j: int, nodes: list[int],
-               criterion: SelectionCriterion, best: float) -> np.ndarray:
-    """Grid indices t whose V_j(t), j >= 2, may score within
-    numerics.TIE_REL_TOL of ``best``, the computed objective of one
-    candidate; every other V_j(t) provably scores worse.
+def _pruner(rows: np.ndarray, nodes: list[int], criterion: SelectionCriterion):
+    """``prune(best, columns)``: the grid indices t in ``columns`` whose
+    V_j(t) may score within numerics.TIE_REL_TOL of ``best``, the computed
+    objective of one candidate, with f_t(mu_t) for each (see below); every
+    other V_j(t) provably scores worse. ``rows`` are the first j >= 2 basis
+    rows and ``nodes`` the first j-1 picks.
 
     V_j(t) is the fixed block A of the first j-1 nodes with the row x_t
-    appended, so one SVD of A gives every candidate's sigma_min^2 as the root
-    of a secular function f_t (``numerics.secular``). A candidate that could
-    win has sigma_min^2 >= mu_t: for lambda mu_t = (1 - PRUNE_MARGIN) / best^2,
-    for kappa mu_t = max(s_1^2, ||x_t||^2) / (best (1 + PRUNE_MARGIN))^2, since
-    sigma_max^2 is at least both. mu_t is lowered by the largest shift
-    roundoff can give a computed sigma_min^2, 32 j eps (s_1^2 + max ||x_t||^2),
-    covering the SVDs of A and of the candidate and the product x_t W.
-    Interlacing puts sigma_min^2 at or below s_{j-1}^2, so t is pruned when
-    mu_t lies above s_{j-1}^2, or inside (0, s_{j-1}^2) with f_t(mu_t) above
-    its rounding bound.
+    appended, so one full SVD of A, A = U S W^H, serves every candidate. A
+    candidate that could win has sigma_min^2 >= mu_t: for lambda
+    mu_t = (1 - PRUNE_MARGIN) / best^2, for kappa
+    mu_t = max(s_1^2 + |x_t w_1|^2, ||x_t||^2) / (best (1 + PRUNE_MARGIN))^2,
+    since sigma_max^2 is at least the Rayleigh quotient of V_j(t) on the top
+    right singular vector w_1 of A and at least the squared norm of its last
+    row. Two tests then bound sigma_min^2 from above, the cheap one first:
+
+    1. The last right singular vector w_j spans A's null space, so
+       sigma_min^2 <= ||V_j(t) w_j||^2 = |x_t w_j|^2, the classic residual
+       |r_j(t)|^2 scaled by |w_j[j-1]|^2 <= 1. One product of the grid with
+       w_1 and w_j gives both this bound and kappa's Rayleigh quotient, and
+       t is pruned when |x_t w_j|^2 < mu_t. Interlacing also puts
+       sigma_min^2 at or below s_{j-1}^2, so t is pruned when mu_t lies
+       above it.
+    2. For the rest only, sigma_min^2 is the root of the secular function
+       f_t of ``numerics.secular`` on (0, s_{j-1}^2), which needs all of
+       |x_t W|^2; t is pruned when f_t(mu_t) lies above its rounding bound.
+
+    mu_t is lowered by the largest shift roundoff can give a computed
+    sigma_min^2 or either bound, 32 j eps (s_1^2 + max ||x_t||^2): the SVDs
+    of A and of the candidate are backward stable, so the computed W is an
+    exact one of a block within a few eps s_1 of A, and each product x_t w
+    sums j terms.
     """
-    rows = basis_rows[:j]
-    _, s, vh = nm._svd(rows[:, list(nodes[: j - 1])].T, compute_uv=True)
+    _, s, vh = nm._svd(rows[:, nodes].T, compute_uv=True)
+    w = vh.conj().T
     d = np.append(s * s, 0.0)
-    w2 = np.abs(rows.T @ vh.conj().T) ** 2
     x2 = np.sum(np.abs(rows) ** 2, axis=0)
-    if criterion is SelectionCriterion.MIN_LAMBDA:
-        mu = np.full_like(x2, (1.0 - PRUNE_MARGIN) / best ** 2)
-    else:
-        mu = np.maximum(d[0], x2) / (best * (1.0 + PRUNE_MARGIN)) ** 2
-    mu -= 32 * j * np.finfo(np.float64).eps * (d[0] + x2.max())
-    f, bound = nm.secular(d, w2, mu)
-    s_min_sq = d[-2]
-    pruned = (mu > s_min_sq) | ((mu > 0) & (mu < s_min_sq) & (f > bound))
-    return np.flatnonzero(~pruned)
+    edges = np.abs(rows.T @ w[:, [0, -1]]) ** 2
+    shift = 32 * len(rows) * np.finfo(np.float64).eps * (d[0] + x2.max())
+
+    def prune(best: float, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if criterion is SelectionCriterion.MIN_LAMBDA:
+            mu = np.full(columns.size, (1.0 - PRUNE_MARGIN) / best ** 2)
+        else:
+            mu = (np.maximum(d[0] + edges[columns, 0], x2[columns])
+                  / (best * (1.0 + PRUNE_MARGIN)) ** 2)
+        mu -= shift
+        kept = (edges[columns, 1] >= mu) & (mu <= d[-2])
+        columns, mu = columns[kept], mu[kept]
+        f, bound = nm.secular(d, np.abs(rows[:, columns].T @ w) ** 2, mu)
+        kept = (mu <= 0) | (mu >= d[-2]) | ~(f > bound)
+        return columns[kept], f[kept]
+
+    return prune
+
+
+def _score(scores: np.ndarray, rows: np.ndarray, nodes: list[int], columns) -> None:
+    """Write the (kappa, lambda) of V_j(t), the node-value matrix of
+    ``nodes`` with t appended, into ``scores[:, t]`` for each t in
+    ``columns``, from (m, j, j) stacks of m <= CANDIDATE_STACK candidates."""
+    prefix = rows[:, nodes].T
+    for start in range(0, len(columns), CANDIDATE_STACK):
+        block = columns[start:start + CANDIDATE_STACK]
+        stack = np.empty((len(block), len(rows), len(rows)), dtype=np.complex128)
+        stack[:, :-1] = prefix
+        stack[:, -1] = rows[:, block].T
+        scores[:, block] = nm.condition_and_inverse_norm(stack)
 
 
 def _scan(basis_rows: np.ndarray, j: int, nodes: list[int],
           criterion: SelectionCriterion, incumbent: int) -> tuple[int, tuple[float, float]]:
     """Kappa/lambda pick: the lowest grid index whose V_j(t) ties the best
     objective, chosen nodes excluded, at step j >= 2, and the (kappa,
-    lambda) of its V_j. The candidate ``incumbent`` is scored first and only
-    the survivors of ``_survivors`` against it are scored exactly, so the
-    pick is the one a scan of every candidate makes."""
+    lambda) of its V_j; the pick is the one a scan of every candidate makes.
+
+    The candidate ``incumbent`` is scored first, alone, and every other
+    candidate is pruned against it (``_pruner``). The survivor with the
+    least f_t(mu_t), the likeliest to score well, is scored next; the rest
+    are pruned again against the better of the two scores, and what is left
+    is scored in stacks. No candidate is scored twice."""
+    rows = basis_rows[:j]
     # Element 0 of condition_and_inverse_norm is kappa, element 1 lambda.
     element = 0 if criterion is SelectionCriterion.MIN_KAPPA else 1
-    best = nm.condition_and_inverse_norm(basis_rows[:j][:, nodes + [incumbent]].T)[element]
-    columns = _survivors(basis_rows, j, nodes, criterion, best)
-    scores = np.full((2, basis_rows.shape[1]), math.inf)
-    scores[:, columns] = np.concatenate([
-        nm.condition_and_inverse_norm(stack)
-        for stack in _candidates(basis_rows, j, nodes, columns)], axis=1)
+    scores = np.full((2, rows.shape[1]), math.inf)
+    scores[:, incumbent] = nm.condition_and_inverse_norm(rows[:, nodes + [incumbent]].T)
+    fresh = np.ones(rows.shape[1], dtype=bool)
+    fresh[nodes + [incumbent]] = False
+    prune = _pruner(rows, nodes, criterion)
+    columns, f = prune(scores[element, incumbent], np.flatnonzero(fresh))
+    if columns.size:
+        first = int(np.argmin(f))
+        _score(scores, rows, nodes, columns[first:first + 1])
+        if columns.size > 1:
+            rest, _ = prune(scores[element, [incumbent, columns[first]]].min(),
+                            np.delete(columns, first))
+            _score(scores, rows, nodes, rest)
     values = scores[element]
     values[nodes] = math.inf
     if math.isinf(values.min()):
@@ -464,33 +503,3 @@ def load_interpolant_copy(path, rb: ReducedBasis, criterion: SelectionCriterion,
             StepRecord(complex(re, im), kappa, lam, r) for _, re, im, kappa, lam, r in steps))
     except SingularVMatrix:
         return None
-
-
-def interpolant_json(itp: EmpiricalInterpolant, include_matrices: bool = False) -> bytes:
-    """The JSON document of nodes, criterion, per-step diagnostics, and
-    optionally the V and B matrices as CSV blocks of re:im pairs."""
-    det_v = _re_im([[rec.det_v] for rec in itp.per_step]).split("\n")
-    doc = {
-        "criterion": itp.criterion.value,
-        "n": itp.n,
-        "node_indices": list(itp.node_indices),
-        "grid": {
-            "t_start": itp.basis.grid.t_start,
-            "t_end": itp.basis.grid.t_end,
-            "n_samples": itp.basis.grid.n_samples,
-        },
-        "per_step": [
-            {
-                "n": j + 1,
-                "det_v": det_v[j],
-                "kappa": rec.kappa,
-                "lambda": rec.lebesgue,
-                "residual_at_node": rec.residual_at_node,
-            }
-            for j, rec in enumerate(itp.per_step)
-        ],
-    }
-    if include_matrices:
-        doc["v_matrix_csv"] = _re_im(itp.v_matrix)
-        doc["b_matrix_csv"] = _re_im(itp.b_matrix)
-    return json_document(doc)

@@ -180,3 +180,50 @@ def first_repeat(params: np.ndarray) -> tuple[int, int] | None:
         if first_row.setdefault(p, row) != row:
             return row, first_row[p]
     return None
+
+
+SLOT = 48  # bytes of a value's slot in the float formatter's template
+
+
+def formatter_powers_of_ten(k_min: int = -266, k_max: int = 298) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi[k - k_min] + lo[k - k_min] = 10**k to about 2**-107,
+    each the double nearest its exact value, for k_min <= k <= k_max."""
+    pairs = []
+    for k in range(k_min, k_max + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+    return tuple(np.array(column) for column in zip(*pairs))
+
+
+def formatter_layout(negative: bool, form: int, ndig: int) -> str:
+    """The float formatter's template row, as 48 Latin-1 characters, for a
+    value of ``ndig`` significant digits: '-' or a hole, the "0." and
+    leading zeros of a value under 1, digit j at 8 + 2j with a '.' or a
+    hole after it, then the exponent. ``form`` 0-19 is positional, with the
+    decimal point after digit form - 3 (0 or fewer: "0." and 3 - form zeros
+    first); 20-23 has an exponent, negative for 22 and 23, of three digits
+    for 21 and 23."""
+    decpt, point, shown, lead, exp = form - 3, -1, ndig, "", ""
+    if form >= 20:
+        point, exp = -(ndig == 1), "e" + "+-"[form >= 22] + ("000" if form % 2 else "\0" + "00")
+    elif decpt <= 0:
+        lead = "0." + "0" * -decpt
+    else:  # the zeros up to the point, then ".0" if no digit follows
+        point, shown = decpt - 1, max(ndig, decpt + 1)
+    digits = "".join("0\0"[j >= shown] + ".\0"[j != point] for j in range(17))
+    return "-\0"[not negative] + lead.ljust(7, "\0") + digits + exp.ljust(6, "\0")
+
+
+def formatter_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The template rows of every (sign, form, digit count), by key
+    (24 sign + form) 17 + ndig - 1; the digits of 0..9999 as the uint64
+    that adds them to four digit columns, two bytes a digit; the digits of
+    exponents 0..399 as the uint32 that adds them to three columns."""
+    rows = "".join(formatter_layout(negative, form, ndig) for negative in (False, True)
+                   for form in range(24) for ndig in range(1, 18))
+    n = np.arange(10_000, dtype=np.int64)
+    return (np.frombuffer(rows.encode("latin-1"), dtype=np.uint8).reshape(-1, SLOT),
+            sum((n // 10 ** (3 - i) % 10) << (16 * i) for i in range(4)).astype(np.uint64),
+            sum((n[:400] // 10 ** (2 - i) % 10) << (8 * i) for i in range(3)).astype(np.uint32))

@@ -2,6 +2,9 @@ import builtins
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from emprint._fileio import commit, keyed_copy, read_keyed_copy, repr_rows
 from emprint.catalog import TimeGrid
 from emprint.diagnostics import DiagnosticsReport, OrderRecord
 from emprint.eim import EmpiricalInterpolant, SelectionCriterion, StepRecord
+
+from oracles import formatter_layouts, formatter_powers_of_ten
 
 
 # A file's contents are its bytes, or a list of buffers, as a text's lines.
@@ -132,6 +137,31 @@ def test_each_undecided_class_goes_to_repr(monkeypatch, case):
     assert list(map(repr, written)) == list(map(repr, UNDECIDED[case]))
 
 
+def test_formatter_tables_equal_their_one_entry_at_a_time_builders():
+    for table, reference in zip(_fileio._layouts(), formatter_layouts()):
+        assert table.dtype == reference.dtype and table.shape == reference.shape
+        assert table.tobytes() == reference.tobytes()
+    hi, lo = formatter_powers_of_ten()
+    pairs = np.array([_fileio._power_of_ten(k) for k in range(-266, 299)])
+    assert pairs[:, 0].tobytes() == hi.tobytes() and pairs[:, 1].tobytes() == lo.tobytes()
+
+
+def test_formatter_tables_are_made_on_first_use():
+    # An import of the package makes no table (its time counts in every
+    # command), and a block makes only the powers of ten of its own values:
+    # here k = 16 - floor(log10 |x|) runs from 11 to 28.
+    code = ("import numpy\n"
+            "from emprint import _fileio\n"
+            "assert _fileio._layouts.cache_info().currsize == 0\n"
+            "assert _fileio._power_of_ten.cache_info().currsize == 0\n"
+            "_fileio.repr_rows(numpy.array([[0.5, 1e-12], [3.25, -7e5]]), b',\\n')\n"
+            "print(_fileio._power_of_ten.cache_info().currsize)")
+    src = str(Path(_fileio.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) == 18
+
+
 def test_separators_follow_their_columns():
     block = np.array([[1.0, -2.5, 3e-7], [0.1, 1e300, -0.0]])
     assert repr_rows(block, b":,\n") == b"1.0:-2.5,3e-07\n0.1:1e+300,-0.0\n"
@@ -234,7 +264,7 @@ def test_interpolant_json_with_re_im_cells():
         rb, (1, 2), np.array([[-0.75j, 1.0, 0.0], [0.0, 0.0, 1.0]]), BASIS_ROWS,
         SelectionCriterion.CLASSIC,
         (StepRecord(0.8j, 1.0, 1.25, 0.8), StepRecord(complex(-0.8, -0.0), 1.25, 1.25, 1.0)))
-    data = eim.interpolant_json(itp, include_matrices=True)
+    data = diagnostics.interpolant_json(itp, include_matrices=True)
     assert data.decode("utf-8") == """{
   "criterion": "classic",
   "n": 2,

@@ -28,31 +28,40 @@ at most one block of the CSV text, with no other copy of either.
 A training CSV is parsed once. ``training_files`` gives, beside
 ``training.csv``, the parsed copy ``training.csv.f64``, by
 ``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v1
-sha256=<hex> k=<K> d=<d> l=<L>``, where the digest is that of the CSV's
-exact bytes (hashed block by block as they are written), then the
-K x (d + 2L) values as little-endian doubles, row-major (the parameters,
-then re, im of each sample).
+csv=<hex> k=<K> d=<d> l=<L>``, where the digest is the CSV's tree digest
+(taken block by block as the CSV is written), then the K x (d + 2L) values
+as little-endian doubles, row-major (the parameters, then re, im of each
+sample).
+
+The tree digest keys every binary copy of a training CSV's results. Each
+leaf is the SHA-256 of one consecutive 1 MiB slice of the CSV's bytes
+(``_HASH_LEAF``), and the root is the SHA-256 of an ASCII line naming the
+construction, the leaf size and the byte count, followed by the leaves'
+digests in order (``_tree_root``). It is not the SHA-256 of the file, but
+it keys the copies as strongly, and its leaves can be hashed in parallel.
 
 ``open_training_csv`` reads the copy instead of the text when its header
 line is exactly the one the CSV's own header and the digest it claims
-give. It does not wait for the CSV's SHA-256 to do so: the hash runs on one
-worker thread while the caller works on the claimed digest, and the
-``confirm`` function it returns joins the thread and says whether the claim
-holds. A caller confirms before anything it computed is used, and on a
-false claim (a stale copy) discards its results and starts again from
-``parse_training_csv``, the text parse. ``load_training_csv`` confirms at
-once, so its set always carries a confirmed digest. Every
-check runs on either route, so the two differ only in time; a check that
-fails on the claim is confirmed at once, and raises only if the claim
-holds. Loads never write the copy, and deleting it is always safe. A loaded
-set carries the SHA-256 of the CSV's bytes; ``rbm`` and ``eim`` key their
-binary copies with it.
+give. It does not wait for the CSV's digest to do so: one worker lane
+hashes the CSV's leaves while the caller works on the claimed digest, and
+the ``confirm`` function it returns hashes the leaves still unclaimed on the
+caller's own thread, joins the worker and says whether the claim holds
+(``_TreeLanes``). A caller confirms before anything it computed is used,
+and on a false claim (a stale copy) discards its results and starts again
+from ``parse_training_csv``, the text parse. ``load_training_csv`` confirms
+at once, so its set always carries a confirmed digest. Every check runs on
+either route, so the two differ only in time; a check that fails on the
+claim is confirmed at once, and raises only if the claim holds. A copy
+that cannot be read stops the lanes without waiting for them. Loads never
+write the copy, and deleting it is always safe. A loaded set carries the
+CSV's tree digest; ``rbm`` and ``eim`` key their binary copies with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,15 +153,15 @@ class TrainingSet:
 
     ``params`` is a (K, d) real array of parameter vectors, pairwise
     distinct; ``samples`` is the (K, L) complex array with row k holding the
-    waveform for ``params[k]``. ``csv_sha256`` is the hex SHA-256 of the
-    training CSV's bytes for a set loaded by ``load_training_csv``, and None
-    for a set built in memory.
+    waveform for ``params[k]``. ``csv_digest`` is the hex tree digest of the
+    training CSV's bytes (see ``_tree_root``) for a set loaded by
+    ``load_training_csv``, and None for a set built in memory.
     """
 
     grid: TimeGrid
     params: np.ndarray
     samples: np.ndarray
-    csv_sha256: str | None = None
+    csv_digest: str | None = None
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -368,9 +377,10 @@ def waveform_csv(grid: TimeGrid, params: np.ndarray, samples: np.ndarray,
 def training_files(ts: TrainingSet, path) -> dict:
     """The files ``save_training_csv(ts, path)`` writes, for ``_fileio.commit``:
     the CSV at ``path`` and its parsed copy (see the module docstring). Both
-    are iterators, to be written in this order: the CSV is hashed as it is
-    written, and the copy's header, which holds the digest, is made after."""
-    digest = hashlib.sha256()
+    are iterators, to be written in this order: the CSV's tree digest is
+    taken as it is written, and the copy's header, which holds it, is made
+    after."""
+    digest = _TreeHasher()
 
     def csv():
         for block in waveform_csv(ts.grid, ts.params, ts.samples):
@@ -453,18 +463,20 @@ def _check_row(line: str, lineno: int, row: int, d: int, l: int) -> None:
 
 
 def _read_text(path: Path) -> tuple[str, str]:
-    """The text of the file at ``path`` and the hex SHA-256 of its bytes."""
+    """The text of the file at ``path`` and the hex tree digest of its bytes."""
     data = path.read_bytes()
+    digest = _TreeHasher()
+    digest.update(data)
     try:
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8"), digest.hexdigest()
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"line {lineno}: not valid UTF-8") from exc
 
 
 def read_waveform_csv(path):
-    """Parse a waveform CSV; returns (grid, params, samples, kind, sha256),
-    the last the hex SHA-256 of the file's bytes.
+    """Parse a waveform CSV; returns (grid, params, samples, kind, digest),
+    the last the hex tree digest of the file's bytes (see ``_tree_root``).
 
     Each row is read with Python's ``float()``, the parser the cell walk
     uses, straight into arrays sized from the header. A row is taken only if
@@ -519,83 +531,176 @@ def _parsed_copy_path(path) -> Path:
     return path.with_name(path.name + ".f64")
 
 
-def _parsed_header(sha256: str, k: int, d: int, l: int) -> str:
-    return f"{PARSED_MAGIC} sha256={sha256} k={k} d={d} l={l}"
+def _parsed_header(digest: str, k: int, d: int, l: int) -> str:
+    return f"{PARSED_MAGIC} csv={digest} k={k} d={d} l={l}"
 
 
-# The hash reads the CSV through one buffer of this many bytes, reused. The
-# worker takes the GIL back once per buffer, so a larger one waits on the
-# command less often; but the buffer is held while the command runs, so it
-# adds to the peak RSS (1 MiB: 8 reads of the 7.6 MB packet-2d CSV).
+# Bytes per leaf of a training CSV's tree digest (see the module docstring);
+# the last leaf is shorter, and an empty file has none.
+_HASH_LEAF = 1 << 20
+
+# Each lane reads through a buffer of this many bytes, its own: the worker's
+# is held while the command runs, as the one buffer of the serial hash was,
+# and the command's lane holds a second only while it hashes in ``confirm``.
+# ``os.preadv`` and ``update`` release the GIL, and a lane takes it back
+# after each; the worker waits for it while the command holds it, so it
+# loses the least time reading a whole leaf at once (on 2 shared vCPUs,
+# half a leaf per read left eim 3.7 ms of waiting in its confirm on the
+# chirp-long-classic CSV, a whole leaf 3.0 ms).
 _HASH_BUFFER = 1 << 20
 
 
-def _sha256_of(path) -> str | None:
-    """Hex SHA-256 of the file at ``path``, or None when it cannot be read.
-    ``readinto`` and ``update`` on a large buffer both release the GIL."""
+def _tree_root(size: int, leaves) -> str:
+    """The hex root over the leaf digests of ``size`` bytes: the SHA-256 of
+    one ASCII line naming the construction, its leaf size and the byte
+    count, then the leaves' digests in order."""
+    line = f"emprint-csv-digest sha256-tree leaf={_HASH_LEAF} bytes={size}\n"
+    return hashlib.sha256(b"".join([line.encode("ascii"), *leaves])).hexdigest()
+
+
+class _TreeHasher:
+    """The tree digest of bytes given in pieces of any size, in order."""
+
+    def __init__(self):
+        self.size, self.leaves, self.leaf = 0, [], hashlib.sha256()
+
+    def update(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:
+            take = _HASH_LEAF - self.size % _HASH_LEAF
+            self.leaf.update(view[:take])
+            self.size += min(take, len(view))
+            view = view[take:]
+            if self.size % _HASH_LEAF == 0:
+                self.leaves.append(self.leaf.digest())
+                self.leaf = hashlib.sha256()
+
+    def hexdigest(self) -> str:
+        tail = [self.leaf.digest()] if self.size % _HASH_LEAF else []
+        return _tree_root(self.size, self.leaves + tail)
+
+
+def _leaf_digest(fd: int, leaf: int, size: int, buffer: memoryview) -> bytes | None:
+    """SHA-256 of leaf ``leaf`` of the file of ``size`` bytes open at ``fd``,
+    read by ``os.preadv`` through ``buffer``; None when the file ends early."""
     hasher = hashlib.sha256()
-    buffer = bytearray(_HASH_BUFFER)
-    view = memoryview(buffer)
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            while size := fh.readinto(buffer):
-                hasher.update(view[:size])
-    except OSError:
-        return None
-    return hasher.hexdigest()
+    start, stop = leaf * _HASH_LEAF, min((leaf + 1) * _HASH_LEAF, size)
+    while start < stop:
+        got = os.preadv(fd, [buffer[:stop - start]], start)
+        if not got:
+            return None
+        hasher.update(buffer[:got])
+        start += got
+    return hasher.digest()
 
 
-def _hash_in_background(path) -> Callable[[], str | None]:
-    """Start ``_sha256_of(path)`` on one worker thread; the function returned
-    joins it and returns its result."""
-    result = []
-    worker = threading.Thread(target=lambda: result.append(_sha256_of(path)), daemon=True)
-    worker.start()
+class _TreeLanes:
+    """The tree digest of one file, hashed in two lanes.
 
-    def join():
-        worker.join()
-        return result[0] if result else None
-    return join
+    The constructor opens the file and starts the worker lane, which claims
+    leaves in order from a lock-protected index and hashes each. ``digest``
+    runs the second lane on the caller's thread: it claims whatever leaves
+    are left, hashes them, joins the worker and returns the hex root, or
+    None when the file could not be read whole or the path no longer names
+    the file of that size that was opened. ``stop`` claims no more leaves
+    and joins the worker; ``digest`` then returns None. Either closes the
+    file, and repeating either returns at once."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fd = os.open(path, os.O_RDONLY)
+        self.opened = os.fstat(self.fd)
+        self.leaves = [None] * -(-self.opened.st_size // _HASH_LEAF)
+        self.next = 0  # the first leaf no lane has claimed
+        self.lock = threading.Lock()
+        self.root = None
+        self.worker = threading.Thread(target=self._lane, daemon=True)
+        self.worker.start()
+
+    def _lane(self) -> None:
+        buffer = None  # made on the first claim: a late lane may find none left
+        while True:
+            with self.lock:
+                leaf = self.next
+                if leaf >= len(self.leaves):
+                    return
+                self.next += 1
+            buffer = buffer or memoryview(bytearray(_HASH_BUFFER))
+            try:
+                self.leaves[leaf] = _leaf_digest(self.fd, leaf, self.opened.st_size, buffer)
+            except OSError:
+                return  # the leaf stays None, so there is no root
+
+    def stop(self) -> None:
+        with self.lock:
+            self.next = len(self.leaves)
+        self.worker.join()
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def digest(self) -> str | None:
+        if self.fd is not None:
+            try:
+                self._lane()
+            finally:
+                self.stop()
+            try:
+                now = os.stat(self.path)
+            except OSError:
+                return None
+            if (os.path.samestat(now, self.opened) and now.st_size == self.opened.st_size
+                    and all(self.leaves)):
+                self.root = _tree_root(self.opened.st_size, self.leaves)
+        return self.root
+
+
+def _hash_in_background(path) -> _TreeLanes:
+    """Open the file at ``path`` and start its tree digest on the worker
+    lane (see ``_TreeLanes``); raises OSError when it cannot be opened."""
+    return _TreeLanes(path)
 
 
 def _read_parsed_copy(path):
-    """((grid, params, samples, kind, sha256), hashed) of the CSV at ``path``
-    from its parsed copy, on the digest the copy claims, or None when there is
-    no copy that may be read. ``hashed()`` joins the hash of the CSV started
-    here and returns its digest, or None if the CSV could not be read.
+    """((grid, params, samples, kind, digest), lanes) of the CSV at ``path``
+    from its parsed copy, on the digest the copy claims, or None when there
+    is no copy that may be read. ``lanes`` is the CSV's tree digest started
+    here (see ``_TreeLanes``); its ``digest()`` says what the claim is worth.
 
     A copy is read only when its payload holds k*(d + 2L) little-endian
     doubles for some k >= 1 and its header line is exactly the one
     ``save_training_csv`` writes for k rows, the digest it claims, and the d
     and L of the CSV's own header. Anything else, a missing or unreadable
-    file included, returns None, and the caller parses the CSV.
+    file included, returns None, and the caller parses the CSV; the lanes
+    then claim no more leaves, and the worker is joined after the one it is
+    on, since the parse takes its own digest.
     """
     copy = _parsed_copy_path(path)
-    prefix = f"{PARSED_MAGIC} sha256="
+    prefix = f"{PARSED_MAGIC} csv="
     try:
         with open(copy, "rb") as fh:
             claim = fh.readline(1024)
         with open(path, "rb") as fh:
             grid, d, kind = _parse_header(fh.readline().decode("utf-8"))
+        if not claim.startswith(prefix.encode("ascii")):
+            return None
+        lanes = _hash_in_background(path)
     except (OSError, UnicodeDecodeError, ParseError):
-        return None
-    if not claim.startswith(prefix.encode("ascii")):
         return None
     claimed = claim[len(prefix):len(prefix) + 64].decode("ascii", "replace")
     l = grid.n_samples
-    hashed = _hash_in_background(path)
     try:
         values = read_keyed_copy(copy, lambda k: _parsed_header(claimed, k, d, l), d + 2 * l)
         if values is None:
-            hashed()
+            lanes.stop()
             return None
         values = values.reshape(-1, d + 2 * l)
         params = np.array(values[:, :d], dtype=np.float64, order="C")
         samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
-    except BaseException:  # no hash thread outlives the call that started it
-        hashed()
+    except BaseException:  # no lane outlives the call that started it
+        lanes.stop()
         raise
-    return (grid, params, samples, kind, claimed), hashed
+    return (grid, params, samples, kind, claimed), lanes
 
 
 def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
@@ -605,7 +710,7 @@ def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
     if params.shape[1] < 1:
         raise ParseError("line 1: training files need d >= 1")
     try:
-        return TrainingSet(grid, params, samples, csv_sha256=digest)
+        return TrainingSet(grid, params, samples, csv_digest=digest)
     except _RepeatedParameters as exc:
         raise ParseError(f"waveform row {exc.row} repeats the parameters of row "
                          f"{exc.first}") from None
@@ -613,7 +718,8 @@ def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
 
 def parse_training_csv(path) -> TrainingSet:
     """A training CSV written by ``save_training_csv``, parsed from its text
-    with every check run; its ``csv_sha256`` is the digest of the CSV's bytes.
+    with every check run; its ``csv_digest`` is the tree digest of the CSV's
+    bytes.
     Raises ParseError when two rows share a parameter vector."""
     return _training_set(*read_waveform_csv(path))
 
@@ -622,24 +728,28 @@ def open_training_csv(path) -> tuple[TrainingSet, Callable[[], bool]]:
     """A training CSV written by ``save_training_csv``, and ``confirm``.
 
     The values come from the parsed copy beside the CSV when its header fits
-    (see ``_read_parsed_copy``), on the digest it claims, while the CSV's
-    SHA-256 runs on one worker thread; ``confirm()`` joins it and returns
-    whether the set's ``csv_sha256`` is the CSV's digest. With no such copy
-    the set is ``parse_training_csv``'s and ``confirm()`` returns True. A
-    caller confirms before it uses anything computed from the set, and on
-    False takes ``parse_training_csv``'s set instead. Every check runs either
-    way; one that fails on the claim confirms it at once and raises only if
-    it holds, the text's set or error standing in otherwise.
+    (see ``_read_parsed_copy``), on the digest it claims, while one worker
+    lane hashes the CSV's leaves; ``confirm()`` hashes the leaves left on the
+    caller's thread, joins the worker and returns whether the set's
+    ``csv_digest`` is the CSV's digest. With no such copy the set is
+    ``parse_training_csv``'s and ``confirm()`` returns True. A caller
+    confirms before it uses anything computed from the set, and on False
+    takes ``parse_training_csv``'s set instead. Every check runs either way;
+    one that fails on the claim confirms it at once and raises only if it
+    holds, the text's set or error standing in otherwise.
     """
     read = _read_parsed_copy(path)
     if read is not None:
-        values, hashed = read
+        values, lanes = read
         claimed = values[-1]
         try:
-            return _training_set(*values), lambda: hashed() == claimed
+            return _training_set(*values), lambda: lanes.digest() == claimed
         except (ParseError, NonFiniteSample):
-            if hashed() == claimed:
+            if lanes.digest() == claimed:
                 raise
+        except BaseException:
+            lanes.stop()
+            raise
     return parse_training_csv(path), lambda: True
 
 

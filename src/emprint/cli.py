@@ -29,12 +29,14 @@ the basis size) also writes ``interpolant_<rule>.f64`` per rule (see
 ``eim``), and ``compare`` on a training CSV takes each rule's full-order
 interpolant from that copy when it may be trusted and selects it when not.
 
-A command on a training CSV does not wait for the CSV's SHA-256: it runs
-on the digest the parsed copy claims while the hash runs on one worker
-thread (see ``catalog.open_training_csv``), computes its results in memory,
-and confirms the digest before it writes or prints anything. On a false
-claim it drops its results, or the error it raised, and runs again from the
-CSV text, so every output and exit code is that of a run without the copy.
+A command on a training CSV does not wait for the CSV's digest: it runs
+on the digest the parsed copy claims while one worker lane hashes the CSV
+(see ``catalog.open_training_csv``), computes its whole plan in memory (the
+files' contents, its stdout and exit code), and only then confirms the
+digest, hashing the leaves the worker has not reached on its own thread.
+On a false claim it drops the plan, or the error it raised, and runs again
+from the CSV text, so every output and exit code is that of a run without
+the copy.
 
 Each command writes all of its files or none. A command computes every
 file's contents in memory and returns them with its stdout and exit code;
@@ -256,15 +258,18 @@ def _open_training(cfg: RunConfig):
     raise ConfigError("no data source: pass --input or --family")
 
 
-def _confirmed(cfg: RunConfig, compute):
-    """``compute(ts)`` on the command's training set, returned only once the
-    set's digest is confirmed, so that nothing is written or printed on a
-    stale copy's claim. On a false claim the result, or the exception
-    ``compute`` raised, is discarded and ``compute`` runs again on the set
-    parsed from the CSV text. The hash thread is joined on every path."""
+def _confirmed(cfg: RunConfig, plan):
+    """``plan(ts)`` on the command's training set, the command's (files,
+    stdout, exit code), returned only once the set's digest is confirmed,
+    so that nothing is written or printed on a stale copy's claim. The plan
+    is made in full first, the files' bytes included (``basis.csv`` aside,
+    which is formatted as it is written), so that all of it runs beside
+    the hash. On a false claim the plan, or the exception ``plan``
+    raised, is discarded and ``plan`` runs again on the set parsed from the
+    CSV text. The hash's worker is joined on every path."""
     ts, confirm = _open_training(cfg)
     try:
-        result = compute(ts)
+        result = plan(ts)
     except Exception:
         if confirm():
             raise
@@ -273,7 +278,13 @@ def _confirmed(cfg: RunConfig, compute):
             return result
     finally:
         confirm()  # joins the hash on any other way out too
-    return compute(catalog.parse_training_csv(Path(cfg.input)))
+    return plan(catalog.parse_training_csv(Path(cfg.input)))
+
+
+def _on_training(plan):
+    """The command ``cmd(cfg)`` that returns ``plan(cfg, ts)`` on its
+    confirmed training set (see ``_confirmed``)."""
+    return lambda cfg: _confirmed(cfg, lambda ts: plan(cfg, ts))
 
 
 def _basis_of(cfg: RunConfig, ts: catalog.TrainingSet) -> rbm.ReducedBasis:
@@ -285,7 +296,9 @@ def _basis_of(cfg: RunConfig, ts: catalog.TrainingSet) -> rbm.ReducedBasis:
 
 # Each command returns its plan, (files, stdout, exit code): the map of each
 # path to the bytes or buffers ``_fileio.commit`` writes there, and the text
-# ``main`` prints once they are written. No command writes or prints.
+# ``main`` prints once they are written. No command writes or prints. A
+# command on a training set is written as ``plan(cfg, ts)``, which
+# ``_on_training`` runs on the confirmed set.
 
 def cmd_generate(cfg: RunConfig) -> tuple[dict, str, int]:
     if cfg.family is None:
@@ -296,39 +309,37 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, str, int]:
             f"wrote {out} ({ts.k} waveforms, {ts.grid.n_samples} samples)\n", EXIT_OK)
 
 
-def cmd_basis(cfg: RunConfig) -> tuple[dict, str, int]:
-    ts, rb = _confirmed(cfg, lambda ts: (
-        ts, rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)))
+@_on_training
+def cmd_basis(cfg: RunConfig, ts: catalog.TrainingSet) -> tuple[dict, str, int]:
+    rb = rbm.build_reduced_basis(ts, tol=cfg.tol, n_max=cfg.n_max)
     out_dir = Path(cfg.out_dir)
     files = {out_dir / "basis.csv": rbm.basis_csv(rb),
              out_dir / "greedy_errors.csv": rbm.greedy_errors_csv(rb)}
-    if ts.csv_sha256 is not None:
-        files[out_dir / BASIS_COPY] = rbm.basis_copy(rb, ts.csv_sha256, cfg.n_max)
+    if ts.csv_digest is not None:
+        files[out_dir / BASIS_COPY] = rbm.basis_copy(rb, ts.csv_digest, cfg.n_max)
     return files, (f"wrote {out_dir / 'basis.csv'} and {out_dir / 'greedy_errors.csv'} "
                    f"(n={rb.n}, final error {rb.greedy_errors[-1]:.3e})\n"), EXIT_OK
 
 
-def _interpolants(cfg: RunConfig, ts: catalog.TrainingSet):
+@_on_training
+def cmd_eim(cfg: RunConfig, ts: catalog.TrainingSet) -> tuple[dict, str, int]:
     rb = _basis_of(cfg, ts)
     n = rb.n if cfg.n is None else cfg.n
-    return ts, rb, n, [eim.build_interpolant(rb, c, n) for c in _parse_criteria(cfg.criteria)]
-
-
-def cmd_eim(cfg: RunConfig) -> tuple[dict, str, int]:
-    ts, rb, n, interpolants = _confirmed(cfg, lambda ts: _interpolants(cfg, ts))
+    interpolants = [eim.build_interpolant(rb, c, n) for c in _parse_criteria(cfg.criteria)]
     out_dir = Path(cfg.out_dir)
     files, stdout = {}, ""
     for itp in interpolants:
         path = out_dir / f"interpolant_{itp.criterion.value}.json"
         files[path] = diagnostics.interpolant_json(itp, include_matrices=cfg.embed_matrices)
-        if ts.csv_sha256 is not None and n == rb.n:
-            files[path.with_suffix(".f64")] = eim.interpolant_copy(itp, ts.csv_sha256,
+        if ts.csv_digest is not None and n == rb.n:
+            files[path.with_suffix(".f64")] = eim.interpolant_copy(itp, ts.csv_digest,
                                                                    cfg.n_max)
         stdout += f"wrote {path} (n={n})\n"
     return files, stdout, EXIT_OK
 
 
-def _comparison(cfg: RunConfig, ts: catalog.TrainingSet):
+@_on_training
+def cmd_compare(cfg: RunConfig, ts: catalog.TrainingSet) -> tuple[dict, str, int]:
     rb = _basis_of(cfg, ts)
     criteria = _parse_criteria(cfg.criteria)
     dataset_id = Path(cfg.input).name if cfg.input else f"family:{cfg.family}"
@@ -336,14 +347,9 @@ def _comparison(cfg: RunConfig, ts: catalog.TrainingSet):
     # Each rule's full-order interpolant: read from eim's copy when it may be
     # trusted, else selected.
     full = [eim.load_interpolant_copy(out_dir / f"interpolant_{c.value}.f64", rb, c,
-                                      ts.csv_sha256, cfg.n_max)
+                                      ts.csv_digest, cfg.n_max)
             or eim.build_interpolant(rb, c, rb.n) for c in criteria]
-    return criteria, diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
-
-
-def cmd_compare(cfg: RunConfig) -> tuple[dict, str, int]:
-    criteria, reports = _confirmed(cfg, lambda ts: _comparison(cfg, ts))
-    out_dir = Path(cfg.out_dir)
+    reports = diagnostics.run_comparison(rb, ts, full, dataset_id=dataset_id)
     files = {out_dir / f"report_{c.value}.json": diagnostics.report_json(reports[c])
              for c in criteria}
     curves = diagnostics.curve_csvs(reports)
@@ -373,13 +379,10 @@ def _comparison_text(reports, criteria) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _discrepancies(cfg: RunConfig, ts: catalog.TrainingSet) -> list[float]:
+@_on_training
+def cmd_verify_theorem(cfg: RunConfig, ts: catalog.TrainingSet) -> tuple[dict, str, int]:
     rb = _basis_of(cfg, ts)
-    return eim.verify_determinant_identity(rb, rb.n if cfg.n is None else cfg.n)
-
-
-def cmd_verify_theorem(cfg: RunConfig) -> tuple[dict, str, int]:
-    discrepancies = _confirmed(cfg, lambda ts: _discrepancies(cfg, ts))
+    discrepancies = eim.verify_determinant_identity(rb, rb.n if cfg.n is None else cfg.n)
     out = Path(cfg.out_dir) / "theorem_check.csv"
     # max() would drop a NaN that is not first; a NaN step must fail.
     ok = all(d <= THEOREM_TOLERANCE for d in discrepancies)

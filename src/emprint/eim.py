@@ -57,7 +57,7 @@ step, taken from a Householder QR, independently of the elimination.
 A full-order interpolant selected on a basis swept from a training CSV can
 be kept in a binary copy, so that a later comparison on the same data reads
 its picks instead of selecting again. The copy is one ASCII line
-``emprint-interpolant v1 sha256=<hex> code=<hex> tol=<float>
+``emprint-interpolant v1 csv=<hex> code=<hex> tol=<float>
 n_max=<int|none> rule=<rule> n=<n> l=<L>``, whose fields up to ``n_max``
 key the basis copy too (see ``rbm``), then per step the node index, det_v
 (re, im), kappa, lambda and |r_j(T_j)| as little-endian doubles.
@@ -221,7 +221,12 @@ def _pruner(rows: np.ndarray, nodes: list[int], criterion: SelectionCriterion):
     _, s, vh = nm._svd(rows[:, nodes].T, compute_uv=True)
     w = vh.conj().T
     d = np.append(s * s, 0.0)
-    x2 = np.sum(np.abs(rows) ** 2, axis=0)
+    # ||x_t||^2 in one pass over the real view (of a copy only if the rows'
+    # samples are not adjacent): re^2 and im^2 of each sample summed over
+    # the rows, then the two parts of each sample added.
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    x2 = np.einsum("ij,ij->j", parts, parts)
+    x2 = x2[0::2] + x2[1::2]
     edges = np.abs(rows.T @ w[:, [0, -1]]) ** 2
     shift = 32 * len(rows) * np.finfo(np.float64).eps * (d[0] + x2.max())
 
@@ -453,44 +458,44 @@ def verify_determinant_identity(rb: ReducedBasis, n: int) -> list[float]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _copy_header(csv_sha256: str, tol: float, n_max: int | None,
+def _copy_header(csv_digest: str, tol: float, n_max: int | None,
                  criterion: SelectionCriterion, n: int, l: int) -> str:
-    return (f"{INTERPOLANT_COPY_MAGIC} {_copy_key(csv_sha256, tol, n_max)} "
+    return (f"{INTERPOLANT_COPY_MAGIC} {_copy_key(csv_digest, tol, n_max)} "
             f"rule={criterion.value} n={n} l={l}")
 
 
-def interpolant_copy(itp: EmpiricalInterpolant, csv_sha256: str,
+def interpolant_copy(itp: EmpiricalInterpolant, csv_digest: str,
                      n_max: int | None = None) -> list:
     """The binary copy of ``itp``, selected on the basis swept from the
-    training CSV of digest ``csv_sha256`` with cap ``n_max``: per step the
+    training CSV of digest ``csv_digest`` with cap ``n_max``: per step the
     node, det_v (re, im), kappa, lambda and |r_j(T_j)|, as
     ``_fileio.keyed_copy`` gives it."""
     return keyed_copy(
-        _copy_header(csv_sha256, itp.basis.tol, n_max, itp.criterion, itp.n,
+        _copy_header(csv_digest, itp.basis.tol, n_max, itp.criterion, itp.n,
                      itp.basis.grid.n_samples),
         [(t, r.det_v.real, r.det_v.imag, r.kappa, r.lebesgue, r.residual_at_node)
          for t, r in zip(itp.node_indices, itp.per_step)])
 
 
 def load_interpolant_copy(path, rb: ReducedBasis, criterion: SelectionCriterion,
-                          csv_sha256: str | None,
+                          csv_digest: str | None,
                           n_max: int | None = None) -> EmpiricalInterpolant | None:
     """``build_interpolant(rb, criterion, rb.n)``, read from the copy at
     ``path``, or None when there is no copy that may be trusted.
 
     A copy is trusted only when its header is the one this run would write
-    (the digest ``csv_sha256``, this code, ``rb.tol``, ``n_max``, the rule,
+    (the digest ``csv_digest``, this code, ``rb.tol``, ``n_max``, the rule,
     ``rb.n`` and L), its payload holds exactly 6 rb.n doubles and its nodes
     are distinct grid indices whose residuals do not vanish and whose
     cardinal functions pass the cardinal check. The residuals and cardinal
     functions are rebuilt from the nodes by ``_select_nodes``; the step
     records are the copy's. With no digest the file is not opened.
     """
-    if csv_sha256 is None:
+    if csv_digest is None:
         return None
     n, l = rb.n, rb.grid.n_samples
     values = read_keyed_copy(
-        path, lambda m: _copy_header(csv_sha256, rb.tol, n_max, criterion, m, l), 6)
+        path, lambda m: _copy_header(csv_digest, rb.tol, n_max, criterion, m, l), 6)
     if values is None or values.size != 6 * n:
         return None
     steps = values.reshape(n, 6).tolist()

@@ -22,13 +22,14 @@ measured.
 
 A basis swept from a training CSV can be kept in a binary copy, so that
 later commands on the same data read it instead of sweeping again. The copy
-is one ASCII line ``emprint-basis v1 sha256=<hex> code=<hex> tol=<float>
+is one ASCII line ``emprint-basis v1 csv=<hex> code=<hex> tol=<float>
 n_max=<int|none> n=<n> l=<L>``, then the n greedy errors, the n picks and
 the n x 2L basis values (re, im of each sample, row by row) as
-little-endian doubles. ``sha256`` is the digest of the training CSV's bytes
-and ``code`` that of the package's numerical source, the numpy and scipy
-versions and the BLAS kernel's arithmetic (``_code_digest``), so the header
-names everything that decides the sweep's bits. ``load_basis_copy`` trusts
+little-endian doubles. ``csv`` is the tree digest of the training CSV's
+bytes (see ``catalog``) and ``code`` the SHA-256 of the package's numerical
+source, the numpy and scipy versions and the BLAS kernel's arithmetic
+(``_code_digest``), so the header names everything that decides the
+sweep's bits. ``load_basis_copy`` trusts
 a copy only when its header is that of the current run, its payload has
 exactly that size and ``ReducedBasis`` accepts what it holds; deleting a
 copy is always safe.
@@ -225,22 +226,22 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _copy_key(csv_sha256: str, tol: float, n_max: int | None) -> str:
+def _copy_key(csv_digest: str, tol: float, n_max: int | None) -> str:
     """Header fields of a binary copy that name its training CSV, code and
     sweep options."""
-    return (f"sha256={csv_sha256} code={_code_digest()} tol={float(tol)!r} "
+    return (f"csv={csv_digest} code={_code_digest()} tol={float(tol)!r} "
             f"n_max={'none' if n_max is None else int(n_max)}")
 
 
-def _basis_header(csv_sha256: str, tol: float, n_max: int | None, n: int, l: int) -> str:
-    return f"{BASIS_COPY_MAGIC} {_copy_key(csv_sha256, tol, n_max)} n={n} l={l}"
+def _basis_header(csv_digest: str, tol: float, n_max: int | None, n: int, l: int) -> str:
+    return f"{BASIS_COPY_MAGIC} {_copy_key(csv_digest, tol, n_max)} n={n} l={l}"
 
 
-def basis_copy(rb: ReducedBasis, csv_sha256: str, n_max: int | None = None) -> list:
+def basis_copy(rb: ReducedBasis, csv_digest: str, n_max: int | None = None) -> list:
     """The binary copy of ``rb``, swept from the training CSV of digest
-    ``csv_sha256`` with cap ``n_max`` (see the module docstring), as
+    ``csv_digest`` with cap ``n_max`` (see the module docstring), as
     ``_fileio.keyed_copy`` gives it."""
-    return keyed_copy(_basis_header(csv_sha256, rb.tol, n_max, rb.n, rb.grid.n_samples),
+    return keyed_copy(_basis_header(csv_digest, rb.tol, n_max, rb.n, rb.grid.n_samples),
                       np.concatenate([rb.greedy_errors, rb.greedy_params,
                                       rb.basis.ravel().view(np.float64)]))
 
@@ -252,18 +253,18 @@ def load_basis_copy(path, ts: TrainingSet, tol: float,
     trusted.
 
     A copy is trusted only when its header is the one this run would write
-    (the digest ``ts.csv_sha256``, this code, ``tol``, ``n_max`` and the
+    (the digest ``ts.csv_digest``, this code, ``tol``, ``n_max`` and the
     grid's L), its payload holds exactly n(2 + 2L) doubles for its n >= 1,
     its picks are distinct rows of ``ts`` and ``ReducedBasis`` accepts the
     result. Anything else returns None: a set built in memory, which has
     no digest (the file is then not opened), or a missing or unreadable
     file included.
     """
-    if ts.csv_sha256 is None:
+    if ts.csv_digest is None:
         return None
     l = ts.grid.n_samples
     values = read_keyed_copy(
-        path, lambda n: _basis_header(ts.csv_sha256, tol, n_max, n, l), 2 + 2 * l)
+        path, lambda n: _basis_header(ts.csv_digest, tol, n_max, n, l), 2 + 2 * l)
     if values is None:
         return None
     n = values.size // (2 + 2 * l)

@@ -7,7 +7,8 @@ outer product subtracted from a copy, and interpolation residuals and
 cardinal functions come from numpy linear solves. Determinant ratios over
 the grid take one numpy LU determinant per candidate matrix. The first
 repeated parameter row is found by a walk over a dict of the rows. Projections
-and weighted norms are the textbook formulas. There are two exceptions.
+and weighted norms are the textbook formulas, and the tree digest of a
+training CSV is built from ``hashlib`` alone. There are two exceptions.
 ``full_scan`` scores every kappa/lambda candidate with the package's own
 objective, so it is the reference for which candidates the node selection
 may leave unscored, not for the objective values. ``load_basis_csv`` reads
@@ -16,6 +17,7 @@ through the package's CSV reader, which has tests of its own.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -227,3 +229,14 @@ def formatter_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.frombuffer(rows.encode("latin-1"), dtype=np.uint8).reshape(-1, SLOT),
             sum((n // 10 ** (3 - i) % 10) << (16 * i) for i in range(4)).astype(np.uint64),
             sum((n[:400] // 10 ** (2 - i) % 10) << (8 * i) for i in range(3)).astype(np.uint32))
+
+
+def csv_digest(data: bytes, leaf: int = 1 << 20) -> str:
+    """The hex tree digest of a training CSV's bytes ``data``: the SHA-256 of
+    the ASCII line naming the construction, the leaf size and the byte
+    count, followed by the SHA-256 of each consecutive ``leaf``-byte slice
+    of ``data`` (the last one shorter; none for no bytes), in order."""
+    line = f"emprint-csv-digest sha256-tree leaf={leaf} bytes={len(data)}\n".encode("ascii")
+    leaves = [hashlib.sha256(data[start:start + leaf]).digest()
+              for start in range(0, len(data), leaf)]
+    return hashlib.sha256(line + b"".join(leaves)).hexdigest()

@@ -632,7 +632,7 @@ def _stale_copy_of(csv, damage):
     header, payload = copy.read_bytes().split(b"\n", 1)
     values = np.frombuffer(payload, dtype="<f8").reshape(25, -1).copy()  # CHIRP: --k 25
     damage(values)
-    copy.write_bytes(re.sub(rb"sha256=[0-9a-f]{64}", b"sha256=" + b"0" * 64, header)
+    copy.write_bytes(re.sub(rb"csv=[0-9a-f]{64}", b"csv=" + b"0" * 64, header)
                      + b"\n" + values.tobytes())
 
 
@@ -649,6 +649,51 @@ def test_a_stale_copy_that_fails_gives_the_texts_results(tmp_path, capsys, damag
     b = _without_copy(tmp_path, a, "training.csv.f64")
     for cmd in (["basis"], ["verify-theorem"]):
         assert _same_run((a, b), cmd, capsys) == 0
+
+
+def _truncate_at_a_row(csv):
+    csv.write_text("\n".join(read(csv)[:20]) + "\n")
+
+
+def _truncate_mid_row(csv):
+    os.truncate(csv, csv.stat().st_size // 2)
+
+
+def _replace_by_a_directory(csv):
+    csv.unlink()
+    csv.mkdir()
+
+
+@pytest.mark.parametrize("damage", [_truncate_at_a_row, _truncate_mid_row,
+                                    _replace_by_a_directory],
+                         ids=["truncated-at-a-row", "truncated-mid-row", "unreadable"])
+def test_a_csv_damaged_during_a_command_gives_the_texts_results(tmp_path, monkeypatch,
+                                                                 capsys, damage):
+    # The CSV is damaged after basis opened it, while it sweeps on the
+    # copy's claim: the claim is not confirmed, and the command exits and
+    # prints as the text route does on the damaged CSV, leaving no thread.
+    a = tmp_path / "a"
+    assert main(["generate", *CHIRP, "--out-dir", str(a)]) == 0
+    b = _without_copy(tmp_path, a, "training.csv.f64")
+    damage(b / "training.csv")
+    sweep, damaged = rbm.build_reduced_basis, []
+
+    def damaging(*args, **kwargs):
+        if not damaged:
+            damaged.append(damage(a / "training.csv"))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(rbm, "build_reduced_basis", damaging)
+    before = threading.active_count()
+    capsys.readouterr()
+    runs = []
+    for d in (a, b):
+        code = main(["basis", "--input", str(d / "training.csv"), "--out-dir", str(d)])
+        runs.append((code, capsys.readouterr().out.replace(str(d), "<dir>"),
+                     {p.name: p.read_bytes() for p in sorted(d.iterdir())
+                      if p.is_file() and p.name != "training.csv.f64"}))
+        assert threading.active_count() == before
+    assert damaged and runs[0] == runs[1]
 
 
 def _repeat_first_parameter(csv):

@@ -657,7 +657,7 @@ def test_node_copy_layout(tmp_path, small_basis):
     commit({path: eim.interpolant_copy(itp, DIGEST, n_max=9)})
     header, payload = path.read_bytes().split(b"\n", 1)
     n = small_basis.n
-    assert header.decode() == (f"emprint-interpolant v1 sha256={DIGEST} "
+    assert header.decode() == (f"emprint-interpolant v1 csv={DIGEST} "
                                f"code={rbm._code_digest()} tol=1e-12 n_max=9 "
                                f"rule=lambda n={n} l=301")
     steps = np.frombuffer(payload, dtype="<f8").reshape(n, 6)

@@ -289,7 +289,7 @@ def saved_small(tmp_path, small_training):
 
 def test_basis_copy_round_trip_is_bitwise(tmp_path, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12)
-    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_sha256)})
+    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_digest)})
     copy = rbm.load_basis_copy(tmp_path / "basis.f64", saved_small, 1e-12)
     assert copy.grid == rb.grid and copy.tol == rb.tol
     assert copy.greedy_params == rb.greedy_params
@@ -300,9 +300,9 @@ def test_basis_copy_round_trip_is_bitwise(tmp_path, saved_small):
 def test_basis_copy_layout(tmp_path, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12, n_max=3)
     path = tmp_path / "basis.f64"
-    commit({path: rbm.basis_copy(rb, saved_small.csv_sha256, n_max=3)})
+    commit({path: rbm.basis_copy(rb, saved_small.csv_digest, n_max=3)})
     header, payload = path.read_bytes().split(b"\n", 1)
-    assert header.decode() == (f"emprint-basis v1 sha256={saved_small.csv_sha256} "
+    assert header.decode() == (f"emprint-basis v1 csv={saved_small.csv_digest} "
                                f"code={rbm._code_digest()} tol=1e-12 n_max=3 n=3 l=301")
     values = np.frombuffer(payload, dtype="<f8")
     assert values.size == 3 * (2 + 2 * 301)
@@ -345,9 +345,9 @@ def test_code_digest_names_the_sweep_sources_and_library_versions(monkeypatch):
 
 def test_basis_copy_needs_a_training_digest(tmp_path, small_training, saved_small):
     rb = build_reduced_basis(saved_small, tol=1e-12)
-    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_sha256)})
+    commit({tmp_path / "basis.f64": rbm.basis_copy(rb, saved_small.csv_digest)})
     # A set built in memory has no digest to key the copy with.
-    assert small_training.csv_sha256 is None
+    assert small_training.csv_digest is None
     assert rbm.load_basis_copy(tmp_path / "basis.f64", small_training, 1e-12) is None
     assert rbm.load_basis_copy(tmp_path / "missing.f64", saved_small, 1e-12) is None
 
@@ -357,7 +357,7 @@ def test_basis_copy_with_a_pick_outside_the_training_rows_is_ignored(
         tmp_path, saved_small, pick):
     rb = build_reduced_basis(saved_small, tol=1e-12)
     path = tmp_path / "basis.f64"
-    commit({path: rbm.basis_copy(rb, saved_small.csv_sha256)})
+    commit({path: rbm.basis_copy(rb, saved_small.csv_digest)})
     header, payload = path.read_bytes().split(b"\n", 1)
     values = np.frombuffer(payload, dtype="<f8").copy()
     values[rb.n + 1] = values[rb.n] if pick == "repeat" else pick

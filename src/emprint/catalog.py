@@ -540,13 +540,13 @@ def _parsed_header(digest: str, k: int, d: int, l: int) -> str:
 _HASH_LEAF = 1 << 20
 
 # Each lane reads through a buffer of this many bytes, its own: the worker's
-# is held while the command runs, as the one buffer of the serial hash was,
-# and the command's lane holds a second only while it hashes in ``confirm``.
-# ``os.preadv`` and ``update`` release the GIL, and a lane takes it back
-# after each; the worker waits for it while the command holds it, so it
-# loses the least time reading a whole leaf at once (on 2 shared vCPUs,
-# half a leaf per read left eim 3.7 ms of waiting in its confirm on the
-# chirp-long-classic CSV, a whole leaf 3.0 ms).
+# is held while the command runs, as the serial hash's one buffer was, and
+# the command's lane makes a second only if it claims a leaf in ``confirm``.
+# A lane takes the GIL back after each ``os.preadv`` and each ``update``,
+# and the worker waits for it while the command holds it, so a whole leaf
+# per read loses the least time (half a leaf per read left eim waiting
+# 3.7 ms in its confirm on the chirp-long-classic CSV, a whole leaf 3.0 ms,
+# on 2 shared vCPUs).
 _HASH_BUFFER = 1 << 20
 
 
@@ -565,7 +565,7 @@ class _TreeHasher:
         self.size, self.leaves, self.leaf = 0, [], hashlib.sha256()
 
     def update(self, data) -> None:
-        view = memoryview(data).cast("B")
+        view = memoryview(data)
         while view:
             take = _HASH_LEAF - self.size % _HASH_LEAF
             self.leaf.update(view[:take])

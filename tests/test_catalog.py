@@ -606,32 +606,46 @@ def test_tree_digest_of_a_file_is_the_oracles(tmp_path, monkeypatch, leaf, buffe
 
 
 def test_lanes_give_the_oracles_digest_under_fast_thread_switching(tmp_path, monkeypatch):
-    # A 40-leaf file, opened and confirmed again and again while the
-    # interpreter switches threads as often as it can: every root is the
-    # oracle's, and every worker is joined.
+    # Three threads open a 40-leaf file and confirm (or stop) its lanes again
+    # and again, six lanes on two CPUs, while the interpreter switches
+    # threads as often as it can: every root is the oracle's, a stopped one
+    # gives none, and every worker is joined.
     monkeypatch.setattr(catalog, "_HASH_LEAF", 4096)
     monkeypatch.setattr(catalog, "_HASH_BUFFER", 1000)
     data = np.random.default_rng(40).integers(0, 256, 40 * 4096 - 5, dtype=np.uint8).tobytes()
     path = tmp_path / "forty.csv"
     path.write_bytes(data)
     want = csv_digest(data, 4096)
+    outcomes = []
+    deadline = time.monotonic() + 2.0
+
+    def open_and_confirm(offset):
+        try:
+            for turn in range(offset, offset + 100):
+                if time.monotonic() > deadline:
+                    return
+                lanes = catalog._hash_in_background(path)
+                if turn % 3 == 2:
+                    lanes.stop()
+                    outcomes.append(lanes.digest() is None)
+                else:
+                    outcomes.append(lanes.digest() == want == lanes.digest())
+        except BaseException as exc:  # reported by the assertion below
+            outcomes.append(exc)
+
     before = threading.active_count()
+    threads = [threading.Thread(target=open_and_confirm, args=(i,)) for i in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        deadline, rounds = time.monotonic() + 2.0, 0
-        while rounds < 300 and time.monotonic() < deadline:
-            lanes = catalog._hash_in_background(path)
-            if rounds % 3 == 2:
-                lanes.stop()
-                assert lanes.digest() is None
-            else:
-                assert lanes.digest() == want
-                assert lanes.digest() == want  # a repeat returns the same root
-            rounds += 1
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert rounds >= 10
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) >= 30 and all(outcome is True for outcome in outcomes), outcomes[:5]
     assert threading.active_count() == before
 
 

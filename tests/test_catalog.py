@@ -655,7 +655,7 @@ def test_a_refused_copy_stops_the_lanes(tmp_path, monkeypatch, refusal):
     # more leaves: at most the one in flight is hashed after it, and the
     # worker is joined before the load goes on.
     path = saved_small(tmp_path)
-    monkeypatch.setattr(catalog, "_HASH_LEAF", 1)  # one leaf a byte, 115 of them
+    monkeypatch.setattr(catalog, "_HASH_LEAF", 1)  # one leaf a byte, 129 of them
     hashed, at_refusal = [], []
     leaf_digest = catalog._leaf_digest
 

@@ -21,17 +21,17 @@ undone (see ``_fileio.commit``).
 
 A family is synthesized into one (K, L) array, allocated once and filled
 in row blocks of at most ``_BLOCK_CELLS`` samples, so that the formula's
-temporaries stay small; ``training_files`` writes the parsed copy from row
-views of the set's own arrays. ``generate`` so holds the samples once and
-at most one block of the CSV text, with no other copy of either.
+temporaries stay small; ``training_files`` writes the parsed copy from the
+set's own two arrays. ``generate`` so holds the samples once and at most
+one block of the CSV text, with no other copy of either.
 
 A training CSV is parsed once. ``training_files`` gives, beside
 ``training.csv``, the parsed copy ``training.csv.f64``, by
-``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v1
+``_fileio.keyed_copy``: one ASCII line ``emprint-parsed v2
 csv=<hex> k=<K> d=<d> l=<L>``, where the digest is the CSV's tree digest
-(taken block by block as the CSV is written), then the K x (d + 2L) values
-as little-endian doubles, row-major (the parameters, then re, im of each
-sample).
+(taken block by block as the CSV is written), then as little-endian
+doubles, row-major, the K x 2L samples (re, im of each) and the K x d
+parameters. A load reads the two back as views of the payload.
 
 The tree digest keys every binary copy of a training CSV's results. Each
 leaf is the SHA-256 of one consecutive 1 MiB slice of the CSV's bytes
@@ -40,21 +40,23 @@ construction, the leaf size and the byte count, followed by the leaves'
 digests in order (``_tree_root``). It is not the SHA-256 of the file, but
 it keys the copies as strongly, and its leaves can be hashed in parallel.
 
-``open_training_csv`` reads the copy instead of the text when its header
-line is exactly the one the CSV's own header and the digest it claims
-give. It does not wait for the CSV's digest to do so: one worker lane
-hashes the CSV's leaves while the caller works on the claimed digest, and
-the ``confirm`` function it returns hashes the leaves still unclaimed on the
-caller's own thread, joins the worker and says whether the claim holds
-(``_TreeLanes``). A caller confirms before anything it computed is used,
-and on a false claim (a stale copy) discards its results and starts again
-from ``parse_training_csv``, the text parse. ``load_training_csv`` confirms
-at once, so its set always carries a confirmed digest. Every check runs on
-either route, so the two differ only in time; a check that fails on the
-claim is confirmed at once, and raises only if the claim holds. A copy
-that cannot be read stops the lanes without waiting for them. Loads never
-write the copy, and deleting it is always safe. A loaded set carries the
-CSV's tree digest; ``rbm`` and ``eim`` key their binary copies with it.
+``with_training_csv(path, use)`` runs ``use`` on the training set and is
+the one place that decides between the copy and the text. It reads the
+copy instead of the text when its header line is exactly the one the CSV's
+own header and the digest it claims give. It does not wait for the CSV's
+digest to do so: one worker lane hashes the CSV's leaves while ``use``
+works on the claimed digest; then the leaves still unclaimed are hashed on
+the caller's own thread, the worker is joined and the claim confirmed
+(``_TreeLanes``). On a false claim (a stale copy) the result, or the error
+``use`` or a check raised, is discarded and ``use`` runs again on
+``parse_training_csv``, the text parse. ``load_training_csv`` is
+``with_training_csv`` with ``use`` the identity. Every check runs on
+either route, so the two give the same values and differ only in time,
+and in that a set read from the copy holds read-only views. A copy that
+cannot be read, and an interrupt, stop the lanes: no leaf is claimed after
+the one in flight. Loads never write the copy, and deleting it is always
+safe. A loaded set carries the CSV's tree digest; ``rbm`` and ``eim`` key
+their binary copies with it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -108,7 +109,7 @@ CSV_MAGIC = "emprint-training v1"
 # Start of a parsed copy's header. Its version must change whenever the
 # layout of the copy changes, so that copies written under the old layout
 # are refused rather than misread.
-PARSED_MAGIC = "emprint-parsed v1"
+PARSED_MAGIC = "emprint-parsed v2"
 
 # How FamilySpec draws parameter vectors.
 SAMPLING_MODES = ("equispaced", "random")
@@ -154,8 +155,8 @@ class TrainingSet:
     ``params`` is a (K, d) real array of parameter vectors, pairwise
     distinct; ``samples`` is the (K, L) complex array with row k holding the
     waveform for ``params[k]``. ``csv_digest`` is the hex tree digest of the
-    training CSV's bytes (see ``_tree_root``) for a set loaded by
-    ``load_training_csv``, and None for a set built in memory.
+    training CSV's bytes (see ``_tree_root``) for a set loaded from a CSV
+    (``with_training_csv``), and None for a set built in memory.
     """
 
     grid: TimeGrid
@@ -388,13 +389,11 @@ def training_files(ts: TrainingSet, path) -> dict:
             yield block
 
     def copy():
-        # Each row: the parameters, then the samples' real view (re, im,
-        # ...), the layout ``_read_parsed_copy`` views back as complex;
-        # written from views of the two arrays, with no joined copy.
+        # The samples' real view (re, im, ...), then the parameters, the
+        # layout ``with_training_csv`` views back; no joined copy.
         yield from keyed_copy(
             _parsed_header(digest.hexdigest(), ts.k, ts.d, ts.grid.n_samples),
-            *(view for row in zip(ts.params, np.ascontiguousarray(ts.samples).view(np.float64))
-              for view in row))
+            np.ascontiguousarray(ts.samples).view(np.float64), ts.params)
     return {Path(path): csv(), _parsed_copy_path(path): copy()}
 
 
@@ -541,12 +540,12 @@ _HASH_LEAF = 1 << 20
 
 # Each lane reads through a buffer of this many bytes, its own: the worker's
 # is held while the command runs, as the serial hash's one buffer was, and
-# the command's lane makes a second only if it claims a leaf in ``confirm``.
-# A lane takes the GIL back after each ``os.preadv`` and each ``update``,
-# and the worker waits for it while the command holds it, so a whole leaf
-# per read loses the least time (half a leaf per read left eim waiting
-# 3.7 ms in its confirm on the chirp-long-classic CSV, a whole leaf 3.0 ms,
-# on 2 shared vCPUs).
+# the command's lane makes a second only if it claims a leaf in
+# ``_TreeLanes.digest``. A lane takes the GIL back after each ``os.preadv``
+# and each ``update``, and the worker waits for it while the command holds
+# it, so a whole leaf per read loses the least time (half a leaf per read
+# left eim waiting 3.7 ms for the digest on the chirp-long-classic CSV, a
+# whole leaf 3.0 ms, on 2 shared vCPUs).
 _HASH_BUFFER = 1 << 20
 
 
@@ -609,13 +608,17 @@ class _TreeLanes:
     def __init__(self, path):
         self.path = path
         self.fd = os.open(path, os.O_RDONLY)
-        self.opened = os.fstat(self.fd)
-        self.leaves = [None] * -(-self.opened.st_size // _HASH_LEAF)
-        self.next = 0  # the first leaf no lane has claimed
-        self.lock = threading.Lock()
-        self.root = None
-        self.worker = threading.Thread(target=self._lane, daemon=True)
-        self.worker.start()
+        try:
+            self.opened = os.fstat(self.fd)
+            self.leaves = [None] * -(-self.opened.st_size // _HASH_LEAF)
+            self.next = 0  # the first leaf no lane has claimed
+            self.lock = threading.Lock()
+            self.root = None
+            self.worker = threading.Thread(target=self._lane, daemon=True)
+            self.worker.start()
+        except BaseException:
+            os.close(self.fd)
+            raise
 
     def _lane(self) -> None:
         buffer = None  # made on the first claim: a late lane may find none left
@@ -661,48 +664,6 @@ def _hash_in_background(path) -> _TreeLanes:
     return _TreeLanes(path)
 
 
-def _read_parsed_copy(path):
-    """((grid, params, samples, kind, digest), lanes) of the CSV at ``path``
-    from its parsed copy, on the digest the copy claims, or None when there
-    is no copy that may be read. ``lanes`` is the CSV's tree digest started
-    here (see ``_TreeLanes``); its ``digest()`` says what the claim is worth.
-
-    A copy is read only when its payload holds k*(d + 2L) little-endian
-    doubles for some k >= 1 and its header line is exactly the one
-    ``save_training_csv`` writes for k rows, the digest it claims, and the d
-    and L of the CSV's own header. Anything else, a missing or unreadable
-    file included, returns None, and the caller parses the CSV; the lanes
-    then claim no more leaves, and the worker is joined after the one it is
-    on, since the parse takes its own digest.
-    """
-    copy = _parsed_copy_path(path)
-    prefix = f"{PARSED_MAGIC} csv="
-    try:
-        with open(copy, "rb") as fh:
-            claim = fh.readline(1024)
-        with open(path, "rb") as fh:
-            grid, d, kind = _parse_header(fh.readline().decode("utf-8"))
-        if not claim.startswith(prefix.encode("ascii")):
-            return None
-        lanes = _hash_in_background(path)
-    except (OSError, UnicodeDecodeError, ParseError):
-        return None
-    claimed = claim[len(prefix):len(prefix) + 64].decode("ascii", "replace")
-    l = grid.n_samples
-    try:
-        values = read_keyed_copy(copy, lambda k: _parsed_header(claimed, k, d, l), d + 2 * l)
-        if values is None:
-            lanes.stop()
-            return None
-        values = values.reshape(-1, d + 2 * l)
-        params = np.array(values[:, :d], dtype=np.float64, order="C")
-        samples = np.array(values[:, d:], dtype=np.float64, order="C").view(np.complex128)
-    except BaseException:  # no lane outlives the call that started it
-        lanes.stop()
-        raise
-    return (grid, params, samples, kind, claimed), lanes
-
-
 def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
     """The checked training set of a CSV's header and values."""
     if kind is not None:
@@ -724,37 +685,56 @@ def parse_training_csv(path) -> TrainingSet:
     return _training_set(*read_waveform_csv(path))
 
 
-def open_training_csv(path) -> tuple[TrainingSet, Callable[[], bool]]:
-    """A training CSV written by ``save_training_csv``, and ``confirm``.
+def with_training_csv(path, use):
+    """``use(ts)``, ``ts`` the training set of the CSV at ``path``, written
+    by ``save_training_csv``; returns what ``use`` returns or raises what it
+    raises, as on the set ``parse_training_csv`` gives.
 
-    The values come from the parsed copy beside the CSV when its header fits
-    (see ``_read_parsed_copy``), on the digest it claims, while one worker
-    lane hashes the CSV's leaves; ``confirm()`` hashes the leaves left on the
-    caller's thread, joins the worker and returns whether the set's
-    ``csv_digest`` is the CSV's digest. With no such copy the set is
-    ``parse_training_csv``'s and ``confirm()`` returns True. A caller
-    confirms before it uses anything computed from the set, and on False
-    takes ``parse_training_csv``'s set instead. Every check runs either way;
-    one that fails on the claim confirms it at once and raises only if it
-    holds, the text's set or error standing in otherwise.
+    When the parsed copy's header line is exactly the one the CSV's own
+    header and the digest it claims give, and its payload holds K x (d + 2L)
+    doubles for some K >= 1, the set is read-only views of that payload on
+    the claimed digest, and ``use`` runs on it while one worker lane hashes
+    the CSV's leaves (``_TreeLanes``). Then the leaves left are hashed on
+    this thread and the claim is confirmed: on a false claim the result, or
+    whatever ``use`` or the set's checks raised, is dropped and ``use`` runs
+    again on ``parse_training_csv(path)``. Any other copy, a missing or
+    unreadable one included, stops the lanes and the CSV is parsed. The
+    lanes are stopped and the CSV closed on every way out, an interrupt
+    included, which then hashes at most the leaf in flight.
     """
-    read = _read_parsed_copy(path)
-    if read is not None:
-        values, lanes = read
-        claimed = values[-1]
+    copy = _parsed_copy_path(path)
+    prefix = f"{PARSED_MAGIC} csv=".encode("ascii")
+    try:
+        with open(copy, "rb") as fh:
+            claim = fh.readline(1024)
+        with open(path, "rb") as fh:
+            grid, d, kind = _parse_header(fh.readline().decode("utf-8"))
+        lanes = _hash_in_background(path) if claim.startswith(prefix) else None
+    except (OSError, UnicodeDecodeError, ParseError):
+        lanes = None
+    if lanes is not None:
         try:
-            return _training_set(*values), lambda: lanes.digest() == claimed
-        except (ParseError, NonFiniteSample):
-            if lanes.digest() == claimed:
-                raise
-        except BaseException:
+            claimed = claim[len(prefix):len(prefix) + 64].decode("ascii", "replace")
+            l = grid.n_samples
+            values = read_keyed_copy(copy, lambda k: _parsed_header(claimed, k, d, l), d + 2 * l)
+            if values is not None:
+                k = values.size // (d + 2 * l)
+                try:
+                    result = use(_training_set(
+                        grid, values[2 * k * l:].reshape(k, d),
+                        values[:2 * k * l].view(np.complex128).reshape(k, l), kind, claimed))
+                except Exception:
+                    if lanes.digest() == claimed:
+                        raise
+                else:
+                    if lanes.digest() == claimed:
+                        return result
+        finally:
             lanes.stop()
-            raise
-    return parse_training_csv(path), lambda: True
+    return use(parse_training_csv(path))
 
 
 def load_training_csv(path) -> TrainingSet:
     """Load a training CSV written by ``save_training_csv``: the set
-    ``open_training_csv`` gives, its digest confirmed at once."""
-    ts, confirm = open_training_csv(path)
-    return ts if confirm() else parse_training_csv(path)
+    ``with_training_csv`` gives, its digest confirmed."""
+    return with_training_csv(path, lambda ts: ts)

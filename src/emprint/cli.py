@@ -29,14 +29,13 @@ the basis size) also writes ``interpolant_<rule>.f64`` per rule (see
 ``eim``), and ``compare`` on a training CSV takes each rule's full-order
 interpolant from that copy when it may be trusted and selects it when not.
 
-A command on a training CSV does not wait for the CSV's digest: it runs
-on the digest the parsed copy claims while one worker lane hashes the CSV
-(see ``catalog.open_training_csv``), computes its whole plan in memory (the
-files' contents, its stdout and exit code), and only then confirms the
-digest, hashing the leaves the worker has not reached on its own thread.
-On a false claim it drops the plan, or the error it raised, and runs again
-from the CSV text, so every output and exit code is that of a run without
-the copy.
+A command on a training CSV does not wait for the CSV's digest: it
+computes its whole plan in memory (the files' contents, its stdout and exit
+code) inside ``catalog.with_training_csv``, on the digest the parsed copy
+claims while one worker lane hashes the CSV, and the digest is confirmed
+before the plan is returned. On a false claim the plan, or the error it
+raised, is dropped and the plan made again from the CSV text, so every
+output and exit code is that of a run without the copy.
 
 Each command writes all of its files or none. A command computes every
 file's contents in memory and returns them with its stdout and exit code;
@@ -244,47 +243,25 @@ def _family_spec(cfg: RunConfig) -> catalog.FamilySpec:
     )
 
 
-def _open_training(cfg: RunConfig):
-    """The training set and its ``confirm`` (see ``catalog.open_training_csv``)."""
-    if cfg.input is not None:
-        path = Path(cfg.input)
-        if not path.exists():
-            raise ConfigError(f"input file not found: {path}")
-        if not path.is_file():
-            raise ConfigError(f"input path is not a file: {path}")
-        return catalog.open_training_csv(path)
-    if cfg.family is not None:
-        return catalog.generate_family(_family_spec(cfg)), lambda: True
-    raise ConfigError("no data source: pass --input or --family")
-
-
-def _confirmed(cfg: RunConfig, plan):
-    """``plan(ts)`` on the command's training set, the command's (files,
-    stdout, exit code), returned only once the set's digest is confirmed,
-    so that nothing is written or printed on a stale copy's claim. The plan
-    is made in full first, the files' bytes included (``basis.csv`` aside,
-    which is formatted as it is written), so that all of it runs beside
-    the hash. On a false claim the plan, or the exception ``plan``
-    raised, is discarded and ``plan`` runs again on the set parsed from the
-    CSV text. The hash's worker is joined on every path."""
-    ts, confirm = _open_training(cfg)
-    try:
-        result = plan(ts)
-    except Exception:
-        if confirm():
-            raise
-    else:
-        if confirm():
-            return result
-    finally:
-        confirm()  # joins the hash on any other way out too
-    return plan(catalog.parse_training_csv(Path(cfg.input)))
-
-
 def _on_training(plan):
-    """The command ``cmd(cfg)`` that returns ``plan(cfg, ts)`` on its
-    confirmed training set (see ``_confirmed``)."""
-    return lambda cfg: _confirmed(cfg, lambda ts: plan(cfg, ts))
+    """The command ``cmd(cfg)`` that returns ``plan(cfg, ts)`` on its training
+    set: with --input, the set ``catalog.with_training_csv`` confirms, so
+    that nothing is written or printed on a stale copy's claim; else the
+    family's. The plan is made in full, the files' bytes included
+    (``basis.csv`` aside, which is formatted as it is written), so that all
+    of it runs beside the hash."""
+    def cmd(cfg: RunConfig):
+        if cfg.input is not None:
+            path = Path(cfg.input)
+            if not path.exists():
+                raise ConfigError(f"input file not found: {path}")
+            if not path.is_file():
+                raise ConfigError(f"input path is not a file: {path}")
+            return catalog.with_training_csv(path, lambda ts: plan(cfg, ts))
+        if cfg.family is not None:
+            return plan(cfg, catalog.generate_family(_family_spec(cfg)))
+        raise ConfigError("no data source: pass --input or --family")
+    return cmd
 
 
 def _basis_of(cfg: RunConfig, ts: catalog.TrainingSet) -> rbm.ReducedBasis:

@@ -242,8 +242,8 @@ def basis_copy(rb: ReducedBasis, csv_digest: str, n_max: int | None = None) -> l
     ``csv_digest`` with cap ``n_max`` (see the module docstring), as
     ``_fileio.keyed_copy`` gives it."""
     return keyed_copy(_basis_header(csv_digest, rb.tol, n_max, rb.n, rb.grid.n_samples),
-                      np.concatenate([rb.greedy_errors, rb.greedy_params,
-                                      rb.basis.ravel().view(np.float64)]))
+                      rb.greedy_errors, rb.greedy_params,
+                      np.ascontiguousarray(rb.basis).view(np.float64))
 
 
 def load_basis_copy(path, ts: TrainingSet, tol: float,

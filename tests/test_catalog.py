@@ -433,7 +433,7 @@ def saved_small(tmp_path, name="t.csv"):
 
 
 def copy_header(csv_bytes, k, d, l):
-    return f"emprint-parsed v1 csv={csv_digest(csv_bytes)} k={k} d={d} l={l}\n".encode()
+    return f"emprint-parsed v2 csv={csv_digest(csv_bytes)} k={k} d={d} l={l}\n".encode()
 
 
 def assert_same_set(a, b):
@@ -443,28 +443,46 @@ def assert_same_set(a, b):
 
 
 # SMALL's CSV and its parsed copy, byte for byte: the header line, then the
-# K x (d + 2L) values row by row (the parameter, then re, im of each sample).
+# K x 2L samples row by row (re, im of each), then the K x d parameters.
 SMALL_CSV = (b"# emprint-training v1, L=4, t_start=0.0, t_end=1.0, d=1\n"
              b"1.0,0.5:0.25,1.0:0.0,2.0:0.0,3.0:0.0\n"
              b"2.0,4.0:0.0,5.0:0.0,6.0:0.0,0.0:7.0\n")
-SMALL_COPY = (b"emprint-parsed v1 csv=1cb6e4a5193a760b694051f53b9c1e19"
+SMALL_COPY = (b"emprint-parsed v2 csv=1cb6e4a5193a760b694051f53b9c1e19"
               b"1af0b1ff31bbd6f9abf119a1a8abd2d0 k=2 d=1 l=4\n"
-              + np.array([[1.0, 0.5, 0.25, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0],
-                          [2.0, 4.0, 0.0, 5.0, 0.0, 6.0, 0.0, 0.0, 7.0]], "<f8").tobytes())
+              + np.array([[0.5, 0.25, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0],
+                          [4.0, 0.0, 5.0, 0.0, 6.0, 0.0, 0.0, 7.0]], "<f8").tobytes()
+              + np.array([1.0, 2.0], "<f8").tobytes())
+# The same values as the v1 layout wrote them: row by row, the parameter,
+# then re, im of each sample.
+SMALL_V1_PAYLOAD = np.array([[1.0, 0.5, 0.25, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0],
+                             [2.0, 4.0, 0.0, 5.0, 0.0, 6.0, 0.0, 0.0, 7.0]], "<f8").tobytes()
 
 
 def test_parsed_copy_layout(tmp_path):
     path = saved_small(tmp_path)
     assert path.read_bytes() == SMALL_CSV
     assert copy_of(path).read_bytes() == SMALL_COPY
-    # The literal's digest is the CSV's, and its payload K x (d + 2L) doubles.
+    # The literal's digest is the CSV's, and its payload K x (2L + d) doubles:
+    # the samples, then the parameters.
     header, payload = SMALL_COPY.split(b"\n", 1)
     assert header + b"\n" == copy_header(SMALL_CSV, 2, 1, 4)
     assert len(payload) == 2 * (1 + 2 * 4) * 8
+    values = np.frombuffer(payload, "<f8")
+    assert np.array_equal(values[:16].view(np.complex128).reshape(2, 4), SMALL.samples)
+    assert np.array_equal(values[16:].reshape(2, 1), SMALL.params)
 
 
-def test_frozen_v1_copy_is_read_without_a_parse(tmp_path):
-    # Copies already on disk stay valid: the v1 bytes, frozen as a literal,
+def parses(path):
+    """load_training_csv(path), asserting that it parsed the CSV once."""
+    with mock.patch.object(catalog, "read_waveform_csv",
+                           wraps=catalog.read_waveform_csv) as parse:
+        ts = catalog.load_training_csv(path)
+    assert parse.call_count == 1
+    return ts
+
+
+def test_frozen_v2_copy_is_read_without_a_parse(tmp_path):
+    # Copies already on disk stay valid: the v2 bytes, frozen as a literal,
     # serve the load with the parse disabled.
     path = tmp_path / "t.csv"
     path.write_bytes(SMALL_CSV)
@@ -472,14 +490,16 @@ def test_frozen_v1_copy_is_read_without_a_parse(tmp_path):
     ts = load_from_copy(path)
     assert_same_set(ts, SMALL)
     assert ts.csv_digest == csv_digest(SMALL_CSV)
+    # A v1 copy, the same values row by row under the same digest, is
+    # refused and the CSV parsed.
+    v1 = SMALL_COPY[:SMALL_COPY.index(b"\n") + 1].replace(b"parsed v2", b"parsed v1")
+    copy_of(path).write_bytes(v1 + SMALL_V1_PAYLOAD)
+    assert_same_set(parses(path), SMALL)
     # A copy keyed by the file's plain SHA-256, as written before the tree
     # digest, is refused and the CSV parsed.
     old = b"emprint-parsed v1 sha256=" + hashlib.sha256(SMALL_CSV).hexdigest().encode()
     copy_of(path).write_bytes(old + SMALL_COPY[SMALL_COPY.index(b" k=2"):])
-    with mock.patch.object(catalog, "read_waveform_csv",
-                           wraps=catalog.read_waveform_csv) as parse:
-        assert_same_set(catalog.load_training_csv(path), SMALL)
-    assert parse.call_count == 1
+    assert_same_set(parses(path), SMALL)
 
 
 def test_stale_copy_is_never_served(tmp_path):
@@ -503,7 +523,7 @@ def _rekeyed(path, copy, k=2, d=1, l=4, csv_bytes=None):
     lambda path, copy: copy + b"\0",
     lambda path, copy: b"",
     lambda path, copy: copy.replace(b"emprint-parsed", b"emprint-parsex"),
-    lambda path, copy: copy.replace(b"parsed v1", b"parsed v2"),
+    lambda path, copy: copy.replace(b"parsed v2", b"parsed v3"),
     lambda path, copy: _rekeyed(path, copy, csv_bytes=path.read_bytes() + b"\n"),
     lambda path, copy: copy.replace(b"\n", b" \n", 1),
     lambda path, copy: _rekeyed(path, copy, k=1),
@@ -523,11 +543,7 @@ def test_damaged_copy_is_ignored(tmp_path, damage):
     path = saved_small(tmp_path)
     damaged = damage(path, copy_of(path).read_bytes())
     copy_of(path).write_bytes(damaged)
-    with mock.patch.object(catalog, "read_waveform_csv",
-                           wraps=catalog.read_waveform_csv) as parse:
-        ts = catalog.load_training_csv(path)
-    assert parse.call_count == 1
-    assert_same_set(ts, SMALL)
+    assert_same_set(parses(path), SMALL)
     assert copy_of(path).read_bytes() == damaged
 
 
@@ -547,15 +563,17 @@ def test_malformed_csv_beside_copy_raises_as_without(tmp_path, row, error):
     assert str(with_copy.value) == str(without_copy.value)
 
 
-@pytest.mark.parametrize("values, error", [
-    (np.full((2, 9), np.nan), NonFiniteSample),
-    (np.ones((2, 9)), ParseError),
-], ids=["nan", "duplicate-row"])
-def test_checks_run_on_a_copy_with_the_right_digest(tmp_path, values, error):
-    # Every check after the read also guards values served by the copy.
+@pytest.mark.parametrize("samples, params, error", [
+    (np.full((2, 8), np.nan), np.array([1.0, 2.0]), NonFiniteSample),
+    (np.ones((2, 8)), np.array([np.nan, 2.0]), NonFiniteSample),
+    (np.ones((2, 8)), np.ones(2), ParseError),
+], ids=["nan", "nan-parameter", "duplicate-row"])
+def test_checks_run_on_a_copy_with_the_right_digest(tmp_path, samples, params, error):
+    # Every check after the read also guards values served by the copy, the
+    # samples (K x 2L doubles) and the parameters (K x d) after them.
     path = saved_small(tmp_path)
     copy_of(path).write_bytes(copy_header(path.read_bytes(), 2, 1, 4)
-                              + values.astype("<f8").tobytes())
+                              + samples.astype("<f8").tobytes() + params.astype("<f8").tobytes())
     with pytest.raises(error):
         load_from_copy(path)
 
@@ -563,22 +581,28 @@ def test_checks_run_on_a_copy_with_the_right_digest(tmp_path, values, error):
 def test_open_runs_on_the_claim_and_confirms_it(tmp_path):
     path = saved_small(tmp_path)
     before = threading.active_count()
-    ts, confirm = catalog.open_training_csv(path)
-    assert confirm() is True
+    seen = []
+    assert catalog.with_training_csv(path, lambda ts: seen.append(ts) or "result") == "result"
     assert threading.active_count() == before  # the hash thread is joined
+    (ts,) = seen  # one run, on the claim, which held
     assert ts.csv_digest == csv_digest(path.read_bytes())
     assert_same_set(ts, SMALL)
-    # An edited CSV: the set is the copy's, on its claim, which is false.
+    # An edited CSV: use runs on the copy's claim, which is false, and then
+    # on the text parse, whose result is returned.
     old_digest = ts.csv_digest
     path.write_text(path.read_text().replace("1.0,0.5:0.25,", "1.0,0.6:0.25,"))
-    ts, confirm = catalog.open_training_csv(path)
-    assert (ts.csv_digest, ts.samples[0, 0]) == (old_digest, 0.5 + 0.25j)
-    assert confirm() is False
+    seen.clear()
+    assert catalog.with_training_csv(path, lambda ts: seen.append(ts) or len(seen)) == 2
+    claimed, parsed = seen
+    assert (claimed.csv_digest, claimed.samples[0, 0]) == (old_digest, 0.5 + 0.25j)
     # The text parse, and load_training_csv, serve the edited CSV.
     text = catalog.parse_training_csv(path)
     assert text.samples[0, 0] == 0.6 + 0.25j
+    assert_same_set(parsed, text)
+    assert parsed.csv_digest == text.csv_digest != old_digest
     assert_same_set(catalog.load_training_csv(path), text)
     assert catalog.load_training_csv(path).csv_digest == text.csv_digest != old_digest
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("leaf, buffer", [(1, 1 << 19), (7, 3), (1 << 20, 1 << 19)],
@@ -676,11 +700,12 @@ def test_a_refused_copy_stops_the_lanes(tmp_path, monkeypatch, refusal):
     before = threading.active_count()
     if refusal == "interrupted":
         with pytest.raises(KeyboardInterrupt):
-            catalog.open_training_csv(path)
+            catalog.with_training_csv(path, lambda ts: ts)
     else:
-        ts, confirm = catalog.open_training_csv(path)
-        assert confirm() is True
+        # The text parse serves, with its own digest.
+        ts = catalog.with_training_csv(path, lambda ts: ts)
         assert_same_set(ts, SMALL)
+        assert ts.csv_digest == csv_digest(SMALL_CSV, 1)
     assert threading.active_count() == before
     assert len(hashed) <= at_refusal[0] + 1 < len(SMALL_CSV)
 
@@ -697,13 +722,130 @@ def _replace_by_a_directory(path):
 @pytest.mark.parametrize("damage", [_truncate, _replace_by_a_directory],
                          ids=["truncated", "unreadable"])
 def test_a_csv_damaged_after_open_is_not_confirmed(tmp_path, damage):
+    # use damages the CSV while it runs on the claim: the claim is not
+    # confirmed, and the rerun from the text raises what a parse of the
+    # damaged CSV raises.
     path = saved_small(tmp_path)
     before = threading.active_count()
-    ts, confirm = catalog.open_training_csv(path)
-    damage(path)
-    assert confirm() is False
+    seen = []
+
+    def use(ts):
+        seen.append(ts)
+        damage(path)
+
+    with pytest.raises((ParseError, OSError)) as rerun:
+        catalog.with_training_csv(path, use)
     assert threading.active_count() == before
+    (ts,) = seen
     assert_same_set(ts, SMALL)
+    with pytest.raises(type(rerun.value)) as parse:
+        catalog.parse_training_csv(path)
+    assert str(parse.value) == str(rerun.value)
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _edit_first_sample(path):
+    path.write_text(path.read_text().replace("1.0,0.5:0.25,", "1.0,0.6:0.25,"))
+
+
+def _refuse_copy(path):
+    copy_of(path).write_bytes(copy_of(path).read_bytes()[:-1])
+
+
+# Route -> (damage before the load, what use raises, runs of use, outcome).
+LOAD_ROUTES = {
+    "confirmed-claim": (None, None, 1, 0.5 + 0.25j),
+    "stale-claim": (_edit_first_sample, None, 2, 0.6 + 0.25j),
+    "refused-copy": (_refuse_copy, None, 1, 0.5 + 0.25j),
+    "use-raises-on-a-true-claim": (None, RuntimeError, 1, RuntimeError),
+    "use-raises-on-a-false-claim": (_edit_first_sample, RuntimeError, 2, RuntimeError),
+    "use-interrupted": (None, KeyboardInterrupt, 1, KeyboardInterrupt),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("route", LOAD_ROUTES)
+def test_no_fd_or_thread_outlives_a_load(tmp_path, monkeypatch, route):
+    damage, raises, runs, outcome = LOAD_ROUTES[route]
+    monkeypatch.setattr(catalog, "_HASH_LEAF", 1)  # one leaf a byte, 129 of them
+    path = saved_small(tmp_path)
+    if damage is not None:
+        damage(path)
+    hashed, seen, at_use = [], [], []
+    leaf_digest = catalog._leaf_digest
+
+    def slow(*args):
+        time.sleep(0.002)
+        digest = leaf_digest(*args)
+        hashed.append(args[1])
+        return digest
+
+    def use(ts):
+        seen.append(ts)
+        at_use.append(len(hashed))
+        if raises is not None:
+            raise raises(len(seen))
+        return ts
+
+    monkeypatch.setattr(catalog, "_leaf_digest", slow)
+    fds, threads = open_fds(), threading.active_count()
+    if raises is None:
+        ts = catalog.with_training_csv(path, use)
+        assert ts is seen[-1] and ts.samples[0, 0] == outcome
+        assert ts.csv_digest == csv_digest(path.read_bytes(), 1)
+    else:
+        # The error of the last run: on a false claim, the first is dropped.
+        with pytest.raises(outcome, match=f"^{runs}$"):
+            catalog.with_training_csv(path, use)
+    assert len(seen) == runs
+    assert open_fds() == fds and threading.active_count() == threads
+    if route == "use-interrupted":
+        # The lanes stop: at most the leaf in flight is hashed after it.
+        assert len(hashed) <= at_use[0] + 1 < len(SMALL_CSV)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fails", ["fstat", "thread-start"])
+def test_lanes_that_cannot_start_close_the_csv(tmp_path, monkeypatch, fails):
+    # The CSV opened for the lanes is closed when they cannot start. After
+    # an OSError from fstat the load takes the text route; a thread that
+    # cannot start is raised.
+    path = saved_small(tmp_path)
+    fds = open_fds()
+    with monkeypatch.context() as patch:
+        if fails == "fstat":
+            patch.setattr(catalog.os, "fstat", mock.Mock(side_effect=OSError("fstat")))
+            ts = catalog.load_training_csv(path)
+        else:
+            patch.setattr(threading.Thread, "start",
+                          mock.Mock(side_effect=RuntimeError("can't start new thread")))
+            with pytest.raises(RuntimeError, match="can't start"):
+                catalog.load_training_csv(path)
+    assert open_fds() == fds
+    if fails == "fstat":
+        assert_same_set(ts, SMALL)
+        assert ts.csv_digest == csv_digest(SMALL_CSV)
+
+
+def test_a_load_from_the_copy_holds_the_samples_once(tmp_path, monkeypatch, chirp_training):
+    # The set is views of the payload read: the samples are held once, not
+    # copied out of it (2.0x the payload when the v1 rows were copied out).
+    monkeypatch.setattr(catalog, "_HASH_BUFFER", 4096)
+    path = tmp_path / "training.csv"
+    catalog.save_training_csv(chirp_training, path)
+    payload = copy_of(path).stat().st_size
+    tracemalloc.start()
+    try:
+        ts = load_from_copy(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_set(ts, chirp_training)
+    assert not ts.samples.flags.writeable and not ts.params.flags.writeable
+    assert peak <= 1.2 * payload
 
 
 def test_repeated_rows_are_named_by_one_vectorized_check(tmp_path):

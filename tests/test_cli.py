@@ -611,11 +611,15 @@ def _same_run(dirs, cmd, capsys):
 def test_a_stale_copy_gives_the_outputs_of_a_run_without_it(tmp_path, sweeps, capsys):
     stale, fresh = _stale_claim_dirs(tmp_path)
     copy = (stale / "training.csv.f64").read_bytes()
-    # The copy is read on its claim: it still holds the unedited sample.
-    ts, confirm = catalog.open_training_csv(stale / "training.csv")
-    assert not confirm()
+    # The copy is read on its claim: it still holds the unedited sample. The
+    # claim is not confirmed, so the set is then parsed from the text.
+    seen = []
+    catalog.with_training_csv(stale / "training.csv", seen.append)
+    claimed, parsed = seen
     text = catalog.load_training_csv(stale / "training.csv")
-    assert ts.samples[0, 0] != text.samples[0, 0]
+    assert claimed.samples[0, 0] != text.samples[0, 0]
+    assert np.array_equal(parsed.samples, text.samples)
+    assert parsed.csv_digest == text.csv_digest != claimed.csv_digest
     for cmd in STALE_PIPELINE:
         del sweeps[:]
         assert _same_run((stale, fresh), cmd, capsys) == 0
@@ -627,20 +631,22 @@ def test_a_stale_copy_gives_the_outputs_of_a_run_without_it(tmp_path, sweeps, ca
 
 def _stale_copy_of(csv, damage):
     """Overwrite the parsed copy beside ``csv`` with its values damaged in
-    place, under a header that claims another CSV's digest."""
+    place, under a header that claims another CSV's digest. ``damage`` gets
+    the samples' (K, 2L) real view and the (K, d) parameters."""
     copy = csv.with_name(csv.name + ".f64")
     header, payload = copy.read_bytes().split(b"\n", 1)
-    values = np.frombuffer(payload, dtype="<f8").reshape(25, -1).copy()  # CHIRP: --k 25
-    damage(values)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    k = 25  # CHIRP: --k 25, d = 1
+    damage(values[:-k].reshape(k, -1), values[-k:].reshape(k, 1))
     copy.write_bytes(re.sub(rb"csv=[0-9a-f]{64}", b"csv=" + b"0" * 64, header)
                      + b"\n" + values.tobytes())
 
 
 @pytest.mark.parametrize("damage", [
-    lambda v: v.__setitem__((3, 7), np.nan),
-    lambda v: v.__setitem__((1, 0), v[0, 0]),
+    lambda samples, params: samples.__setitem__((3, 6), np.nan),
+    lambda samples, params: params.__setitem__((1, 0), params[0, 0]),
     # Checks pass, then the sweep on the claim raises DegenerateResidual.
-    lambda v: v.__setitem__((slice(None), slice(1, None)), 0.0),
+    lambda samples, params: samples.__setitem__(slice(None), 0.0),
 ], ids=["nan", "repeated-row", "all-zero"])
 def test_a_stale_copy_that_fails_gives_the_texts_results(tmp_path, capsys, damage):
     a = tmp_path / "a"

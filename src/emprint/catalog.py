@@ -19,6 +19,11 @@ none, with ``_fileio.commit``, as ``save_training_csv`` does for a training
 set's two files. Only a rename that fails after others succeeded is not
 undone (see ``_fileio.commit``).
 
+``TimeGrid``, ``TrainingSet`` and ``FamilySpec`` are frozen records
+(``_record.record``): dataclasses whose methods are written once in
+``_record`` instead of generated, so importing the module compiles no
+source text. Each checks its fields in ``__post_init__``.
+
 A family is synthesized into one (K, L) array, allocated once and filled
 in row blocks of at most ``_BLOCK_CELLS`` samples, so that the formula's
 temporaries stay small; ``training_files`` writes the parsed copy from the
@@ -63,14 +68,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._fileio import commit, fmt_float, keyed_copy, read_keyed_copy, repr_rows
+from ._record import record
 
 
 class LengthMismatch(Exception):
@@ -115,12 +121,13 @@ PARSED_MAGIC = "emprint-parsed v2"
 SAMPLING_MODES = ("equispaced", "random")
 
 
-@dataclass(frozen=True)
+@record
 class TimeGrid:
     """Closed uniform grid t_i = t_start + i*dt, i = 0..n_samples-1.
 
-    Raises InvalidRange unless n_samples >= 2, the endpoints are finite with
-    t_end > t_start, and dt is positive and finite.
+    Raises TypeError unless n_samples is an integer (``operator.index``
+    accepts it), and InvalidRange unless n_samples >= 2, the endpoints are
+    finite with t_end > t_start, and dt is positive and finite.
     """
 
     t_start: float
@@ -128,6 +135,7 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", operator.index(self.n_samples))
         if self.n_samples < 2:
             raise InvalidRange(f"grid needs at least 2 samples, got {self.n_samples}")
         if not (self.t_end > self.t_start):
@@ -148,7 +156,7 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
-@dataclass(frozen=True)
+@record
 class TrainingSet:
     """K parametrized waveforms sampled on a shared grid.
 
@@ -244,7 +252,7 @@ DEFAULT_GRID = TimeGrid(0.0, 1.0, 1001)
 _BLOCK_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """Recipe for a synthetic training set.
 
@@ -658,12 +666,6 @@ class _TreeLanes:
         return self.root
 
 
-def _hash_in_background(path) -> _TreeLanes:
-    """Open the file at ``path`` and start its tree digest on the worker
-    lane (see ``_TreeLanes``); raises OSError when it cannot be opened."""
-    return _TreeLanes(path)
-
-
 def _training_set(grid, params, samples, kind, digest) -> TrainingSet:
     """The checked training set of a CSV's header and values."""
     if kind is not None:
@@ -709,7 +711,7 @@ def with_training_csv(path, use):
             claim = fh.readline(1024)
         with open(path, "rb") as fh:
             grid, d, kind = _parse_header(fh.readline().decode("utf-8"))
-        lanes = _hash_in_background(path) if claim.startswith(prefix) else None
+        lanes = _TreeLanes(path) if claim.startswith(prefix) else None
     except (OSError, UnicodeDecodeError, ParseError):
         lanes = None
     if lanes is not None:

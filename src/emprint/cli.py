@@ -63,7 +63,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,7 @@ from .numerics import ConvergenceFailure
 from .rbm import DegenerateResidual
 from ._blas import one_thread
 from ._fileio import commit, table
+from ._record import record
 
 THEOREM_TOLERANCE = 1e-7
 
@@ -101,7 +102,7 @@ class ConfigError(Exception):
 _ALL_CRITERIA = ",".join(c.value for c in SelectionCriterion)
 
 
-@dataclass
+@record(frozen=False)
 class RunConfig:
     """The options of one run, --config aside. Each field but ``command`` is
     set by the flag ``--<name>`` (with ``-`` for ``_``) and by the config

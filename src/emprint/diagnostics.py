@@ -33,7 +33,6 @@ document is laid out then leaves every copy valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +41,14 @@ from .catalog import LengthMismatch, TimeGrid, TrainingSet
 from .eim import EmpiricalInterpolant, SelectionCriterion, _eliminate
 from .rbm import ReducedBasis
 from ._fileio import _re_im, json_document, table
+from ._record import record
 
 # Written into every report: the condition numbers and Lebesgue constants
 # refer to the stored Euclidean-orthonormal basis rows.
 BASIS_CONVENTION = "euclidean-orthonormal-rows"
 
 
-@dataclass(frozen=True)
+@record
 class OrderRecord:
     """Curves at one order: conditioning, Lebesgue constant, worst errors."""
 
@@ -60,7 +60,7 @@ class OrderRecord:
     nodes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DiagnosticsReport:
     """Per-order records for one criterion on one dataset.
 

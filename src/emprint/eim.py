@@ -54,6 +54,10 @@ scanned step computes no SVD of its V_j again. The identity verifier gets every
 det V_j(t) / det V_{j-1} from one null vector of the chosen nodes' block per
 step, taken from a Householder QR, independently of the elimination.
 
+``StepRecord`` and ``EmpiricalInterpolant`` are frozen records
+(``_record.record``), as are the other records of the package. An
+interpolant's nodes are distinct grid indices, one step record each.
+
 A full-order interpolant selected on a basis swept from a training CSV can
 be kept in a binary copy, so that a later comparison on the same data reads
 its picks instead of selecting again. The copy is one ASCII line
@@ -71,7 +75,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -81,6 +84,7 @@ from . import numerics as nm
 from .catalog import InvalidRange, LengthMismatch
 from .rbm import ReducedBasis, _copy_key
 from ._fileio import keyed_copy, read_keyed_copy
+from ._record import record
 
 # Grid points per stack of candidate matrices V_j(t). One stack over a whole
 # 2001-point grid raised a run's peak memory by 12%; 256 keeps it flat.
@@ -106,7 +110,7 @@ class SelectionCriterion(enum.Enum):
     MIN_LAMBDA = "lambda"
 
 
-@dataclass(frozen=True)
+@record
 class StepRecord:
     """Diagnostics for one prefix of the node set.
 
@@ -123,7 +127,7 @@ class StepRecord:
     residual_at_node: float
 
 
-@dataclass(frozen=True)
+@record
 class EmpiricalInterpolant:
     """Interpolation nodes plus everything needed to apply the interpolant.
 
@@ -145,6 +149,10 @@ class EmpiricalInterpolant:
         nodes = tuple(int(i) for i in self.node_indices)
         if len(set(nodes)) != len(nodes):
             raise ValueError("node indices must be distinct")
+        if not all(0 <= i < self.basis.grid.n_samples for i in nodes):
+            raise ValueError(f"node indices must lie in 0..{self.basis.grid.n_samples - 1}")
+        if len(self.per_step) != len(nodes):
+            raise ValueError("need one step record per node")
         if self.b_matrix.shape != (self.n, self.basis.grid.n_samples):
             raise ValueError("b_matrix shape mismatch")
         if self.residuals.shape != self.b_matrix.shape:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,7 @@ from scipy.linalg.blas import zgeru
 from .catalog import InvalidRange, LengthMismatch, TimeGrid, TrainingSet, waveform_csv
 from .numerics import argmax_tied, error_floor_sq
 from ._fileio import keyed_copy, read_keyed_copy, table
+from ._record import record
 
 DEFAULT_TOL = 1e-12
 
@@ -63,14 +63,14 @@ class DegenerateResidual(Exception):
     a training set whose largest waveform has zero norm."""
 
 
-@dataclass(frozen=True)
+@record
 class ReducedBasis:
     """Orthonormal reduced basis with its greedy history.
 
     ``basis`` is (n, L) with Euclidean-orthonormal rows. ``greedy_errors[m-1]``
     is the squared maximum weighted projection error over the training set
     after m basis vectors. ``greedy_params`` holds the training-row index
-    selected at each step.
+    selected at each step, one per basis vector.
     """
 
     grid: TimeGrid
@@ -91,6 +91,8 @@ class ReducedBasis:
             )
         if errors.shape != (basis.shape[0],):
             raise ValueError("need one greedy error per basis vector")
+        if len(self.greedy_params) != basis.shape[0]:
+            raise ValueError("need one greedy pick per basis vector")
         # Both gates are written so that a NaN fails them.
         gram = basis @ basis.conj().T
         if not np.max(np.abs(gram - np.eye(basis.shape[0]))) <= 1e-10:

@@ -44,6 +44,17 @@ def test_grid_validation():
         TimeGrid(2.0, 1.0, 10)
 
 
+def test_grid_needs_an_integer_sample_count():
+    # A float count used to pass, then fail inside np.linspace on .points.
+    with pytest.raises(TypeError):
+        TimeGrid(0.0, 1.0, 2.5)
+    with pytest.raises(TypeError):
+        TimeGrid(0.0, 1.0, 11.0)
+    grid = TimeGrid(0.0, 1.0, np.int64(11))
+    assert grid == GRID11 and type(grid.n_samples) is int
+    assert np.array_equal(grid.points, GRID11.points)
+
+
 @pytest.mark.parametrize("t_start, t_end", [
     (-math.inf, math.inf), (0.0, math.inf), (-1e308, 1e308), (0.0, 5e-324),
 ], ids=["infinite", "infinite-end", "spacing-overflows", "spacing-underflows"])
@@ -619,14 +630,14 @@ def test_tree_digest_of_a_file_is_the_oracles(tmp_path, monkeypatch, leaf, buffe
         path = tmp_path / f"{size}.csv"
         path.write_bytes(data)
         want = csv_digest(data, leaf)
-        assert catalog._hash_in_background(path).digest() == want
+        assert catalog._TreeLanes(path).digest() == want
         streamed = catalog._TreeHasher()
         for start in range(0, size, 5):  # pieces that straddle the leaves
             streamed.update(data[start:start + 5])
         assert streamed.hexdigest() == want
     assert threading.active_count() == before
     with pytest.raises(OSError):
-        catalog._hash_in_background(tmp_path / "missing.csv")
+        catalog._TreeLanes(tmp_path / "missing.csv")
 
 
 def test_lanes_give_the_oracles_digest_under_fast_thread_switching(tmp_path, monkeypatch):
@@ -648,7 +659,7 @@ def test_lanes_give_the_oracles_digest_under_fast_thread_switching(tmp_path, mon
             for turn in range(offset, offset + 100):
                 if time.monotonic() > deadline:
                     return
-                lanes = catalog._hash_in_background(path)
+                lanes = catalog._TreeLanes(path)
                 if turn % 3 == 2:
                     lanes.stop()
                     outcomes.append(lanes.digest() is None)

@@ -749,9 +749,9 @@ def test_no_thread_outlives_main(tmp_path, monkeypatch, case):
         assert main(["generate", *CHIRP, "--out-dir", str(d)]) == 0
         prepare(d, monkeypatch)
     started = []
-    hash_in_background = catalog._hash_in_background
-    monkeypatch.setattr(catalog, "_hash_in_background",
-                        lambda path: started.append(path) or hash_in_background(path))
+    tree_lanes = catalog._TreeLanes
+    monkeypatch.setattr(catalog, "_TreeLanes",
+                        lambda path: started.append(path) or tree_lanes(path))
     before = threading.active_count()
     assert main([command, "--input", str(d / "training.csv"), "--out-dir", str(d)]) == code
     assert threading.active_count() == before

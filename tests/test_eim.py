@@ -594,6 +594,30 @@ def test_constructor_rejects_duplicate_nodes(small_basis):
         )
 
 
+@pytest.mark.parametrize("shift", [-1, 1], ids=["negative", "past-the-end"])
+def test_constructor_rejects_nodes_off_the_grid(small_basis, shift):
+    # Nodes t - L index the same columns as t, so they gave the same
+    # v_matrix and passed the cardinal check.
+    itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
+    moved = tuple(t + shift * small_basis.grid.n_samples for t in itp.node_indices)
+    with pytest.raises(ValueError, match="node indices must lie in 0..300"):
+        EmpiricalInterpolant(
+            basis=itp.basis, node_indices=moved, b_matrix=itp.b_matrix,
+            residuals=itp.residuals, criterion=itp.criterion, per_step=itp.per_step,
+        )
+
+
+@pytest.mark.parametrize("steps", [2, 4])
+def test_constructor_needs_one_step_record_per_node(small_basis, steps):
+    itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
+    with pytest.raises(ValueError, match="one step record per node"):
+        EmpiricalInterpolant(
+            basis=itp.basis, node_indices=itp.node_indices, b_matrix=itp.b_matrix,
+            residuals=itp.residuals, criterion=itp.criterion,
+            per_step=(itp.per_step * 2)[:steps],
+        )
+
+
 def test_constructor_rejects_broken_cardinals(small_basis):
     itp = build_interpolant(small_basis, SelectionCriterion.CLASSIC, 3)
     with pytest.raises(SingularVMatrix):

@@ -225,6 +225,14 @@ def test_constructor_rejects_nan_basis():
                      [math.nan, math.nan], (0, 1), 1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 8], ids=["fewer", "more"])
+def test_constructor_needs_one_pick_per_basis_vector(small_basis, count):
+    assert small_basis.n == 7
+    with pytest.raises(ValueError, match="one greedy pick per basis vector"):
+        ReducedBasis(small_basis.grid, small_basis.basis, small_basis.greedy_errors,
+                     small_basis.greedy_params[:1] * count, small_basis.tol)
+
+
 @pytest.mark.parametrize("errors", [[math.nan, 0.5], [0.5, math.nan], [math.nan]])
 def test_constructor_rejects_nan_greedy_errors(errors):
     rows = np.eye(5)[:len(errors)]
